@@ -45,7 +45,7 @@ from .geometry import (
     poincare_invariant,
 )
 from .mixtures import FitError, em_fit
-from .montecarlo import FGenerator, estimate_for_poincare, estimate_plugin, estimate_mc1, estimate_mc2, optimize_sigma, Proposal
+from .montecarlo import FGenerator, estimate, estimate_for_poincare
 from .sampling import RngStream, hyperboloid_sample, poincare_sample
 
 EXIT_OK = 0
@@ -128,8 +128,6 @@ def _parse_param(text: str, family: str):
         return LorentzParam(arr)
     except (KeyError, TypeError) as err:
         raise CliError(EXIT_BAD_PARAMS, f"malformed parameter {text!r}: {err}")
-    except ConeError as err:
-        raise CliError(EXIT_BAD_PARAMS, f"parameter outside its cone: {err}")
 
 
 def _triple(theta, theta2, family: str):
@@ -164,6 +162,7 @@ def _cmd_divergence(args) -> int:
     fn = _DIVERGENCES[args.family].get(args.measure)
     if fn is None:
         raise CliError(EXIT_BAD_PARAMS, f"{args.measure} is not available for {args.family}")
+    triple = _triple(theta, theta2, args.family)  # rejects a dimension mismatch by name
     extra = {}
     if args.measure == "skew-jensen":
         value = fn(theta, theta2, args.alpha)
@@ -176,7 +175,7 @@ def _cmd_divergence(args) -> int:
     payload = {
         "measure": args.measure,
         "value": value if finite else None,
-        "invariant_triple": list(_triple(theta, theta2, args.family).as_tuple()),
+        "invariant_triple": list(triple.as_tuple()),
         "finite": finite,
         **extra,
     }
@@ -246,39 +245,18 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
-_CLOSED_FORMS = {
-    "poincare": {"kl": pc.kld, "hellinger": pc.hellinger_sq, "neyman": pc.neyman_chi2},
-    "hyperboloid": {"kl": hb.kld, "hellinger": hb.hellinger_sq, "neyman": hb.neyman_chi2},
-}
-
-
 def _cmd_estimate(args) -> int:
     theta = _parse_param(args.theta, args.family)
     theta2 = _parse_param(args.theta2, args.family)
     f = FGenerator.by_name(args.measure)
     stream = RngStream(args.seed, _STREAM_ESTIMATE)
-    shards = args.shards
-    if args.family == "poincare":
-        est = estimate_for_poincare(
-            f, theta, theta2, args.method, args.n, stream,
-            sigma=args.sigma, eps=args.eps, shards=shards,
-        )
-    else:
-        if theta.d != 2 or theta2.d != 2:
-            raise CliError(EXIT_BAD_DIMENSION, "estimators are implemented for d=2 only")
-        if args.method == "plugin":
-            est = estimate_plugin(f, theta, theta2, args.n, stream.derive(11), shards=shards)
-        elif args.method == "mc2":
-            est = estimate_mc2(f, theta, theta2, args.n, stream.derive(14), eps=args.eps, shards=shards)
-        else:
-            kind = "logistic" if args.method == "mc1-logistic" else "student_t7"
-            sigma = args.sigma
-            if sigma is None:
-                sigma = optimize_sigma(f, theta, theta2, kind, 200_000, stream.derive(101))
-            est = estimate_mc1(
-                f, theta, theta2, Proposal(kind, sigma), args.n,
-                stream.derive(12 if kind == "logistic" else 13), shards=shards,
-            )
+    if args.family == "hyperboloid" and (theta.d != 2 or theta2.d != 2):
+        raise CliError(EXIT_BAD_DIMENSION, "estimators are implemented for d=2 only")
+    run = estimate_for_poincare if args.family == "poincare" else estimate
+    est = run(
+        f, theta, theta2, args.method, args.n, stream,
+        sigma=args.sigma, eps=args.eps, shards=args.shards,
+    )
     payload = {
         "measure": args.measure,
         "method": args.method,
@@ -286,7 +264,7 @@ def _cmd_estimate(args) -> int:
         "sample_variance": est.sample_variance,
         "n": est.n,
         "seed": args.seed,
-        "shards": shards,
+        "shards": args.shards,
         "ci95": list(est.ci95),
         "sigma": est.sigma,
         "sup_bound": est.sup_bound,
@@ -295,11 +273,11 @@ def _cmd_estimate(args) -> int:
     }
     _emit(payload, args.out)
     if args.verify:
-        closed = _CLOSED_FORMS[args.family].get(args.measure)
+        closed = _DIVERGENCES[args.family].get(args.measure)
         if closed is None:
             raise CliError(EXIT_BAD_PARAMS, f"--verify has no closed form for {args.measure}")
         target = closed(theta, theta2)
-        se = math.sqrt(est.sample_variance / est.n) if est.n > 1 else math.inf
+        se = math.sqrt(est.sample_variance / est.n)
         if not math.isfinite(target) or abs(est.estimate - target) > 4.0 * se:
             sys.stderr.write(
                 f"verification failed: estimate {est.estimate} vs closed form {target} "
@@ -358,44 +336,39 @@ def _cmd_convert(args) -> int:
     src, dst = args.src, args.dst
     if src not in _MODELS or dst not in _MODELS:
         raise CliError(EXIT_BAD_PARAMS, f"models must be one of {_MODELS}")
-    try:
-        if args.what == "param":
-            if "disk" in (src, dst):
-                raise CliError(EXIT_BAD_PARAMS, "parameter conversion covers upper-half <-> hyperboloid")
-            if src == dst:
-                out = value
-            elif src == "upper-half":
-                theta = _parse_param(args.value, "poincare")
-                out = list(param_h_to_l(theta).theta)
-            else:
-                theta = _parse_param(args.value, "hyperboloid")
-                if theta.d != 2:
-                    raise CliError(EXIT_BAD_DIMENSION, "parameter conversion needs d=2")
-                s = param_l_to_h(theta)
-                out = [[s.a, s.b], [s.b, s.c]]
+    if args.what == "param":
+        if "disk" in (src, dst):
+            raise CliError(EXIT_BAD_PARAMS, "parameter conversion covers upper-half <-> hyperboloid")
+        if src == dst:
+            out = value
+        elif src == "upper-half":
+            theta = _parse_param(args.value, "poincare")
+            out = list(param_h_to_l(theta).theta)
         else:
-            arr = np.asarray(value, dtype=float)
-            if arr.shape != (2,):
-                raise CliError(EXIT_BAD_PARAMS, f"points are 2-vectors, got {args.value!r}")
-            if src == dst:
-                out = list(arr)
+            theta = _parse_param(args.value, "hyperboloid")
+            if theta.d != 2:
+                raise CliError(EXIT_BAD_DIMENSION, "parameter conversion needs d=2")
+            s = param_l_to_h(theta)
+            out = [[s.a, s.b], [s.b, s.c]]
+    else:
+        arr = np.asarray(value, dtype=float)
+        if arr.shape != (2,):
+            raise CliError(EXIT_BAD_PARAMS, f"points are 2-vectors, got {args.value!r}")
+        if src == dst:
+            out = list(arr)
+        else:
+            if src == "upper-half":
+                z = UpperHalfPoint(arr[0], arr[1])
+            elif src == "hyperboloid":
+                z = point_l_to_h(HyperboloidPoint(arr))
             else:
-                if src == "upper-half":
-                    z = UpperHalfPoint(arr[0], arr[1])
-                elif src == "hyperboloid":
-                    z = point_l_to_h(HyperboloidPoint(arr))
-                else:
-                    z = point_disk_to_h(arr[0], arr[1])
-                if dst == "upper-half":
-                    out = [z.x, z.y]
-                elif dst == "hyperboloid":
-                    out = list(point_h_to_l(z).coords)
-                else:
-                    out = list(point_h_to_disk(z))
-    except (ConeError, ValueError) as err:
-        if isinstance(err, CliError):
-            raise
-        raise CliError(EXIT_BAD_PARAMS, str(err))
+                z = point_disk_to_h(arr[0], arr[1])
+            if dst == "upper-half":
+                out = [z.x, z.y]
+            elif dst == "hyperboloid":
+                out = list(point_h_to_l(z).coords)
+            else:
+                out = list(point_h_to_disk(z))
     _emit({"what": args.what, "from": src, "to": dst, "value": out}, args.out)
     return EXIT_OK
 
@@ -495,6 +468,9 @@ def main(argv=None) -> int:
         return err.code
     except ConeError as err:
         sys.stderr.write(f"hyperstat: parameter outside its cone: {err}\n")
+        return EXIT_BAD_PARAMS
+    except ValueError as err:
+        sys.stderr.write(f"hyperstat: {err}\n")
         return EXIT_BAD_PARAMS
 
 

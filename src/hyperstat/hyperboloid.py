@@ -7,17 +7,20 @@ In chart coordinates (x_1..x_d) the density against Lebesgue measure is
 with [.,.] the Minkowski form, |theta| = [theta,theta]^(1/2), and
 c_d(t) = t^((d-1)/2) / (2 (2 pi)^((d-1)/2) K_((d-1)/2)(t)).
 
-Divergences with a closed form (KL, squared Hellinger, Neyman chi-squared)
-are computed from the cumulant and the normalizer ratio, which reproduces the
-d = 2 specializations exactly and stays consistent for every d.  The Fisher
-information matrix is provided in closed form for d = 2.
+The divergences (KL, squared Hellinger, Neyman chi-squared, Jeffreys, skew
+Jensen) are not written out here: :mod:`hyperstat.expfam` derives each of them
+once from the cumulant F = -log c_d(|theta|) and its gradient, which
+reproduces the d = 2 specializations and stays consistent for every d.  The
+Fisher information matrix is provided in closed form for d = 2.
 """
 
 from __future__ import annotations
 
 import math
+
 import numpy as np
 
+from . import expfam
 from .geometry import DualDomainError, HyperboloidPoint, LorentzParam
 from .specfun import bessel_k, bessel_k_logderiv
 
@@ -85,8 +88,16 @@ def log_density(theta: LorentzParam, p: HyperboloidPoint) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Divergences
+# Divergences, derived in expfam from the cumulant
 # ---------------------------------------------------------------------------
+
+
+_FAMILY = expfam.Family(
+    cumulant=lambda v: cumulant(LorentzParam(v)),
+    grad=lambda v: grad_cumulant(LorentzParam(v)),
+    # Summed as LorentzParam sums it, so a vector passing the cone test is a parameter.
+    quad=lambda v: v[0] * v[0] - sum(x * x for x in v[1:]),
+)
 
 
 def kld(theta: LorentzParam, theta2: LorentzParam) -> float:
@@ -95,64 +106,26 @@ def kld(theta: LorentzParam, theta2: LorentzParam) -> float:
     For d = 2 this agrees with the explicit form
     log(t/t') - t' + [th,th']/[th,th] + [th,th']/t - 1.
     """
-    if theta.d != theta2.d:
-        raise ValueError(f"dimension mismatch: d={theta.d} vs d={theta2.d}")
-    grad = grad_cumulant(theta)
-    diff = theta2.vec - theta.vec
-    return cumulant(theta2) - cumulant(theta) - float(grad @ diff)
+    return expfam.kld(_FAMILY, theta.vec, theta2.vec)
 
 
 def hellinger_sq(theta: LorentzParam, theta2: LorentzParam) -> float:
     """Squared Hellinger divergence, 1 - sqrt(c_d(t) c_d(t')) / c_d(|theta+theta2|/2)."""
-    if theta.d != theta2.d:
-        raise ValueError(f"dimension mismatch: d={theta.d} vs d={theta2.d}")
-    d = theta.d
-    s = LorentzParam(theta.vec + theta2.vec).minkowski_norm()
-    log_bc = (
-        0.5
-        * (
-            log_normalizer_c(d, theta.minkowski_norm())
-            + log_normalizer_c(d, theta2.minkowski_norm())
-        )
-        - log_normalizer_c(d, 0.5 * s)
-    )
-    return -math.expm1(log_bc)
+    return expfam.hellinger_sq(_FAMILY, theta.vec, theta2.vec)
 
 
 def neyman_chi2(theta: LorentzParam, theta2: LorentzParam) -> float:
     """Neyman chi-squared divergence; +inf when 2*theta2 - theta leaves the cone."""
-    if theta.d != theta2.d:
-        raise ValueError(f"dimension mismatch: d={theta.d} vs d={theta2.d}")
-    m = 2.0 * theta2.vec - theta.vec
-    mink_sq = float(m[0] * m[0] - m[1:] @ m[1:])
-    scale = float(np.max(np.abs(m)))
-    if not (m[0] > 0.0 and mink_sq > 1e-12 * scale * scale):
-        return math.inf
-    d = theta.d
-    log_ratio = (
-        2.0 * log_normalizer_c(d, theta2.minkowski_norm())
-        - log_normalizer_c(d, theta.minkowski_norm())
-        - log_normalizer_c(d, math.sqrt(mink_sq))
-    )
-    return math.expm1(log_ratio)
+    return expfam.neyman_chi2(_FAMILY, theta.vec, theta2.vec)
 
 
 def jeffreys(theta: LorentzParam, theta2: LorentzParam) -> float:
-    return kld(theta, theta2) + kld(theta2, theta)
+    return expfam.jeffreys(_FAMILY, theta.vec, theta2.vec)
 
 
 def skew_jensen(theta: LorentzParam, theta2: LorentzParam, alpha: float) -> float:
     """Skew Jensen divergence of the cumulant at the mix (1-alpha) theta + alpha theta2."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if theta.d != theta2.d:
-        raise ValueError(f"dimension mismatch: d={theta.d} vs d={theta2.d}")
-    mix = LorentzParam((1.0 - alpha) * theta.vec + alpha * theta2.vec)
-    return (
-        (1.0 - alpha) * cumulant(theta)
-        + alpha * cumulant(theta2)
-        - cumulant(mix)
-    )
+    return expfam.skew_jensen(_FAMILY, theta.vec, theta2.vec, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,8 @@ def em_fit(
     Raises :class:`FitError` when every restart collapses a component (an
     effective count below 2 or a degenerate moment average).
     """
+    if k < 1:
+        raise ValueError(f"a mixture needs k >= 1 components, got {k}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[0]
     if n < 2 * k:

@@ -10,6 +10,7 @@ Three estimators are provided:
   radial range truncated at 1 - eps (the truncation bias is documented, tiny,
   and deliberately left uncorrected).
 
+:func:`estimate` picks one of them by name and derives its stream.
 Half-plane divergences are estimated by mapping the parameters through the
 d = 2 correspondence first.  Estimates are deterministic given the stream and
 the shard count; shards are combined with Chan's parallel moment update, so
@@ -27,6 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import hyperboloid as hb
+from .expfam import golden_section_min
 from .geometry import LorentzParam, SpdParam2, param_h_to_l
 from .sampling import RngStream, hyperboloid_sample
 
@@ -39,6 +41,7 @@ __all__ = [
     "estimate_mc2",
     "optimize_sigma",
     "error_bound",
+    "estimate",
     "estimate_for_poincare",
     "probe_sup_weight",
 ]
@@ -167,6 +170,9 @@ class _Moments:
 
 
 def _shard_sizes(n: int, shards: int) -> list:
+    # An interval needs a sample variance, hence at least two draws.
+    if n < 2 or shards < 1:
+        raise ValueError(f"estimators need n >= 2 draws and shards >= 1, got n={n}, shards={shards}")
     base = n // shards
     sizes = [base] * shards
     for i in range(n - base * shards):
@@ -206,7 +212,7 @@ def _finalize(
 ) -> McEstimate:
     est = acc.mean
     var = acc.variance()
-    half = 1.96 * math.sqrt(var / acc.n) if acc.n > 0 else math.inf
+    half = 1.96 * math.sqrt(var / acc.n)
     return McEstimate(
         estimate=est,
         sample_variance=var,
@@ -355,21 +361,7 @@ def optimize_sigma(
             np.sum(np.exp(log_a - prop.logpdf(zm) - prop.logpdf(wm))) / n_pilot
         )
 
-    lo, hi = bracket
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    while hi - lo > 1e-6:
-        if f1 > f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = objective(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = objective(x1)
-    return 0.5 * (lo + hi)
+    return golden_section_min(objective, bracket[0], bracket[1], 1e-6)
 
 
 def estimate_mc2(
@@ -463,10 +455,10 @@ _METHOD_KEYS = {"plugin": 11, "mc1-logistic": 12, "mc1-t7": 13, "mc2": 14}
 _PILOT_KEY = 101
 
 
-def estimate_for_poincare(
+def estimate(
     f: FGenerator,
-    theta: SpdParam2,
-    theta2: SpdParam2,
+    theta: LorentzParam,
+    theta2: LorentzParam,
     method: str,
     n: int,
     rng: RngStream,
@@ -475,7 +467,7 @@ def estimate_for_poincare(
     shards: int = 1,
     n_pilot: int = 200_000,
 ) -> McEstimate:
-    """Estimate a half-plane divergence through the d = 2 correspondence.
+    """Estimate a divergence between two d = 2 hyperboloid laws by ``method``.
 
     ``method`` is one of "plugin", "mc1-logistic", "mc1-t7", "mc2".  For the
     MC1 methods the proposal scale is optimized on a pilot stream unless
@@ -483,14 +475,23 @@ def estimate_for_poincare(
     """
     if method not in _METHOD_KEYS:
         raise ValueError(f"unknown method {method!r}")
-    tl = param_h_to_l(theta)
-    tl2 = param_h_to_l(theta2)
+    _shard_sizes(n, shards)  # reject the sizes before a pilot is drawn
     est_rng = rng.derive(_METHOD_KEYS[method])
     if method == "plugin":
-        return estimate_plugin(f, tl, tl2, n, est_rng, shards=shards)
+        return estimate_plugin(f, theta, theta2, n, est_rng, shards=shards)
     if method == "mc2":
-        return estimate_mc2(f, tl, tl2, n, est_rng, eps=eps, shards=shards)
+        return estimate_mc2(f, theta, theta2, n, est_rng, eps=eps, shards=shards)
     kind = "logistic" if method == "mc1-logistic" else "student_t7"
     if sigma is None:
-        sigma = optimize_sigma(f, tl, tl2, kind, n_pilot, rng.derive(_PILOT_KEY))
-    return estimate_mc1(f, tl, tl2, Proposal(kind, sigma), n, est_rng, shards=shards)
+        sigma = optimize_sigma(f, theta, theta2, kind, n_pilot, rng.derive(_PILOT_KEY))
+    return estimate_mc1(f, theta, theta2, Proposal(kind, sigma), n, est_rng, shards=shards)
+
+
+def estimate_for_poincare(
+    f: FGenerator, theta: SpdParam2, theta2: SpdParam2, method: str, n: int, rng: RngStream, **options
+) -> McEstimate:
+    """Estimate a half-plane divergence through the d = 2 correspondence.
+
+    Arguments and ``options`` (sigma, eps, shards, n_pilot) are those of :func:`estimate`.
+    """
+    return estimate(f, param_h_to_l(theta), param_h_to_l(theta2), method, n, rng, **options)

@@ -8,7 +8,9 @@ with natural parameter the SPD matrix [[a,b],[b,c]] and D = sqrt(ac - b^2).
 This module carries the cumulant and its conjugate, the moment map and its
 inverse, closed-form divergences (KL, squared Hellinger, Neyman chi-squared,
 Jeffreys, skew Jensen, Chernoff), entropy, the Fisher information matrix, the
-cubic tensor, and the maximum-likelihood estimator.
+cubic tensor, and the maximum-likelihood estimator.  The divergences are not
+written out here: :mod:`hyperstat.expfam` derives each of them once from the
+reduced cumulant and its gradient on (a, b, c).
 
 The cumulant is exposed in two equivalent normalizations: the full
 log-normalizer ``log pi - log D - 2D`` and the reduced Bregman generator
@@ -24,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import expfam
 from .geometry import DualDomainError, Moment2, SpdParam2, UpperHalfPoint
 from .specfun import exp_gamma0
 
@@ -135,61 +138,35 @@ def conjugate(eta: Moment2) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Divergences
+# Divergences, derived in expfam from the reduced cumulant
 # ---------------------------------------------------------------------------
+
+
+_FAMILY = expfam.Family(
+    cumulant=lambda v: cumulant(SpdParam2(*v)).reduced,
+    grad=lambda v: _grad_cumulant_vec(SpdParam2(*v)),
+    quad=lambda v: v[0] * v[2] - v[1] * v[1],
+)
 
 
 def kld(theta: SpdParam2, theta2: SpdParam2) -> float:
     """Kullback-Leibler divergence KL[p_theta : p_theta2] in closed form."""
-    u, u2 = theta.det(), theta2.det()
-    d, d2 = math.sqrt(u), math.sqrt(u2)
-    tr = float(np.trace(theta2.as_matrix() @ theta.inverse_matrix()))
-    return 0.5 * math.log(u / u2) + 2.0 * (d - d2) + (0.5 + d) * (tr - 2.0)
-
-
-def _log_bhattacharyya(theta: SpdParam2, theta2: SpdParam2) -> float:
-    # log BC = log 2 + (log u + log u')/4 + D + D' - log s / 2 - sqrt(s),
-    # s = det(theta + theta').
-    u, u2 = theta.det(), theta2.det()
-    s = (theta.a + theta2.a) * (theta.c + theta2.c) - (theta.b + theta2.b) ** 2
-    return (
-        math.log(2.0)
-        + 0.25 * (math.log(u) + math.log(u2))
-        + math.sqrt(u)
-        + math.sqrt(u2)
-        - 0.5 * math.log(s)
-        - math.sqrt(s)
-    )
+    return expfam.kld(_FAMILY, theta.as_vector(), theta2.as_vector())
 
 
 def hellinger_sq(theta: SpdParam2, theta2: SpdParam2) -> float:
     """Squared Hellinger divergence (generator (sqrt(u)-1)^2/2); in [0, 1), symmetric."""
-    return -math.expm1(_log_bhattacharyya(theta, theta2))
+    return expfam.hellinger_sq(_FAMILY, theta.as_vector(), theta2.as_vector())
 
 
 def neyman_chi2(theta: SpdParam2, theta2: SpdParam2) -> float:
     """Neyman chi-squared divergence; +inf when 2*theta2 - theta leaves the cone."""
-    a = 2.0 * theta2.a - theta.a
-    b = 2.0 * theta2.b - theta.b
-    c = 2.0 * theta2.c - theta.c
-    det_m = a * c - b * b
-    scale = max(abs(a), abs(b), abs(c))
-    if not (a > 0.0 and c > 0.0 and det_m > 1e-12 * scale * scale):
-        return math.inf
-    u, u2 = theta.det(), theta2.det()
-    log_ratio = (
-        math.log(u2)
-        + 4.0 * math.sqrt(u2)
-        - 0.5 * math.log(u)
-        - 0.5 * math.log(det_m)
-        - 2.0 * (math.sqrt(u) + math.sqrt(det_m))
-    )
-    return math.expm1(log_ratio)
+    return expfam.neyman_chi2(_FAMILY, theta.as_vector(), theta2.as_vector())
 
 
 def jeffreys(theta: SpdParam2, theta2: SpdParam2) -> float:
     """Symmetrized KL divergence; symmetric but not a metric in any positive power."""
-    return kld(theta, theta2) + kld(theta2, theta)
+    return expfam.jeffreys(_FAMILY, theta.as_vector(), theta2.as_vector())
 
 
 def skew_jensen(theta: SpdParam2, theta2: SpdParam2, alpha: float) -> float:
@@ -198,23 +175,11 @@ def skew_jensen(theta: SpdParam2, theta2: SpdParam2, alpha: float) -> float:
     Equals the alpha-Bhattacharyya divergence between the two densities;
     at alpha = 1/2 it is -log(1 - hellinger_sq).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    w = 1.0 - alpha
-    mix_a = w * theta.a + alpha * theta2.a
-    mix_b = w * theta.b + alpha * theta2.b
-    mix_c = w * theta.c + alpha * theta2.c
-    u_mix = mix_a * mix_c - mix_b * mix_b
-    u, u2 = theta.det(), theta2.det()
-    return 0.5 * (math.log(u_mix) - w * math.log(u) - alpha * math.log(u2)) + 2.0 * (
-        math.sqrt(u_mix) - (w * math.sqrt(u) + alpha * math.sqrt(u2))
-    )
+    return expfam.skew_jensen(_FAMILY, theta.as_vector(), theta2.as_vector(), alpha)
 
 
 def kld_via_skew_limit(theta: SpdParam2, theta2: SpdParam2, eps: float = 0.01) -> float:
     """First-order KL approximation (1/(eps(1-eps))) * skew_jensen; error O(eps)."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
     return skew_jensen(theta, theta2, eps) / (eps * (1.0 - eps))
 
 
@@ -224,29 +189,7 @@ def chernoff(theta: SpdParam2, theta2: SpdParam2) -> tuple:
     The objective is strictly concave in alpha, so golden-section search
     converges to the unique optimum; returns (alpha*, value).
     """
-    same = (theta.a, theta.b, theta.c) == (theta2.a, theta2.b, theta2.c)
-    if same:
-        return (0.5, 0.0)
-
-    def objective(alpha: float) -> float:
-        return skew_jensen(theta, theta2, alpha)
-
-    lo, hi = 1e-12, 1.0 - 1e-12
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    while hi - lo > 1e-8:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = objective(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = objective(x1)
-    alpha = 0.5 * (lo + hi)
-    return (alpha, objective(alpha))
+    return expfam.chernoff(_FAMILY, theta.as_vector(), theta2.as_vector())
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,8 @@ def hyperboloid_sample(theta: LorentzParam, n: int, rng: RngStream) -> np.ndarra
     """n chart points from the d = 2 hyperboloid law, as an (n, 2) array."""
     if theta.d != 2:
         raise ValueError(f"sampler covers d=2 only, got d={theta.d}")
+    if n < 0:
+        raise ValueError(f"sample size must be >= 0, got {n}")
     t = theta.minkowski_norm()
     gen = rng.generator()
     s = _gig_half_order(GigParams(0.5, 1.0, t * t), n, gen)

@@ -130,29 +130,28 @@ RUNTIME_LIMIT_S = 60.0
 @pytest.fixture(scope="module")
 def tv_panel(pytestconfig):
     """All four estimators on the ten pairs, single stream, n = 10^6."""
-    import os
-
-    os.environ["HYPERSTAT_THREADS"] = "1"  # the runtime criterion is single-threaded
-    tv = FGenerator.total_variation()
-    rng = RngStream(PANEL_SEED)
-    rows = []
-    for i, (a, b) in enumerate(PAIRS):
-        ta, tb = LorentzParam(a), LorentzParam(b)
-        n_pilot = PILOT_N_FIRST if i == 0 else PILOT_N
-        sl = optimize_sigma(tv, ta, tb, "logistic", n_pilot, rng.derive(101, i))
-        st = optimize_sigma(tv, ta, tb, "student_t7", n_pilot, rng.derive(102, i))
-        runs = {}
-        for tag, call in (
-            ("plugin", lambda: estimate_plugin(tv, ta, tb, PANEL_N, rng.derive(11, i))),
-            ("mc1-logistic", lambda: estimate_mc1(tv, ta, tb, Proposal("logistic", sl), PANEL_N, rng.derive(12, i))),
-            ("mc1-t7", lambda: estimate_mc1(tv, ta, tb, Proposal("student_t7", st), PANEL_N, rng.derive(13, i))),
-            ("mc2", lambda: estimate_mc2(tv, ta, tb, PANEL_N, rng.derive(14, i))),
-        ):
-            t0 = time.time()
-            est = call()
-            runs[tag] = (est, time.time() - t0)
-        rows.append({"sigma_logistic": sl, "sigma_t7": st, "runs": runs})
-    return rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("HYPERSTAT_THREADS", "1")  # the runtime criterion is single-threaded
+        tv = FGenerator.total_variation()
+        rng = RngStream(PANEL_SEED)
+        rows = []
+        for i, (a, b) in enumerate(PAIRS):
+            ta, tb = LorentzParam(a), LorentzParam(b)
+            n_pilot = PILOT_N_FIRST if i == 0 else PILOT_N
+            sl = optimize_sigma(tv, ta, tb, "logistic", n_pilot, rng.derive(101, i))
+            st = optimize_sigma(tv, ta, tb, "student_t7", n_pilot, rng.derive(102, i))
+            runs = {}
+            for tag, call in (
+                ("plugin", lambda: estimate_plugin(tv, ta, tb, PANEL_N, rng.derive(11, i))),
+                ("mc1-logistic", lambda: estimate_mc1(tv, ta, tb, Proposal("logistic", sl), PANEL_N, rng.derive(12, i))),
+                ("mc1-t7", lambda: estimate_mc1(tv, ta, tb, Proposal("student_t7", st), PANEL_N, rng.derive(13, i))),
+                ("mc2", lambda: estimate_mc2(tv, ta, tb, PANEL_N, rng.derive(14, i))),
+            ):
+                t0 = time.time()
+                est = call()
+                runs[tag] = (est, time.time() - t0)
+            rows.append({"sigma_logistic": sl, "sigma_t7": st, "runs": runs})
+        return rows
 
 
 def test_c03_tvd_table_mc_estimators(tv_panel):

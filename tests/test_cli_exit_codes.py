@@ -1,0 +1,152 @@
+"""Every CLI input ends in a documented exit code, never a traceback.
+
+``main`` returns 0 (ok), 2 (invalid parameters), 3 (infinite divergence),
+4 (unsupported dimension) or 5 (fit failure); argparse itself exits with
+``SystemExit(2)`` on malformed flags.  Any other exception fails the test.
+"""
+
+import contextlib
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hyperstat.cli import main
+
+DOCUMENTED = {0, 2, 3, 4, 5}
+PC = ("[[4, 0.25], [0.25, 0.5]]", "[[0.5, 0.25], [0.25, 2]]")
+HB = ("[1.5, 0.3, -0.4]", "[2.0, -0.5, 0.7]")
+HB_D3 = "[2.0, -0.5, 0.7, 0.1]"
+FEW = settings(max_examples=25, deadline=None)
+
+
+def run(argv) -> tuple:
+    """(exit code, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, f"argparse exit {exc.code} for {argv}"
+            code = 2
+    assert code in DOCUMENTED, f"exit {code} for {argv}: {err.getvalue()}"
+    return code, err.getvalue()
+
+
+@pytest.fixture(autouse=True, scope="module")
+def one_thread():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("HYPERSTAT_THREADS", "1")
+        yield
+
+
+@pytest.fixture(scope="module")
+def points_csv(tmp_path_factory):
+    rng = np.random.default_rng(3)
+    path = tmp_path_factory.mktemp("fit") / "points.csv"
+    pts = np.column_stack((rng.normal(0.0, 1.0, 40), rng.uniform(0.5, 2.0, 40)))
+    path.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in pts.tolist()))
+    return str(path)
+
+
+@FEW
+@given(
+    family=st.sampled_from(("poincare", "hyperboloid")),
+    measure=st.sampled_from(("tv", "kl", "hellinger", "neyman")),
+    method=st.sampled_from(("plugin", "mc1-logistic", "mc1-t7", "mc2")),
+    n=st.integers(-2000, 2000),
+    shards=st.integers(-3, 40),
+    eps=st.floats(-1.0, 3.0, allow_nan=False),
+    sigma=st.floats(-1.0, 5.0, allow_nan=False),
+)
+def test_estimate_flags(family, measure, method, n, shards, eps, sigma):
+    theta, theta2 = PC if family == "poincare" else HB
+    run([
+        "estimate", "--family", family, "--measure", measure, "--method", method,
+        "--theta", theta, "--theta2", theta2, "--n", str(n), "--seed", "1",
+        "--shards", str(shards), "--eps", repr(eps), "--sigma", repr(sigma),
+    ])
+
+
+@FEW
+@given(family=st.sampled_from(("poincare", "hyperboloid")), n=st.integers(-2000, 2000))
+def test_sample_sizes(family, n):
+    theta = PC[0] if family == "poincare" else HB[0]
+    run(["sample", "--family", family, "--theta", theta, "--n", str(n), "--seed", "1"])
+
+
+@settings(max_examples=15, deadline=None)
+@given(k=st.integers(-5, 25))
+def test_fit_component_counts(points_csv, k):
+    run(["fit", "--input", points_csv, "--k", str(k), "--seed", "1"])
+
+
+@FEW
+@given(
+    measure=st.sampled_from(("kl", "hellinger", "neyman", "jeffreys", "skew-jensen", "chernoff")),
+    family=st.sampled_from(("poincare", "hyperboloid")),
+    alpha=st.floats(-2.0, 3.0, allow_nan=False),
+)
+def test_divergence_alpha(measure, family, alpha):
+    theta, theta2 = PC if family == "poincare" else HB
+    run(["divergence", "--family", family, "--measure", measure,
+         "--theta", theta, "--theta2", theta2, "--alpha", repr(alpha)])
+
+
+@FEW
+@given(
+    command=st.sampled_from(("divergence", "invariant", "estimate")),
+    family=st.sampled_from(("poincare", "hyperboloid")),
+    sizes=st.tuples(st.integers(1, 7), st.integers(1, 7)),
+    data=st.data(),
+)
+def test_parameter_vectors_of_any_length(command, family, sizes, data):
+    # Vectors of lengths 1..7 (mismatched d, too short, not 2x2) with
+    # entries that may or may not lie in the cone.
+    vecs = [
+        "[" + ", ".join(repr(x) for x in data.draw(
+            st.lists(st.floats(-3.0, 5.0, allow_nan=False), min_size=size, max_size=size)
+        )) + "]"
+        for size in sizes
+    ]
+    argv = [command, "--family", family, "--theta", vecs[0], "--theta2", vecs[1]]
+    if command == "divergence":
+        argv += ["--measure", "kl"]
+    elif command == "estimate":
+        argv += ["--measure", "tv", "--method", "plugin", "--n", "100", "--seed", "1"]
+    run(argv)
+
+
+BAD_EST = ["estimate", "--measure", "kl", "--method", "plugin",
+           "--theta", PC[0], "--theta2", PC[1], "--seed", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(BAD_EST + ["--n", "1000", "--shards", "0"], id="estimate_shards_0"),
+        pytest.param(BAD_EST + ["--n", "0"], id="estimate_n_0"),
+        pytest.param(BAD_EST + ["--n", "1"], id="estimate_n_1"),
+        pytest.param(["estimate", "--measure", "kl", "--method", "mc2", "--theta", PC[0],
+                      "--theta2", PC[1], "--n", "1000", "--seed", "4", "--eps", "2"],
+                     id="estimate_mc2_eps_2"),
+        pytest.param(["sample", "--theta", PC[0], "--n", "-5", "--seed", "1"], id="sample_n_negative"),
+        pytest.param(["divergence", "--family", "hyperboloid", "--measure", "kl",
+                      "--theta", HB[0], "--theta2", HB_D3], id="divergence_d_mismatch"),
+        pytest.param(["invariant", "--family", "hyperboloid",
+                      "--theta", HB[0], "--theta2", HB_D3], id="invariant_d_mismatch"),
+    ],
+)
+def test_known_invalid_inputs_exit_2(argv):
+    code, err = run(argv)
+    assert code == 2
+    assert err.startswith("hyperstat: ")
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_fit_nonpositive_k_exits_2(points_csv, k):
+    code, err = run(["fit", "--input", points_csv, "--k", str(k), "--seed", "1"])
+    assert code == 2
+    assert err.startswith("hyperstat: ")

@@ -112,6 +112,12 @@ class TestMixtureSampling:
 
 
 class TestEmFit:
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_nonpositive_k_rejected(self, k):
+        pts = hyperboloid_sample(LorentzParam((2.0, 1.0, 1.0)), 100, RngStream(64))
+        with pytest.raises(ValueError):
+            em_fit(pts, k, "hyperboloid", RngStream(65))
+
     def test_single_component_equals_mle(self):
         pts = hyperboloid_sample(LorentzParam((2.0, 1.0, 1.0)), 4000, RngStream(64))
         mix, trace = em_fit(pts, 1, "hyperboloid", RngStream(65))

@@ -12,6 +12,7 @@ from hyperstat.montecarlo import (
     McEstimate,
     Proposal,
     error_bound,
+    estimate,
     estimate_for_poincare,
     estimate_mc1,
     estimate_mc2,
@@ -293,6 +294,27 @@ class TestPoincareDelegation:
         th = SpdParam2(1, 0, 1)
         with pytest.raises(ValueError):
             estimate_for_poincare(FGenerator.kl(), th, th, "bogus", 10, RngStream(0))
+
+
+class TestEstimateEntryPoint:
+    @pytest.mark.parametrize("method", ["plugin", "mc1-logistic", "mc1-t7", "mc2"])
+    def test_half_plane_is_the_parameter_map(self, method):
+        th, th2 = SpdParam2(1, 0, 1), SpdParam2(0.5, 0, 2)
+        lorentz = (LorentzParam((2.0, 0.0, 0.0)), LorentzParam((2.5, -1.5, 0.0)))
+        f = FGenerator.total_variation()
+        a = estimate_for_poincare(f, th, th2, method, 5_000, RngStream(26), shards=2, n_pilot=5_000)
+        b = estimate(f, *lorentz, method, 5_000, RngStream(26), shards=2, n_pilot=5_000)
+        assert (a.estimate, a.sample_variance, a.sigma) == (b.estimate, b.sample_variance, b.sigma)
+
+    @pytest.mark.parametrize("method", ["plugin", "mc1-t7", "mc2"])
+    @pytest.mark.parametrize("n, shards", [(0, 1), (1, 1), (1000, 0), (1000, -2)])
+    def test_rejects_sizes_without_an_interval(self, method, n, shards):
+        with pytest.raises(ValueError):
+            estimate(FGenerator.kl(), APEX, T211, method, n, RngStream(0), sigma=1.0, shards=shards)
+
+    def test_two_draws_give_an_interval(self):
+        est = estimate(FGenerator.total_variation(), APEX, T211, "mc2", 2, RngStream(0))
+        assert est.n == 2 and est.ci95[0] < est.ci95[1]
 
 
 class TestUnbiasednessPanel:

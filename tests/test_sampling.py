@@ -167,6 +167,11 @@ class TestHyperboloidSampler:
         with pytest.raises(ValueError):
             hyperboloid_sample(LorentzParam((2.0, 0.0, 0.0, 0.0)), 10, RngStream(0))
 
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError):
+            hyperboloid_sample(LorentzParam((2.0, 0.0, 0.0)), -5, RngStream(0))
+        assert hyperboloid_sample(LorentzParam((2.0, 0.0, 0.0)), 0, RngStream(0)).shape == (0, 2)
+
     def test_determinism(self):
         theta = LorentzParam((2.0, 1.0, 1.0))
         a = hyperboloid_sample(theta, 500, RngStream(44))
