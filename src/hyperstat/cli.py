@@ -91,19 +91,26 @@ def _json_dumps(obj) -> str:
     return render(obj)
 
 
-def _emit(obj, out: Optional[str] = None) -> None:
-    text = _json_dumps(obj) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
+
+
+def _write(text: str, out: Optional[str]) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when no file is given."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise CliError(EXIT_BAD_PARAMS, f"cannot write --out: {err}")
+
+
+def _emit(obj, out: Optional[str] = None) -> None:
+    _write(_json_dumps(obj) + "\n", out)
 
 
 def _parse_param(text: str, family: str):
@@ -236,12 +243,7 @@ def _cmd_sample(args) -> int:
         header,
     ]
     lines.extend(f"{format(row[0], '.17g')},{format(row[1], '.17g')}" for row in pts)
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 

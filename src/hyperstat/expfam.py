@@ -15,6 +15,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .geometry import _CONE_RTOL
+
 __all__ = [
     "Family",
     "kld",
@@ -44,8 +46,13 @@ def skew_jensen(fam: Family, v: np.ndarray, v2: np.ndarray, alpha: float) -> flo
     """J_alpha = (1-alpha) F(v) + alpha F(v2) - F((1-alpha) v + alpha v2)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    return _skew_jensen(fam, v, v2, alpha, fam.cumulant(v), fam.cumulant(v2))
+
+
+def _skew_jensen(fam: Family, v: np.ndarray, v2: np.ndarray, alpha: float, f_v: float, f_v2: float) -> float:
+    # J_alpha given F(v) and F(v2), which do not depend on alpha.
     w = 1.0 - alpha
-    return w * fam.cumulant(v) + alpha * fam.cumulant(v2) - fam.cumulant(w * v + alpha * v2)
+    return w * f_v + alpha * f_v2 - fam.cumulant(w * v + alpha * v2)
 
 
 def hellinger_sq(fam: Family, v: np.ndarray, v2: np.ndarray) -> float:
@@ -59,7 +66,7 @@ def neyman_chi2(fam: Family, v: np.ndarray, v2: np.ndarray) -> float:
     scale = float(np.max(np.abs(m)))
     # The same relative margin as the cone check on parameters: closer to the
     # boundary, F(m) would be evaluated at a numerically zero q.
-    if not (m[0] > 0.0 and fam.quad(m) > 1e-12 * scale * scale):
+    if not (m[0] > 0.0 and fam.quad(m) > _CONE_RTOL * scale * scale):
         return math.inf
     return math.expm1(fam.cumulant(m) - 2.0 * fam.cumulant(v2) + fam.cumulant(v))
 
@@ -73,10 +80,11 @@ def chernoff(fam: Family, v: np.ndarray, v2: np.ndarray) -> tuple:
     """(alpha*, J_alpha*): J_alpha is strictly concave in alpha, so golden section finds its max."""
     if np.array_equal(v, v2):
         return (0.5, 0.0)
+    f_v, f_v2 = fam.cumulant(v), fam.cumulant(v2)
     alpha = golden_section_min(
-        lambda a: -skew_jensen(fam, v, v2, a), 1e-12, 1.0 - 1e-12, 1e-8
+        lambda a: -_skew_jensen(fam, v, v2, a, f_v, f_v2), 1e-12, 1.0 - 1e-12, 1e-8
     )
-    return (alpha, skew_jensen(fam, v, v2, alpha))
+    return (alpha, _skew_jensen(fam, v, v2, alpha, f_v, f_v2))
 
 
 def golden_section_min(fn: Callable[[float], float], lo: float, hi: float, width: float) -> float:

@@ -23,6 +23,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -203,11 +204,26 @@ def _run_shards(jobs: list) -> list:
         return [f.result() for f in futures]
 
 
+def _sharded(draw: Callable[[int, RngStream], np.ndarray], n: int, shards: int, rng: RngStream) -> tuple:
+    """(moments, per-shard weights) of ``draw(size, rng.derive(i))`` over the shards of n."""
+    sizes = _shard_sizes(n, shards)
+    weights = _run_shards([partial(draw, size, rng.derive(i)) for i, size in enumerate(sizes)])
+    acc = _Moments()
+    for w in weights:
+        acc.add_array(w)
+    return acc, weights
+
+
+def _f_and_logp(f: FGenerator, theta: LorentzParam, theta2: LorentzParam, pts: np.ndarray) -> tuple:
+    """(f(log p'/p), log p) at the chart points ``pts``; every estimator evaluates densities here."""
+    logp = hb.log_density_chart(theta, pts)
+    return f.of_log_ratio(hb.log_density_chart(theta2, pts) - logp), logp
+
+
 def _finalize(
     acc: _Moments,
     stream: RngStream,
     sigma: Optional[float] = None,
-    sup_bound: Optional[float] = None,
     tail_index: Optional[float] = None,
 ) -> McEstimate:
     est = acc.mean
@@ -219,7 +235,6 @@ def _finalize(
         n=acc.n,
         stream=stream,
         ci95=(est - half, est + half),
-        sup_bound=sup_bound,
         sigma=sigma,
         tail_index=tail_index,
         heavy_tail=(tail_index is not None and tail_index <= 2.0),
@@ -247,34 +262,19 @@ def estimate_plugin(
     """
     _check_pair(theta, theta2)
 
-    def job(i: int, size: int):
-        def run():
-            pts = hyperboloid_sample(theta, size, rng.derive(i))
-            lr = hb.log_density_chart(theta2, pts) - hb.log_density_chart(theta, pts)
-            w = f.of_log_ratio(lr)
-            keep = max(200, size // 500)
-            top = np.partition(w, -keep)[-keep:] if size > keep else w
-            return w, top
+    def draw(size: int, stream: RngStream) -> np.ndarray:
+        return _f_and_logp(f, theta, theta2, hyperboloid_sample(theta, size, stream))[0]
 
-        return run
-
-    acc = _Moments()
-    tails = []
-    jobs = [job(i, s) for i, s in enumerate(_shard_sizes(n, shards))]
-    for w, top in _run_shards(jobs):
-        acc.add_array(w)
-        tails.append(top)
-    tail_index = _hill_tail_index_from_top(np.concatenate(tails), n)
-    return _finalize(acc, rng, tail_index=tail_index)
+    acc, weights = _sharded(draw, n, shards, rng)
+    return _finalize(acc, rng, tail_index=_hill_tail_index(np.concatenate(weights)))
 
 
-def _hill_tail_index_from_top(top_weights: np.ndarray, n_total: int) -> Optional[float]:
-    # Hill estimator over roughly the top 0.1% of all weights; the caller only
-    # retains a superset of those, which is all the estimator looks at.
-    k = max(50, n_total // 1000)
-    if top_weights.size <= k:
+def _hill_tail_index(w: np.ndarray) -> Optional[float]:
+    # Hill estimator over the top 0.1% of the weights (at least 50 of them).
+    k = max(50, w.size // 1000)
+    if w.size <= k:
         return None
-    top = np.sort(top_weights)[-(k + 1):]
+    top = np.sort(np.partition(w, -(k + 1))[-(k + 1):])
     if top[0] <= 0.0:
         return None
     logs = np.log(top[1:]) - math.log(top[0])
@@ -287,15 +287,11 @@ def _mc1_weights(
     theta: LorentzParam,
     theta2: LorentzParam,
     proposal: Proposal,
-    size: int,
-    gen: np.random.Generator,
+    x: np.ndarray,
+    y: np.ndarray,
 ) -> np.ndarray:
-    x = proposal.sample(size, gen)
-    y = proposal.sample(size, gen)
-    pts = np.column_stack((x, y))
-    logp = hb.log_density_chart(theta, pts)
-    logq = hb.log_density_chart(theta2, pts)
-    fv = f.of_log_ratio(logq - logp)
+    """The importance weight f(p'/p) p / (p_sigma(x) p_sigma(y)) at the points (x, y)."""
+    fv, logp = _f_and_logp(f, theta, theta2, np.column_stack((x, y)))
     return fv * np.exp(logp - proposal.logpdf(x) - proposal.logpdf(y))
 
 
@@ -311,14 +307,13 @@ def estimate_mc1(
     """Importance sampling from the product proposal p_sigma x p_sigma."""
     _check_pair(theta, theta2)
 
-    def job(i: int, size: int):
-        return lambda: _mc1_weights(f, theta, theta2, proposal, size, rng.derive(i).generator())
+    def draw(size: int, stream: RngStream) -> np.ndarray:
+        gen = stream.generator()
+        x = proposal.sample(size, gen)
+        y = proposal.sample(size, gen)
+        return _mc1_weights(f, theta, theta2, proposal, x, y)
 
-    acc = _Moments()
-    jobs = [job(i, s) for i, s in enumerate(_shard_sizes(n, shards))]
-    for w in _run_shards(jobs):
-        acc.add_array(w)
-    return _finalize(acc, rng, sigma=proposal.sigma)
+    return _finalize(_sharded(draw, n, shards, rng)[0], rng, sigma=proposal.sigma)
 
 
 def optimize_sigma(
@@ -341,10 +336,7 @@ def optimize_sigma(
     base = Proposal(proposal_kind, 1.0)
     z = base.sample(n_pilot, gen)
     w = base.sample(n_pilot, gen)
-    pts = np.column_stack((z, w))
-    logp = hb.log_density_chart(theta, pts)
-    logq = hb.log_density_chart(theta2, pts)
-    fv = f.of_log_ratio(logq - logp)
+    fv, logp = _f_and_logp(f, theta, theta2, np.column_stack((z, w)))
     # log of H^2 / (p_1(z) p_1(w)), the sigma-independent part of the summand.
     mask = fv != 0.0
     log_a = (
@@ -384,26 +376,17 @@ def estimate_mc2(
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
 
-    def job(i: int, size: int):
-        def run():
-            gen = rng.derive(i).generator()
-            r = gen.uniform(0.0, 1.0 - eps, size=size)
-            zeta = gen.uniform(0.0, 2.0 * math.pi, size=size)
-            denom = np.sqrt(1.0 - r * r)
-            pts = np.column_stack((r * np.cos(zeta) / denom, r * np.sin(zeta) / denom))
-            logp = hb.log_density_chart(theta, pts)
-            logq = hb.log_density_chart(theta2, pts)
-            fv = f.of_log_ratio(logq - logp)
-            log_jac = math.log(2.0 * math.pi) + np.log(r) - 2.0 * np.log1p(-(r * r))
-            return fv * np.exp(logp + log_jac)
+    def draw(size: int, stream: RngStream) -> np.ndarray:
+        gen = stream.generator()
+        r = gen.uniform(0.0, 1.0 - eps, size=size)
+        zeta = gen.uniform(0.0, 2.0 * math.pi, size=size)
+        denom = np.sqrt(1.0 - r * r)
+        pts = np.column_stack((r * np.cos(zeta) / denom, r * np.sin(zeta) / denom))
+        fv, logp = _f_and_logp(f, theta, theta2, pts)
+        log_jac = math.log(2.0 * math.pi) + np.log(r) - 2.0 * np.log1p(-(r * r))
+        return fv * np.exp(logp + log_jac)
 
-        return run
-
-    acc = _Moments()
-    jobs = [job(i, s) for i, s in enumerate(_shard_sizes(n, shards))]
-    for w in _run_shards(jobs):
-        acc.add_array(w)
-    return _finalize(acc, rng)
+    return _finalize(_sharded(draw, n, shards, rng)[0], rng)
 
 
 def error_bound(sup_bound: float, n: int, t: float) -> float:
@@ -440,14 +423,8 @@ def probe_sup_weight(
     axis = np.linspace(-half_width, half_width, n_grid)
     best = 0.0
     for x0 in axis:
-        pts = np.column_stack((np.full(n_grid, x0), axis))
-        logp = hb.log_density_chart(theta, pts)
-        logq = hb.log_density_chart(theta2, pts)
-        fv = f.of_log_ratio(logq - logp)
-        w = np.abs(fv) * np.exp(
-            logp - proposal.logpdf(pts[:, 0]) - proposal.logpdf(pts[:, 1])
-        )
-        best = max(best, float(np.max(w)))
+        w = _mc1_weights(f, theta, theta2, proposal, np.full(n_grid, x0), axis)
+        best = max(best, float(np.max(np.abs(w))))
     return best
 
 

@@ -150,3 +150,24 @@ def test_fit_nonpositive_k_exits_2(points_csv, k):
     code, err = run(["fit", "--input", points_csv, "--k", str(k), "--seed", "1"])
     assert code == 2
     assert err.startswith("hyperstat: ")
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        pytest.param(["divergence", "--measure", "kl", "--theta", PC[0], "--theta2", PC[1]],
+                     "x.json", id="divergence_out_missing_dir"),
+        pytest.param(["sample", "--theta", PC[0], "--n", "10", "--seed", "1"],
+                     "x.csv", id="sample_out_missing_dir"),
+    ],
+)
+def test_out_into_missing_directory_exits_2(tmp_path, argv, name):
+    target = tmp_path / "missing" / name
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--out", str(target)])
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("hyperstat: ")
+    assert "Traceback" not in err.getvalue()
+    assert not target.parent.exists()

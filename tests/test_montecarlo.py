@@ -255,6 +255,27 @@ class TestErrorBound:
         dev = abs(est.estimate - 0.4685145) + 1e-3
         assert error_bound(sup * 1.05, est.n, dev) <= 2.0
 
+    @pytest.mark.parametrize(
+        "f",
+        [FGenerator.total_variation(), FGenerator.custom(lambda u: 1.0 - u)],
+        ids=["tv", "linear"],
+    )
+    @pytest.mark.parametrize("kind", ["logistic", "student_t7"])
+    def test_probe_is_max_weight_on_its_grid(self, f, kind):
+        # brute force over the whole lattice at once: |f(p'/p)| p / (q(x) q(y));
+        # the linear generator's weight p - p' is most negative where p' peaks,
+        # so the probe must take |.| and not the signed maximum
+        prop = Proposal(kind, 1.7)
+        n_grid, half_width = 120, 30.0
+        axis = np.linspace(-half_width, half_width, n_grid)
+        x, y = (c.ravel() for c in np.meshgrid(axis, axis, indexing="ij"))
+        pts = np.column_stack((x, y))
+        logp = hb.log_density_chart(APEX, pts)
+        lr = hb.log_density_chart(T211, pts) - logp
+        w = np.abs(f.of_log_ratio(lr)) * np.exp(logp - prop.logpdf(x) - prop.logpdf(y))
+        sup = probe_sup_weight(f, APEX, T211, prop, n_grid=n_grid, half_width=half_width)
+        assert sup == pytest.approx(float(np.max(w)), rel=1e-12)
+
 
 class TestPoincareDelegation:
     def test_kl_example_pair(self):
