@@ -12,9 +12,11 @@ fit          EM mixture fitting from a CSV of points
 convert      parameter and point conversions between models
 
 Exit codes: 0 ok, 2 invalid parameters, 3 infinite divergence,
-4 unsupported dimension, 5 fit failure.  All randomness derives from
-``--seed``; results are reproducible for a fixed flag set.  The environment
-variable HYPERSTAT_THREADS caps the worker count used to evaluate shards.
+4 unsupported dimension, 5 fit failure, 6 ``estimate --verify`` found the
+estimate more than 4 standard errors from the closed form.  All randomness
+derives from ``--seed``; results are reproducible for a fixed flag set.  The
+environment variable HYPERSTAT_THREADS caps the worker count used to evaluate
+shards.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ EXIT_BAD_PARAMS = 2
 EXIT_INFINITE = 3
 EXIT_BAD_DIMENSION = 4
 EXIT_FIT_FAILURE = 5
+EXIT_VERIFY_FAILED = 6
 
 # Named stream ids: one purpose, one stream, so that e.g. adding shards to an
 # estimate never perturbs the pilot optimization.
@@ -254,6 +257,9 @@ def _cmd_estimate(args) -> int:
     stream = RngStream(args.seed, _STREAM_ESTIMATE)
     if args.family == "hyperboloid" and (theta.d != 2 or theta2.d != 2):
         raise CliError(EXIT_BAD_DIMENSION, "estimators are implemented for d=2 only")
+    closed = _DIVERGENCES[args.family].get(args.measure)
+    if args.verify and closed is None:
+        raise CliError(EXIT_BAD_PARAMS, f"--verify has no closed form for {args.measure}")
     run = estimate_for_poincare if args.family == "poincare" else estimate
     est = run(
         f, theta, theta2, args.method, args.n, stream,
@@ -275,9 +281,6 @@ def _cmd_estimate(args) -> int:
     }
     _emit(payload, args.out)
     if args.verify:
-        closed = _DIVERGENCES[args.family].get(args.measure)
-        if closed is None:
-            raise CliError(EXIT_BAD_PARAMS, f"--verify has no closed form for {args.measure}")
         target = closed(theta, theta2)
         se = math.sqrt(est.sample_variance / est.n)
         if not math.isfinite(target) or abs(est.estimate - target) > 4.0 * se:
@@ -285,7 +288,7 @@ def _cmd_estimate(args) -> int:
                 f"verification failed: estimate {est.estimate} vs closed form {target} "
                 f"(4 SE = {4.0 * se})\n"
             )
-            return 1
+            return EXIT_VERIFY_FAILED if math.isfinite(target) else EXIT_INFINITE
     return EXIT_OK
 
 
@@ -437,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=1e-4)
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--verify", action="store_true",
-                   help="exit nonzero if the estimate is more than 4 SE from the closed form")
+                   help="check against the closed form: exit 3 if it is infinite, "
+                        "6 if the estimate is more than 4 SE from it")
     _add_out(p)
     p.set_defaults(func=_cmd_estimate)
 

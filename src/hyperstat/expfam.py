@@ -1,24 +1,28 @@
-"""Closed-form divergences of an exponential family, derived once from its cumulant.
+"""Exponential families as one record each: divergences, MLE and EM read it.
 
 A family is given on natural-parameter vectors by its cumulant F, the
 gradient of F, and the quadratic form q whose sheet {v_0 > 0, q(v) > 0} is the
-parameter cone.  With densities exp(-<v, s(x)> - F(v)) h(x), every divergence
-is a functional of F (Nielsen & Nock 2010); Chernoff information is the
-maximum of the skew Jensen divergence (Nielsen 2013).  The module also holds
+parameter cone; on points by its log density, its sufficient statistics, the
+inverse moment map from their mean, and its sampler.  With densities
+exp(-<v, s(x)> - F(v)) h(x), every divergence is a functional of F (Nielsen &
+Nock 2010); Chernoff information is the maximum of the skew Jensen divergence
+(Nielsen 2013); the MLE is the inverse moment map at the mean statistic, and
+EM is Bregman soft clustering (Banerjee et al. 2005).  The module also holds
 the library's one golden-section search.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import _CONE_RTOL
+from .geometry import _CONE_RTOL, DualDomainError
 
 __all__ = [
     "Family",
+    "mle",
     "kld",
     "skew_jensen",
     "hellinger_sq",
@@ -30,11 +34,36 @@ __all__ = [
 
 
 class Family(NamedTuple):
-    """Cumulant, its gradient and the cone's quadratic form, all on coefficient vectors."""
+    """One exponential family.
+
+    ``cumulant``, ``grad`` and ``quad`` act on coefficient vectors.  The rest
+    act on cone parameters and (n, d) point arrays: ``log_density(theta, pts)``,
+    ``stats(pts)`` (one row per point), ``from_moment(eta)`` (the parameter
+    whose mean statistic is eta) and ``sample(theta, n, rng)``.  The fields
+    are lambdas that look their module's functions up when called, so a
+    replaced module attribute (a tracing wrapper) is seen through the record.
+    """
 
     cumulant: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     quad: Callable[[np.ndarray], float]
+    log_density: Callable[[Any, np.ndarray], np.ndarray]
+    stats: Callable[[np.ndarray], np.ndarray]
+    from_moment: Callable[[np.ndarray], Any]
+    sample: Callable[[Any, int, Any], np.ndarray]
+
+
+def mle(fam: Family, pts: np.ndarray):
+    """Maximum-likelihood estimate from at least two points: from_moment(mean statistic).
+
+    The means use compensated summation, so the result does not depend on how
+    callers order or shard the data.
+    """
+    n = pts.shape[0]
+    if n < 2:
+        raise DualDomainError(f"MLE needs at least 2 points, got {n}")
+    stats = fam.stats(pts)
+    return fam.from_moment(np.array([math.fsum(col) / n for col in stats.T.tolist()]))
 
 
 def kld(fam: Family, v: np.ndarray, v2: np.ndarray) -> float:

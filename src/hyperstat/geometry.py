@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -152,13 +152,14 @@ class Moment2:
         return np.array([[self.m11, self.m12], [self.m12, self.m22]], dtype=float)
 
 
+@dataclass(frozen=True)
 class LorentzParam:
     """Natural parameter of a hyperboloid model: a (d+1)-vector in the open forward cone."""
 
-    __slots__ = ("theta",)
+    theta: tuple
 
-    def __init__(self, theta: Iterable[float]):
-        t = tuple(float(v) for v in theta)
+    def __post_init__(self) -> None:
+        t = tuple(float(v) for v in self.theta)
         if len(t) < 3:
             raise ConeError(f"hyperboloid parameters need d >= 2, got {len(t) - 1}")
         scale = max(abs(v) for v in t)
@@ -169,18 +170,6 @@ class LorentzParam:
                 f"(theta_0 must exceed the spatial norm)"
             )
         object.__setattr__(self, "theta", t)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LorentzParam is immutable")
-
-    def __repr__(self) -> str:
-        return f"LorentzParam(theta={self.theta})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LorentzParam) and self.theta == other.theta
-
-    def __hash__(self) -> int:
-        return hash(self.theta)
 
     @property
     def d(self) -> int:
@@ -198,28 +187,17 @@ class LorentzParam:
         return math.sqrt(self.minkowski_sq())
 
 
+@dataclass(frozen=True)
 class HyperboloidPoint:
     """Chart coordinates (x_1..x_d) of a point on the forward hyperboloid sheet."""
 
-    __slots__ = ("coords",)
+    coords: tuple
 
-    def __init__(self, coords: Iterable[float]):
-        xs = tuple(float(v) for v in coords)
+    def __post_init__(self) -> None:
+        xs = tuple(float(v) for v in self.coords)
         if len(xs) < 2:
             raise ValueError(f"hyperboloid points need d >= 2, got d={len(xs)}")
         object.__setattr__(self, "coords", xs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HyperboloidPoint is immutable")
-
-    def __repr__(self) -> str:
-        return f"HyperboloidPoint(coords={self.coords})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HyperboloidPoint) and self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash(self.coords)
 
     @property
     def d(self) -> int:

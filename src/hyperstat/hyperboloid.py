@@ -10,8 +10,9 @@ c_d(t) = t^((d-1)/2) / (2 (2 pi)^((d-1)/2) K_((d-1)/2)(t)).
 The divergences (KL, squared Hellinger, Neyman chi-squared, Jeffreys, skew
 Jensen) are not written out here: :mod:`hyperstat.expfam` derives each of them
 once from the cumulant F = -log c_d(|theta|) and its gradient, which
-reproduces the d = 2 specializations and stays consistent for every d.  The
-Fisher information matrix is provided in closed form for d = 2.
+reproduces the d = 2 specializations and stays consistent for every d; the
+MLE is likewise expfam's inverse moment map at the mean sufficient statistic.
+The Fisher information matrix is provided in closed form for d = 2.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import expfam
 from .geometry import DualDomainError, HyperboloidPoint, LorentzParam
+from .sampling import hyperboloid_sample
 from .specfun import bessel_k, bessel_k_logderiv
 
 __all__ = [
@@ -88,7 +90,7 @@ def log_density(theta: LorentzParam, p: HyperboloidPoint) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Divergences, derived in expfam from the cumulant
+# The family record; divergences, MLE and EM are derived from it in expfam
 # ---------------------------------------------------------------------------
 
 
@@ -97,6 +99,10 @@ _FAMILY = expfam.Family(
     grad=lambda v: grad_cumulant(LorentzParam(v)),
     # Summed as LorentzParam sums it, so a vector passing the cone test is a parameter.
     quad=lambda v: v[0] * v[0] - sum(x * x for x in v[1:]),
+    log_density=lambda theta, pts: log_density_chart(theta, pts),
+    stats=lambda pts: suff_stats_chart(pts),
+    from_moment=lambda eta: mle_from_moment(eta, eta.size - 1),
+    sample=lambda theta, n, rng: hyperboloid_sample(theta, n, rng),
 )
 
 
@@ -216,10 +222,4 @@ def mle_from_moment(eta: np.ndarray, d: int) -> LorentzParam:
 
 def mle(points) -> LorentzParam:
     """Maximum-likelihood estimate from at least two distinct chart points."""
-    pts = _as_chart_array(points)
-    n, d = pts.shape
-    if n < 2:
-        raise DualDomainError(f"MLE needs at least 2 points, got {n}")
-    stats = suff_stats_chart(pts)
-    eta = np.array([math.fsum(stats[:, j].tolist()) / n for j in range(d + 1)])
-    return mle_from_moment(eta, d)
+    return expfam.mle(_FAMILY, _as_chart_array(points))

@@ -1,7 +1,10 @@
 """Finite mixtures of half-plane or hyperboloid components, fitted by EM.
 
-Both component families are exponential families, so the EM fit is Bregman
-soft clustering: the E-step sets responsibilities from component log
+A mixture names its component family; everything EM uses of that family (log
+density, sufficient statistics, inverse moment map, sampler) comes from the
+family's :class:`hyperstat.expfam.Family` record, which the divergences and
+the MLE read too.  Both families are exponential families, so the EM fit is
+Bregman soft clustering: the E-step sets responsibilities from component log
 densities (the carrier term cancels inside a family), and the M-step averages
 sufficient statistics under the responsibilities and maps the averages back
 through the inverse moment map.  The average log-likelihood is nondecreasing
@@ -22,16 +25,23 @@ from typing import Optional
 import numpy as np
 from scipy.special import logsumexp
 
+from . import expfam
 from . import hyperboloid as hb
 from . import poincare as pc
-from .geometry import DualDomainError, LorentzParam, Moment2, SpdParam2
-from .sampling import RngStream, hyperboloid_sample, poincare_sample
+from .geometry import DualDomainError
+from .sampling import RngStream
 
 __all__ = ["Mixture", "EmTrace", "FitError", "mixture_log_density", "mixture_sample", "em_fit"]
 
 
 class FitError(RuntimeError):
     """EM failed to produce a non-degenerate mixture within the retry budget."""
+
+
+_FAMILIES = {"poincare": pc._FAMILY, "hyperboloid": hb._FAMILY}
+_MAX_ITER = 200
+_TOL = 1e-8  # stop once the average log-likelihood gains less than this
+_RETRIES = 5  # k-means++ initializations tried before FitError
 
 
 @dataclass(frozen=True)
@@ -43,7 +53,7 @@ class Mixture:
     components: tuple
 
     def __post_init__(self) -> None:
-        if self.family not in ("poincare", "hyperboloid"):
+        if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         w = np.asarray(self.weights, dtype=float)
         if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > 1e-12:
@@ -66,54 +76,6 @@ class EmTrace:
     restarts: int = 0
 
 
-class _PoincareOps:
-    family = "poincare"
-
-    @staticmethod
-    def logpdf(theta: SpdParam2, pts: np.ndarray) -> np.ndarray:
-        return pc.log_density_xy(theta, pts[:, 0], pts[:, 1])
-
-    @staticmethod
-    def suff(pts: np.ndarray) -> np.ndarray:
-        return pc.suff_stats_xy(pts)
-
-    @staticmethod
-    def eta_to_theta(eta: np.ndarray) -> SpdParam2:
-        return pc.grad_conjugate(Moment2(eta[0], eta[1], eta[2]))
-
-    @staticmethod
-    def sample(theta: SpdParam2, n: int, rng: RngStream) -> np.ndarray:
-        return poincare_sample(theta, n, rng)
-
-
-class _HyperboloidOps:
-    family = "hyperboloid"
-
-    @staticmethod
-    def logpdf(theta: LorentzParam, pts: np.ndarray) -> np.ndarray:
-        return hb.log_density_chart(theta, pts)
-
-    @staticmethod
-    def suff(pts: np.ndarray) -> np.ndarray:
-        return hb.suff_stats_chart(pts)
-
-    @staticmethod
-    def eta_to_theta(eta: np.ndarray) -> LorentzParam:
-        return hb.mle_from_moment(eta, eta.size - 1)
-
-    @staticmethod
-    def sample(theta: LorentzParam, n: int, rng: RngStream) -> np.ndarray:
-        return hyperboloid_sample(theta, n, rng)
-
-
-def _ops_for(family: str):
-    if family == "poincare":
-        return _PoincareOps
-    if family == "hyperboloid":
-        return _HyperboloidOps
-    raise ValueError(f"unknown family {family!r}")
-
-
 def mixture_log_density(m: Mixture, point) -> float:
     """Log of the mixture density at one point (log-sum-exp over components)."""
     if hasattr(point, "as_complex"):
@@ -126,10 +88,13 @@ def mixture_log_density(m: Mixture, point) -> float:
 
 
 def mixture_log_density_array(m: Mixture, pts: np.ndarray) -> np.ndarray:
-    ops = _ops_for(m.family)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    logs = np.stack([ops.logpdf(c, pts) for c in m.components], axis=1)
-    return logsumexp(logs + np.log(np.asarray(m.weights)), axis=1)
+    return logsumexp(_log_joint(_FAMILIES[m.family], m.weights, m.components, pts), axis=1)
+
+
+def _log_joint(fam: expfam.Family, weights, components, pts: np.ndarray) -> np.ndarray:
+    # (n, k): log weight plus component log density, one column per component.
+    return np.stack([fam.log_density(c, pts) for c in components], axis=1) + np.log(weights)
 
 
 def mixture_sample(
@@ -142,7 +107,7 @@ def mixture_sample(
     for j, comp in enumerate(m.components):
         idx = np.nonzero(labels == j)[0]
         if idx.size:
-            out[idx] = _ops_for(m.family).sample(comp, idx.size, rng.derive(j + 1))
+            out[idx] = _FAMILIES[m.family].sample(comp, idx.size, rng.derive(j + 1))
     if return_labels:
         return out, labels
     return out
@@ -170,13 +135,13 @@ def _kmeanspp_responsibilities(
     return resp
 
 
-def _m_step(ops, stats: np.ndarray, resp: np.ndarray):
+def _m_step(fam: expfam.Family, stats: np.ndarray, resp: np.ndarray):
     counts = resp.sum(axis=0)
     if np.any(counts < 2.0):
         raise FitError(f"component collapse: effective counts {counts}")
     weights = counts / resp.shape[0]
     etas = (resp.T @ stats) / counts[:, None]
-    components = tuple(ops.eta_to_theta(etas[j]) for j in range(resp.shape[1]))
+    components = tuple(fam.from_moment(etas[j]) for j in range(resp.shape[1]))
     return weights, components
 
 
@@ -185,10 +150,7 @@ def em_fit(
     k: int,
     family: str,
     rng: RngStream,
-    max_iter: int = 200,
-    tol: float = 1e-8,
     init_resp: Optional[np.ndarray] = None,
-    retries: int = 5,
 ):
     """Fit a k-component mixture by EM; returns (Mixture, EmTrace).
 
@@ -197,14 +159,16 @@ def em_fit(
     """
     if k < 1:
         raise ValueError(f"a mixture needs k >= 1 components, got {k}")
+    fam = _FAMILIES.get(family)
+    if fam is None:
+        raise ValueError(f"unknown family {family!r}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[0]
     if n < 2 * k:
         raise FitError(f"need at least 2k={2 * k} points, got {n}")
-    ops = _ops_for(family)
-    stats = ops.suff(pts)
+    stats = fam.stats(pts)
 
-    attempts = 1 if init_resp is not None else max(1, retries)
+    attempts = 1 if init_resp is not None else _RETRIES
     last_err: Optional[Exception] = None
     for attempt in range(attempts):
         trace = EmTrace(restarts=attempt)
@@ -217,19 +181,17 @@ def em_fit(
                 stats, k, rng.derive(1000 + attempt).generator()
             )
         try:
-            weights, components = _m_step(ops, stats, resp)
+            weights, components = _m_step(fam, stats, resp)
             prev = -math.inf
-            for it in range(max_iter):
-                logs = np.stack(
-                    [ops.logpdf(c, pts) for c in components], axis=1
-                ) + np.log(weights)
+            for it in range(_MAX_ITER):
+                logs = _log_joint(fam, weights, components, pts)
                 per_point = logsumexp(logs, axis=1)
                 avg_ll = float(np.mean(per_point))
                 trace.loglik.append(avg_ll)
                 trace.iterations = it + 1
                 resp = np.exp(logs - per_point[:, None])
-                weights, components = _m_step(ops, stats, resp)
-                if avg_ll - prev < tol and it > 0:
+                weights, components = _m_step(fam, stats, resp)
+                if avg_ll - prev < _TOL and it > 0:
                     break
                 prev = avg_ll
             trace.effective_counts = resp.sum(axis=0)

@@ -316,6 +316,9 @@ def estimate_mc1(
     return _finalize(_sharded(draw, n, shards, rng)[0], rng, sigma=proposal.sigma)
 
 
+_SIGMA_BRACKET = (0.05, 50.0)  # proposal scales the search considers
+
+
 def optimize_sigma(
     f: FGenerator,
     theta: LorentzParam,
@@ -323,13 +326,12 @@ def optimize_sigma(
     proposal_kind: str,
     n_pilot: int,
     rng: RngStream,
-    bracket: tuple = (0.05, 50.0),
 ) -> float:
     """Proposal scale minimizing the pilot second moment of the IS weight.
 
     A single pilot sample is drawn at scale 1 and reused for every candidate
     sigma (common random numbers), so the objective is deterministic and a
-    golden-section search on the bracket applies.
+    golden-section search on ``_SIGMA_BRACKET`` applies.
     """
     _check_pair(theta, theta2)
     gen = rng.generator()
@@ -353,7 +355,7 @@ def optimize_sigma(
             np.sum(np.exp(log_a - prop.logpdf(zm) - prop.logpdf(wm))) / n_pilot
         )
 
-    return golden_section_min(objective, bracket[0], bracket[1], 1e-6)
+    return golden_section_min(objective, *_SIGMA_BRACKET, 1e-6)
 
 
 def estimate_mc2(

@@ -8,9 +8,10 @@ with natural parameter the SPD matrix [[a,b],[b,c]] and D = sqrt(ac - b^2).
 This module carries the cumulant and its conjugate, the moment map and its
 inverse, closed-form divergences (KL, squared Hellinger, Neyman chi-squared,
 Jeffreys, skew Jensen, Chernoff), entropy, the Fisher information matrix, the
-cubic tensor, and the maximum-likelihood estimator.  The divergences are not
-written out here: :mod:`hyperstat.expfam` derives each of them once from the
-reduced cumulant and its gradient on (a, b, c).
+cubic tensor, and the maximum-likelihood estimator.  The divergences and the
+MLE are not written out here: :mod:`hyperstat.expfam` derives each of them
+once from this module's family record (the reduced cumulant and its gradient
+on (a, b, c), the sufficient statistics and the inverse moment map).
 
 The cumulant is exposed in two equivalent normalizations: the full
 log-normalizer ``log pi - log D - 2D`` and the reduced Bregman generator
@@ -28,6 +29,7 @@ import numpy as np
 
 from . import expfam
 from .geometry import DualDomainError, Moment2, SpdParam2, UpperHalfPoint
+from .sampling import poincare_sample
 from .specfun import exp_gamma0
 
 __all__ = [
@@ -138,7 +140,7 @@ def conjugate(eta: Moment2) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Divergences, derived in expfam from the reduced cumulant
+# The family record; divergences, MLE and EM are derived from it in expfam
 # ---------------------------------------------------------------------------
 
 
@@ -146,6 +148,13 @@ _FAMILY = expfam.Family(
     cumulant=lambda v: cumulant(SpdParam2(*v)).reduced,
     grad=lambda v: _grad_cumulant_vec(SpdParam2(*v)),
     quad=lambda v: v[0] * v[2] - v[1] * v[1],
+    log_density=lambda theta, pts: log_density_xy(theta, pts[:, 0], pts[:, 1]),
+    # The Moment2 entries (m11, m12, m22) that from_moment inverts, not the
+    # gradient's (m11, 2 m12, m22): EM's k-means++ seeding measures distances
+    # between these rows, so this choice fixes every fit.
+    stats=lambda pts: suff_stats_xy(pts),
+    from_moment=lambda eta: grad_conjugate(Moment2(*eta)),
+    sample=lambda theta, n, rng: poincare_sample(theta, n, rng),
 )
 
 
@@ -303,11 +312,4 @@ def mle(points) -> SpdParam2:
     Averages the sufficient statistics with compensated summation (the result
     must not depend on how callers shard the data) and inverts the moment map.
     """
-    pts = _as_xy_array(points)
-    n = pts.shape[0]
-    if n < 2:
-        raise DualDomainError(f"MLE needs at least 2 points, got {n}")
-    stats = suff_stats_xy(pts)
-    means = [math.fsum(stats[:, j].tolist()) / n for j in range(3)]
-    eta = Moment2(means[0], means[1], means[2])
-    return grad_conjugate(eta)
+    return expfam.mle(_FAMILY, _as_xy_array(points))

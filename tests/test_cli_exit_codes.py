@@ -1,8 +1,9 @@
 """Every CLI input ends in a documented exit code, never a traceback.
 
 ``main`` returns 0 (ok), 2 (invalid parameters), 3 (infinite divergence),
-4 (unsupported dimension) or 5 (fit failure); argparse itself exits with
-``SystemExit(2)`` on malformed flags.  Any other exception fails the test.
+4 (unsupported dimension), 5 (fit failure) or 6 (``estimate --verify`` miss);
+argparse itself exits with ``SystemExit(2)`` on malformed flags.  Any other
+exception fails the test.
 """
 
 import contextlib
@@ -13,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperstat import cli
 from hyperstat.cli import main
 
-DOCUMENTED = {0, 2, 3, 4, 5}
+DOCUMENTED = {0, 2, 3, 4, 5, 6}
 PC = ("[[4, 0.25], [0.25, 0.5]]", "[[0.5, 0.25], [0.25, 2]]")
 HB = ("[1.5, 0.3, -0.4]", "[2.0, -0.5, 0.7]")
 HB_D3 = "[2.0, -0.5, 0.7, 0.1]"
@@ -171,3 +173,35 @@ def test_out_into_missing_directory_exits_2(tmp_path, argv, name):
     assert err.getvalue().startswith("hyperstat: ")
     assert "Traceback" not in err.getvalue()
     assert not target.parent.exists()
+
+
+VERIFY_KL = ["estimate", "--measure", "kl", "--method", "plugin", "--theta", PC[0],
+             "--theta2", PC[1], "--n", "2000", "--seed", "4", "--verify"]
+
+
+def test_verify_infinite_closed_form_exits_3():
+    # 2 theta2 - theta leaves the cone, so the Neyman closed form is +inf.
+    code, err = run(["estimate", "--measure", "neyman", "--method", "mc2", "--family", "hyperboloid",
+                     "--theta", "[1, 0, 0]", "--theta2", "[4, 3, 2]", "--n", "1000", "--seed", "1",
+                     "--verify"])
+    assert code == 3
+    assert err.startswith("verification failed")
+
+
+def test_verify_miss_exits_6(monkeypatch):
+    assert run(VERIFY_KL)[0] == 0
+    kl = cli._DIVERGENCES["poincare"]["kl"]
+    monkeypatch.setitem(cli._DIVERGENCES["poincare"], "kl", lambda t, t2: kl(t, t2) + 1e6)
+    code, err = run(VERIFY_KL)
+    assert code == 6
+    assert err.startswith("verification failed")
+
+
+def test_verify_without_closed_form_exits_2_before_estimating():
+    argv = [("tv" if a == "kl" else a) for a in VERIFY_KL]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("hyperstat: ")

@@ -136,6 +136,15 @@ class TestEmFit:
             (direct.a, direct.b, direct.c), rel=1e-9
         )
 
+    def test_d3_mle_and_single_component_fit(self):
+        # Both read d from the width of the statistic; nothing here is d = 2.
+        pts = np.random.default_rng(31).normal(0.0, 1.0, (3000, 3)) + [0.5, -0.2, 0.1]
+        want = hb.mle_from_moment(hb.suff_stats_chart(pts).mean(axis=0), 3)
+        mix, _ = em_fit(pts, 1, "hyperboloid", RngStream(32))
+        for got in (hb.mle(pts), mix.components[0]):
+            assert got.d == 3
+            assert got.vec == pytest.approx(want.vec, rel=1e-9)
+
     def test_two_component_recovery(self):
         truth = two_component_mixture()
         pts = mixture_sample(truth, 5000, RngStream(68))
