@@ -8,7 +8,7 @@ exp(-<v, s(x)> - F(v)) h(x), every divergence is a functional of F (Nielsen &
 Nock 2010); Chernoff information is the maximum of the skew Jensen divergence
 (Nielsen 2013); the MLE is the inverse moment map at the mean statistic, and
 EM is Bregman soft clustering (Banerjee et al. 2005).  The module also holds
-the library's one golden-section search.
+the library's one 1-D minimizer, Brent's bounded method.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ __all__ = [
     "neyman_chi2",
     "jeffreys",
     "chernoff",
-    "golden_section_min",
+    "brent_min",
 ]
 
 
@@ -106,32 +106,75 @@ def jeffreys(fam: Family, v: np.ndarray, v2: np.ndarray) -> float:
 
 
 def chernoff(fam: Family, v: np.ndarray, v2: np.ndarray) -> tuple:
-    """(alpha*, J_alpha*): J_alpha is strictly concave in alpha, so golden section finds its max."""
+    """(alpha*, J_alpha*): J_alpha is strictly concave in alpha, so Brent's method finds its max."""
     if np.array_equal(v, v2):
         return (0.5, 0.0)
     f_v, f_v2 = fam.cumulant(v), fam.cumulant(v2)
-    alpha = golden_section_min(
-        lambda a: -_skew_jensen(fam, v, v2, a, f_v, f_v2), 1e-12, 1.0 - 1e-12, 1e-8
-    )
+    alpha, _ = brent_min(lambda a: -_skew_jensen(fam, v, v2, a, f_v, f_v2), 1e-12, 1.0 - 1e-12, 1e-8)
     return (alpha, _skew_jensen(fam, v, v2, alpha, f_v, f_v2))
 
 
-def golden_section_min(fn: Callable[[float], float], lo: float, hi: float, width: float) -> float:
-    """Midpoint of the bracket once golden section has shrunk it below ``width``.
+_SECTION = 0.5 * (3.0 - math.sqrt(5.0))  # 1 - 1/phi, the section-search fraction
+_SQRT_EPS = math.sqrt(2.2e-16)  # fminbound's constant, so the iterates match scipy's bounded method
 
-    ``fn`` must be unimodal on (lo, hi); ties keep the left part.
+
+def brent_min(fn: Callable[[float], float], lo: float, hi: float, xatol: float) -> tuple:
+    """(x, evaluations): Brent's bounded minimizer of ``fn`` on (lo, hi).
+
+    Parabolic steps through the three best points, and section steps into the
+    larger part of the bracket where a parabola is not trusted (Brent 1973,
+    ch. 5; the fminbound variant).  ``fn`` must be unimodal on (lo, hi); it is
+    never called at either end.  The search stops once x is within about
+    ``xatol`` (plus a relative sqrt(machine eps) |x|) of the minimum.
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    while hi - lo > width:
-        if f1 > f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = fn(x2)
+    # x is the best point so far, w the second best and v the previous w.
+    a, b = lo, hi
+    x = w = v = a + _SECTION * (b - a)
+    fx = fw = fv = fn(x)
+    evaluations = 1
+    step = prev = 0.0
+    while True:
+        mid = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - mid) <= tol2 - 0.5 * (b - a):
+            return x, evaluations
+        parabolic = False
+        if abs(prev) > tol1:
+            # Parabola through (x, fx), (w, fw), (v, fv); accepted only inside
+            # (a, b) and shorter than half the step before last.
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            prev, older = step, prev
+            if abs(p) < abs(0.5 * q * older) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                step = p / q
+                if (x + step) - a < tol2 or b - (x + step) < tol2:
+                    step = tol1 if mid >= x else -tol1
+        if not parabolic:
+            prev = (a if x >= mid else b) - x
+            step = _SECTION * prev
+        # Never closer than tol1 to x: a shorter step cannot be resolved.
+        u = x + (math.copysign(max(abs(step), tol1), step) if step else tol1)
+        fu = fn(u)
+        evaluations += 1
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = fn(x1)
-    return 0.5 * (lo + hi)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu

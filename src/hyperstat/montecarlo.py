@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import hyperboloid as hb
-from .expfam import golden_section_min
+from .expfam import brent_min
 from .geometry import LorentzParam, SpdParam2, param_h_to_l
 from .sampling import RngStream, hyperboloid_sample
 
@@ -330,8 +330,9 @@ def optimize_sigma(
     """Proposal scale minimizing the pilot second moment of the IS weight.
 
     A single pilot sample is drawn at scale 1 and reused for every candidate
-    sigma (common random numbers), so the objective is deterministic and a
-    golden-section search on ``_SIGMA_BRACKET`` applies.
+    sigma (common random numbers), so the objective is deterministic and
+    Brent's bounded method applies; it searches log sigma on ``_SIGMA_BRACKET``,
+    where the objective is close to a parabola near its minimum.
     """
     _check_pair(theta, theta2)
     gen = rng.generator()
@@ -349,13 +350,14 @@ def optimize_sigma(
     )
     zm, wm = z[mask], w[mask]
 
-    def objective(sigma: float) -> float:
-        prop = Proposal(proposal_kind, sigma)
+    def objective(log_sigma: float) -> float:
+        prop = Proposal(proposal_kind, math.exp(log_sigma))
         return float(
             np.sum(np.exp(log_a - prop.logpdf(zm) - prop.logpdf(wm))) / n_pilot
         )
 
-    return golden_section_min(objective, *_SIGMA_BRACKET, 1e-6)
+    lo, hi = (math.log(sigma) for sigma in _SIGMA_BRACKET)
+    return math.exp(brent_min(objective, lo, hi, 1e-7)[0])
 
 
 def estimate_mc2(
@@ -407,6 +409,9 @@ def error_bound(sup_bound: float, n: int, t: float) -> float:
     return 2.0 * min(chebyshev, hoeffding)
 
 
+_PROBE_CHUNK = 250_000  # lattice points per evaluation in probe_sup_weight
+
+
 def probe_sup_weight(
     f: FGenerator,
     theta: LorentzParam,
@@ -423,9 +428,11 @@ def probe_sup_weight(
     """
     _check_pair(theta, theta2)
     axis = np.linspace(-half_width, half_width, n_grid)
+    rows = max(1, _PROBE_CHUNK // n_grid)
     best = 0.0
-    for x0 in axis:
-        w = _mc1_weights(f, theta, theta2, proposal, np.full(n_grid, x0), axis)
+    for start in range(0, n_grid, rows):
+        x0 = axis[start : start + rows]
+        w = _mc1_weights(f, theta, theta2, proposal, np.repeat(x0, n_grid), np.tile(axis, x0.size))
         best = max(best, float(np.max(np.abs(w))))
     return best
 

@@ -195,7 +195,7 @@ def kld_via_skew_limit(theta: SpdParam2, theta2: SpdParam2, eps: float = 0.01) -
 def chernoff(theta: SpdParam2, theta2: SpdParam2) -> tuple:
     """Chernoff information: maximize the skew Jensen value over alpha in (0, 1).
 
-    The objective is strictly concave in alpha, so golden-section search
+    The objective is strictly concave in alpha, so Brent's bounded method
     converges to the unique optimum; returns (alpha*, value).
     """
     return expfam.chernoff(_FAMILY, theta.as_vector(), theta2.as_vector())

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expfam import brent_min
 from .geometry import LorentzParam, SpdParam2
 
 __all__ = [
@@ -94,8 +95,6 @@ def _gig_half_order(p: GigParams, n: int, gen: np.random.Generator) -> np.ndarra
 
 def _gig_ratio_of_uniforms(p: GigParams, n: int, gen: np.random.Generator) -> np.ndarray:
     # Mode-shifted ratio-of-uniforms rejection for arbitrary order.
-    from scipy.optimize import minimize_scalar
-
     mode = ((p.lam - 1.0) + math.sqrt((p.lam - 1.0) ** 2 + p.chi * p.psi)) / p.psi
     log_hm = float(p.log_kernel(mode))
 
@@ -105,10 +104,10 @@ def _gig_ratio_of_uniforms(p: GigParams, n: int, gen: np.random.Generator) -> np
             return 0.0
         return -(x - mode) * math.exp(0.5 * (float(p.log_kernel(x)) - log_hm))
 
-    hi = minimize_scalar(neg_v, bounds=(mode, mode + 200.0 * (1.0 + mode)), method="bounded")
-    lo = minimize_scalar(lambda x: -neg_v(x), bounds=(1e-12 * mode, mode), method="bounded")
-    v_hi = -float(hi.fun)  # sup of (x - mode) sqrt(h/h(mode)), positive
-    v_lo = float(lo.fun)  # inf of the same, negative
+    x_hi, _ = brent_min(neg_v, mode, mode + 200.0 * (1.0 + mode), 1e-5)
+    x_lo, _ = brent_min(lambda x: -neg_v(x), 1e-12 * mode, mode, 1e-5)
+    v_hi = -neg_v(x_hi)  # sup of (x - mode) sqrt(h/h(mode)), positive
+    v_lo = -neg_v(x_lo)  # inf of the same, negative
     out = np.empty(n)
     filled = 0
     proposed = 0

@@ -339,3 +339,11 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["invariant_triple"] == [1.0, 1.0, 2.0]
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # scipy.optimize adds ~0.25 s to every CLI process; the library's
+        # minimizer is its own, and brentq is imported where it is used
+        code = "import sys, hyperstat.cli; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

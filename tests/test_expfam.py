@@ -138,9 +138,30 @@ def test_neyman_infinite_exactly_off_the_cone():
     assert 30 < n_inf < len(GRID)
 
 
-def test_golden_section_min_brackets_the_minimum():
-    x = expfam.golden_section_min(lambda s: (s - 0.3) ** 2, 0.0, 1.0, 1e-9)
+def test_brent_min_finds_an_interior_quadratic_minimum_in_few_evaluations():
+    calls = []
+
+    def fn(s):
+        calls.append(s)
+        return (s - 0.3) ** 2
+
+    x, evaluations = expfam.brent_min(fn, 0.0, 1.0, 1e-9)
     assert x == pytest.approx(0.3, abs=1e-9)
+    assert evaluations == len(calls) <= 20
+
+
+@pytest.mark.parametrize("slope, end", [(1.0, -2.0), (-1.0, 3.0)], ids=["left_end", "right_end"])
+def test_brent_min_converges_to_a_bracket_end(slope, end):
+    # a monotone objective has its minimum at an end, which is never evaluated
+    x, _ = expfam.brent_min(lambda s: slope * s, -2.0, 3.0, 1e-8)
+    assert -2.0 < x < 3.0
+    assert abs(x - end) < 1e-6
+
+
+def test_brent_min_on_a_kink():
+    # no parabola fits |x - 0.3| at its minimum; golden steps must carry the search
+    x, _ = expfam.brent_min(lambda s: abs(s - 0.3), 0.0, 1.0, 1e-9)
+    assert x == pytest.approx(0.3, abs=1e-8)
 
 
 def test_chernoff_is_the_max_of_skew_jensen():

@@ -202,6 +202,36 @@ class TestOptimizeSigma:
         b = optimize_sigma(f, APEX, T211, "logistic", 50_000, RngStream(16))
         assert a == b
 
+    @pytest.mark.parametrize("kind", ["logistic", "student_t7"])
+    def test_is_the_argmin_of_its_pilot_objective(self, kind, monkeypatch):
+        # the pilot objective rebuilt from the same stream, then minimized on a
+        # coarse log-sigma grid over the bracket and a fine grid around its best
+        f, n_pilot, rng = FGenerator.total_variation(), 20_000, RngStream(17)
+        gen = rng.generator()
+        base = Proposal(kind, 1.0)
+        z, w = base.sample(n_pilot, gen), base.sample(n_pilot, gen)
+        pts = np.column_stack((z, w))
+        logp = hb.log_density_chart(APEX, pts)
+        fv = f.of_log_ratio(hb.log_density_chart(T211, pts) - logp)
+        log_a = 2.0 * np.log(np.abs(fv)) + 2.0 * logp - base.logpdf(z) - base.logpdf(w)
+
+        def objective(s):
+            prop = Proposal(kind, math.exp(s))
+            return float(np.mean(np.exp(log_a - prop.logpdf(z) - prop.logpdf(w))))
+
+        coarse = np.linspace(math.log(0.05), math.log(50.0), 2001)
+        best = coarse[np.argmin([objective(s) for s in coarse])]
+        fine = np.linspace(best - 2 * (coarse[1] - coarse[0]), best + 2 * (coarse[1] - coarse[0]), 1001)
+        want = math.exp(fine[np.argmin([objective(s) for s in fine])])
+
+        calls = []
+        logpdf = Proposal.logpdf
+        monkeypatch.setattr(Proposal, "logpdf", lambda self, x: calls.append(1) or logpdf(self, x))
+        sigma = optimize_sigma(f, APEX, T211, kind, n_pilot, rng)
+        assert sigma == pytest.approx(want, rel=1e-4)
+        passes = (len(calls) - 2) / 2  # two calls build the sigma-free part
+        assert passes <= 20
+
 
 class TestMc2:
     def test_tv_matches_quadrature_truth(self):
