@@ -104,7 +104,16 @@ def _gig_ratio_of_uniforms(p: GigParams, n: int, gen: np.random.Generator) -> np
             return 0.0
         return -(x - mode) * math.exp(0.5 * (float(p.log_kernel(x)) - log_hm))
 
-    x_hi, _ = brent_min(neg_v, mode, mode + 200.0 * (1.0 + mode), 1e-5)
+    def dlog_v(x: float) -> float:
+        # d/dx log((x - mode) sqrt(h(x)/h(mode))); negative past the sup.
+        return 1.0 / (x - mode) + (p.lam - 1.0) / (2.0 * x) + p.chi / (4.0 * x * x) - p.psi / 4.0
+
+    # For small psi the sup lies far beyond the mode: widen the bracket until
+    # its upper end is past the sup, or the envelope would cut the tail off.
+    hi = mode + 200.0 * (1.0 + mode)
+    while dlog_v(hi) >= 0.0:
+        hi = mode + 2.0 * (hi - mode)
+    x_hi, _ = brent_min(neg_v, mode, hi, 1e-5)
     x_lo, _ = brent_min(lambda x: -neg_v(x), 1e-12 * mode, mode, 1e-5)
     v_hi = -neg_v(x_hi)  # sup of (x - mode) sqrt(h/h(mode)), positive
     v_lo = -neg_v(x_lo)  # inf of the same, negative

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import hyperboloid_integral
 from hyperstat import hyperboloid as hb
+from hyperstat import mixtures
 from hyperstat import poincare as pc
 from hyperstat.geometry import (
     LorentzParam,
@@ -259,3 +260,77 @@ class TestEmFit:
         assert mix_a.weights == mix_b.weights
         assert all(ca.vec == pytest.approx(cb.vec, rel=0) for ca, cb in zip(mix_a.components, mix_b.components))
         assert tr_a.loglik == tr_b.loglik
+
+
+def _component_vec(c) -> np.ndarray:
+    return c.vec if isinstance(c, LorentzParam) else c.as_vector()
+
+
+def _scipy_logsumexp(a: np.ndarray) -> np.ndarray:
+    # scipy's logsumexp on the (n, k) C-ordered log-joint: for k >= 8 numpy's
+    # summation order, and so the last bit, depends on that layout.
+    from scipy.special import logsumexp
+
+    return logsumexp(np.ascontiguousarray(a.T), axis=1)
+
+
+class TestLogSumExp:
+    """The E-step's own log-sum-exp against scipy's, bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 12])
+    def test_matches_scipy_bitwise(self, k):
+        gen = np.random.default_rng(100 + k)
+        n = 4000
+        a = gen.normal(size=(k, n)) * gen.choice([1.0, 30.0, 300.0, 1e3], size=n)
+        a[:, ::5] = np.round(a[:, ::5])  # ties at the column max
+        a[:, 1::11] = a[0, 1::11]  # every term tied
+        for j, v in enumerate([np.inf, -np.inf, np.nan]):
+            a[gen.integers(k), 3 + j :: 17] = v
+        a[:, 7::97] = -np.inf  # empty columns
+        assert np.array_equal(mixtures._logsumexp(a), _scipy_logsumexp(a), equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "column",
+        [[-np.inf, -np.inf], [np.inf, 1.0], [np.nan, 1.0], [1.0, 1.0, 1.0], [800.0, -800.0], [np.inf, np.inf]],
+    )
+    def test_edge_columns(self, column):
+        a = np.array(column)[:, None]
+        assert np.array_equal(mixtures._logsumexp(a), _scipy_logsumexp(a), equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "family, truth",
+        [
+            ("hyperboloid", ((0.35, 0.65), [(6.0, 0.0, 0.0), (4.0, 2.0, -2.0)])),
+            ("hyperboloid", ((0.3, 0.3, 0.4), [(6.0, 0.0, 0.0), (5.0, 3.0, -3.0), (5.0, -3.0, 3.0)])),
+            ("poincare", ((0.35, 0.65), [(3.0, 0.0, 3.0), (3.0, -1.0, 1.0)])),
+            ("poincare", ((0.3, 0.3, 0.4), [(3.0, 0.0, 3.0), (4.0, -1.5, 1.0), (1.0, 1.5, 4.0)])),
+        ],
+    )
+    def test_fit_unchanged_under_scipy(self, monkeypatch, family, truth):
+        # Swapping in scipy's logsumexp must not move a single bit of the fit.
+        weights, comps = truth
+        cls = LorentzParam if family == "hyperboloid" else (lambda v: SpdParam2(*v))
+        m = Mixture(family, weights, tuple(cls(c) for c in comps))
+        k = m.k
+        pts = mixture_sample(m, 3000, RngStream(80 + k))
+        resp = np.zeros((pts.shape[0], k))
+        resp[np.arange(pts.shape[0]), np.random.default_rng(9).integers(0, k, size=pts.shape[0])] = 1.0
+
+        def run():
+            fits = [
+                em_fit(pts, k, family, RngStream(81)),
+                em_fit(pts, k, family, RngStream(81), init_resp=resp),
+            ]
+            return fits, mixture_log_density_array(m, pts)
+
+        own_fits, own_density = run()
+        monkeypatch.setattr(mixtures, "_logsumexp", _scipy_logsumexp)
+        ref_fits, ref_density = run()
+        assert np.array_equal(own_density, ref_density)
+        for (mix_a, tr_a), (mix_b, tr_b) in zip(own_fits, ref_fits):
+            assert mix_a.weights == mix_b.weights
+            for ca, cb in zip(mix_a.components, mix_b.components):
+                assert np.array_equal(_component_vec(ca), _component_vec(cb))
+            assert tr_a.loglik == tr_b.loglik
+            assert tr_a.iterations == tr_b.iterations
+            assert np.array_equal(tr_a.effective_counts, tr_b.effective_counts)

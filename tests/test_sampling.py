@@ -105,6 +105,18 @@ class TestGig:
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - gig_mean(p)) < 3.5 * se
 
+    @pytest.mark.parametrize("lam, chi, psi", [(0.0, 1.0, 1e-3), (1.0, 1.0, 1e-4)])
+    def test_small_psi_rejection_mean(self, lam, chi, psi):
+        # For small psi the sup of the ratio-of-uniforms envelope lies far
+        # beyond the mode; an envelope cut short truncates the right tail.
+        from scipy.special import kv
+
+        w = math.sqrt(chi * psi)
+        want = math.sqrt(chi / psi) * kv(lam + 1.0, w) / kv(lam, w)
+        draws = gig_sample(GigParams(lam, chi, psi), 200_000, RngStream(3), method="rejection")
+        se = draws.std(ddof=1) / math.sqrt(draws.size)
+        assert abs(draws.mean() - want) < 4.0 * se
+
     def test_determinism(self):
         p = GigParams(0.5, 1.0, 2.0)
         a = gig_sample(p, 1000, RngStream(37))
