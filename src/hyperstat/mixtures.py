@@ -11,8 +11,9 @@ through the inverse moment map.  The average log-likelihood is nondecreasing
 across iterations; the trace records it.  The E-step normalizes with the
 module's own log-sum-exp over the component axis of a (k, n) log-joint, in
 the arithmetic of SciPy's ``logsumexp`` (terms tied at the max taken out of
-the sum and counted, the same summation order): the two agree bit for bit,
-and the module's costs a fraction of the library call.
+the sum and counted, the same summation order): for fewer than 8 components
+the two agree bit for bit, and the module's costs a fraction of the library
+call.
 
 Initialization draws k-means++ style seeds in sufficient-statistic space and
 hardens the nearest-seed assignment into starting responsibilities.  A fixed
@@ -101,20 +102,19 @@ def _log_joint(fam: expfam.Family, weights, components, pts: np.ndarray) -> np.n
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
-    # log sum_j exp(a[j]) per column of a (k, n) array.  The terms equal to
-    # the column max are taken out of the sum and counted, and the result is
-    # log1p(rest / ties) + log(ties) + max; +-inf and nan columns come out as
-    # the direct formula gives them.  numpy adds a contiguous run of fewer
-    # than 8 numbers left to right, as the sum over rows does; longer runs
-    # are summed in (n, k) layout so that the pairwise order is the same as
-    # for a log-joint held point by point.
+    # log sum_j exp(a[j]) per column of a (k, n) array, in SciPy's
+    # arithmetic: the terms equal to the column max are taken out of the sum
+    # and counted, and the result is log1p(rest / ties) + log(ties) + max;
+    # +-inf and nan columns come out as the direct formula gives them.  The
+    # rows are added in order, as numpy adds a point's k < 8 terms in the
+    # (n, k) layout SciPy is given, so the two agree bit for bit; for k >= 8
+    # numpy sums that layout pairwise and the last bit can differ.
     top = a.max(axis=0)
     is_top = a == top
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(is_top, 0.0, np.exp(a - top))
-        total = terms.sum(axis=0) if len(a) < 8 else np.ascontiguousarray(terms.T).sum(axis=1)
+        rest = np.where(is_top, 0.0, np.exp(a - top)).sum(axis=0)
         ties = is_top.sum(axis=0)
-        return np.log1p(total / ties) + np.log(ties) + top
+        return np.log1p(rest / ties) + np.log(ties) + top
 
 
 def mixture_sample(
@@ -209,9 +209,8 @@ def em_fit(
                 avg_ll = float(np.mean(per_point))
                 trace.loglik.append(avg_ll)
                 trace.iterations = it + 1
-                # C-ordered (n, k): the M-step's column sums then add point
-                # after point; on a transposed view numpy would sum each
-                # column pairwise, which changes the last bits.
+                # C-ordered (n, k): on the transposed view the M-step's sum and
+                # product would add in another order and move the last bits.
                 resp = np.ascontiguousarray(np.exp(logs - per_point).T)
                 weights, components = _m_step(fam, stats, resp)
                 if avg_ll - prev < _TOL and it > 0:
