@@ -292,11 +292,21 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_points_csv(path: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         rows = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
-    if rows and not rows[0][0].lstrip("-+").replace(".", "").isdigit():
+    if rows and not all(_is_number(field) for field in rows[0].split(",")):
         rows = rows[1:]  # column header
+    if not rows:
+        raise ValueError("no data rows")
     return np.loadtxt(rows, delimiter=",", ndmin=2)
 
 
@@ -344,30 +354,34 @@ def _cmd_convert(args) -> int:
     if args.what == "param":
         if "disk" in (src, dst):
             raise CliError(EXIT_BAD_PARAMS, "parameter conversion covers upper-half <-> hyperboloid")
+        theta = _parse_param(args.value, "poincare" if src == "upper-half" else "hyperboloid")
         if src == dst:
             out = value
         elif src == "upper-half":
-            theta = _parse_param(args.value, "poincare")
             out = list(param_h_to_l(theta).theta)
         else:
-            theta = _parse_param(args.value, "hyperboloid")
             if theta.d != 2:
                 raise CliError(EXIT_BAD_DIMENSION, "parameter conversion needs d=2")
             s = param_l_to_h(theta)
             out = [[s.a, s.b], [s.b, s.c]]
     else:
-        arr = np.asarray(value, dtype=float)
+        try:
+            arr = np.asarray(value, dtype=float)
+        except TypeError as err:
+            raise CliError(EXIT_BAD_PARAMS, f"malformed point {args.value!r}: {err}")
         if arr.shape != (2,):
             raise CliError(EXIT_BAD_PARAMS, f"points are 2-vectors, got {args.value!r}")
+        if src == "upper-half":
+            z = UpperHalfPoint(arr[0], arr[1])
+        elif src == "hyperboloid":
+            z = HyperboloidPoint(arr)
+        else:
+            z = point_disk_to_h(arr[0], arr[1])
         if src == dst:
             out = list(arr)
         else:
-            if src == "upper-half":
-                z = UpperHalfPoint(arr[0], arr[1])
-            elif src == "hyperboloid":
-                z = point_l_to_h(HyperboloidPoint(arr))
-            else:
-                z = point_disk_to_h(arr[0], arr[1])
+            if src == "hyperboloid":
+                z = point_l_to_h(z)
             if dst == "upper-half":
                 out = [z.x, z.y]
             elif dst == "hyperboloid":

@@ -6,6 +6,10 @@ its logarithmic derivative (gradient of the hyperboloid cumulant), and the
 exponentially scaled upper incomplete gamma ``e^x * Gamma(0, x)`` (entropy of
 the half-plane family).  Everything here is a pure function of floats and is
 safe to call concurrently.
+
+``scipy.special`` is imported on the first Bessel evaluation, not with this
+module: the half-plane closed forms, sampler and EM evaluate no Bessel
+function and so never load scipy.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 __all__ = ["SpecialValue", "bessel_k", "bessel_k_logderiv", "exp_gamma0"]
 
@@ -40,8 +43,10 @@ def bessel_k(order: float, x: float) -> SpecialValue:
     """
     if not x > 0.0:
         raise ValueError(f"bessel_k requires x > 0, got x={x}")
+    from scipy.special import kve
+
     nu = abs(float(order))
-    scaled = float(_sp.kve(nu, x))  # e^x K_nu(x)
+    scaled = float(kve(nu, x))  # e^x K_nu(x)
     if not math.isfinite(scaled) or scaled <= 0.0:
         raise ValueError(f"bessel_k failed for order={order}, x={x}")
     return SpecialValue(value=scaled * math.exp(-x), log_value=math.log(scaled) - x)
@@ -55,9 +60,11 @@ def bessel_k_logderiv(order: float, x: float) -> float:
     """
     if not x > 0.0:
         raise ValueError(f"bessel_k_logderiv requires x > 0, got x={x}")
+    from scipy.special import kve
+
     nu = abs(float(order))
-    num = _sp.kve(abs(nu - 1.0), x) + _sp.kve(nu + 1.0, x)
-    return -0.5 * float(num) / float(_sp.kve(nu, x))
+    num = kve(abs(nu - 1.0), x) + kve(nu + 1.0, x)
+    return -0.5 * float(num) / float(kve(nu, x))
 
 
 def _exp_gamma0_series(x: float) -> float:

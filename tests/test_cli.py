@@ -3,13 +3,14 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
 
-from hyperstat.cli import main
+from hyperstat.cli import _read_points_csv, main
 
 
 def run_cli(args, capsys):
@@ -319,6 +320,67 @@ class TestFitAndConvert:
         back = json.loads(out)["value"]
         assert back == pytest.approx(value, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["-0.5,1.0\n0.2,2.0\n0.3,1.5\n", "+0.5,1.0\n0.2,2.0\n0.3,1.5\n", ".5,1.0\n0.2,2.0\n0.3,1.5\n"],
+    )
+    def test_headerless_csv_keeps_first_row(self, tmp_path, text):
+        csv = tmp_path / "pts.csv"
+        csv.write_text(text)
+        pts = _read_points_csv(str(csv))
+        assert pts.shape == (3, 2)
+        assert abs(pts[0, 0]) == 0.5
+        csv.write_text("# comment\nx,y\n" + text)
+        assert np.array_equal(_read_points_csv(str(csv)), pts)
+
+    @pytest.mark.parametrize("text", ["", "x,y\n", "# family=poincare\nx,y\n"])
+    def test_fit_no_data_rows_exit_2(self, tmp_path, capsys, text):
+        csv = tmp_path / "empty.csv"
+        csv.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # np.loadtxt's "input contained no data"
+            code, out, err = run_cli(["fit", "--input", str(csv), "--k", "1", "--seed", "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("hyperstat:") and "no data rows" in err
+
+    @pytest.mark.parametrize(
+        "what,model,value",
+        [
+            ("param", "upper-half", "[[1,2],[2,1]]"),
+            ("param", "hyperboloid", "[1,1,1]"),
+            ("point", "upper-half", "[0.5,-1]"),
+            ("point", "disk", "[0.5,0.9]"),
+            ("point", "upper-half", '{"x": 1}'),
+        ],
+    )
+    def test_convert_identity_validates(self, capsys, what, model, value):
+        code, out, err = run_cli(
+            ["convert", "--what", what, "--from", model, "--to", model, "--value", value], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("hyperstat:")
+
+    @pytest.mark.parametrize(
+        "what,model,value,echo",
+        [
+            ("point", "upper-half", "[0.37, 1.21]", "[0.37, 1.21]"),
+            ("point", "hyperboloid", "[-0.5, 1e-3]", "[-0.5, 0.001]"),
+            ("point", "disk", "[0.5,0.1]", "[0.5, 0.10000000000000001]"),
+            ("param", "upper-half", "[[1,0.25],[0.25,2]]", "[[1, 0.25], [0.25, 2]]"),
+            ("param", "hyperboloid", "[3,1,1]", "[3, 1, 1]"),
+        ],
+    )
+    def test_convert_identity_echoes_valid_input(self, capsys, what, model, value, echo):
+        code, out, _ = run_cli(
+            ["convert", "--what", what, "--from", model, "--to", model, "--value", value], capsys
+        )
+        assert code == 0
+        assert out == (
+            f'{{"what": "{what}", "from": "{model}", "to": "{model}", "value": {echo}}}\n'
+        )
+
     def test_convert_unsupported_direction(self, capsys):
         code, _, _ = run_cli(
             ["convert", "--what", "param", "--from", "upper-half", "--to", "disk", "--value", "[[1,0],[0,1]]"],
@@ -347,3 +409,58 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_import_loads_no_scipy(self):
+        # scipy.special is imported on the first Bessel evaluation only
+        code = (
+            "import sys, hyperstat, hyperstat.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_half_plane_commands_leave_scipy_unloaded(self, tmp_path):
+        pts = str(tmp_path / "pts.csv")
+        out = str(tmp_path / "out.txt")
+        commands = [
+            ["divergence", "--measure", "kl", "--theta", EX_THETA, "--theta2", EX_THETA2],
+            ["divergence", "--measure", "chernoff", "--theta", EX_THETA, "--theta2", EX_THETA2],
+            ["entropy", "--theta", EX_THETA],
+            ["fim", "--theta", EX_THETA],
+            ["invariant", "--theta", EX_THETA, "--theta2", EX_THETA2],
+            ["convert", "--what", "param", "--from", "upper-half", "--to", "hyperboloid",
+             "--value", EX_THETA],
+            ["sample", "--theta", EX_THETA, "--n", "300", "--seed", "1", "--out", pts],
+            ["fit", "--input", pts, "--k", "2", "--seed", "2"],
+        ]
+        code = (
+            "import sys\n"
+            "from hyperstat.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            f"    assert main(argv if '--out' in argv else argv + ['--out', {out!r}]) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        assert json.loads((tmp_path / "out.txt").read_text())["iterations"] >= 1
+
+    def test_hyperboloid_estimate_loads_scipy(self, capsys):
+        argv = [
+            "estimate", "--family", "hyperboloid", "--measure", "kl", "--method", "plugin",
+            "--theta", "[1,0,0]", "--theta2", "[2,1,1]", "--n", "2000", "--seed", "5",
+        ]
+        code = (
+            "import sys\n"
+            "from hyperstat.cli import main\n"
+            f"rc = main({argv!r})\n"
+            "sys.stderr.write(str('scipy.special' in sys.modules))\n"
+            "sys.exit(rc)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "True"
+        rc, out, _ = run_cli(argv, capsys)
+        assert rc == 0
+        assert proc.stdout == out

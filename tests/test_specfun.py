@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import kve
 
 from hyperstat.specfun import bessel_k, bessel_k_logderiv, exp_gamma0
 
@@ -95,6 +96,29 @@ class TestBesselKLogderiv:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             bessel_k_logderiv(1.0, -2.0)
+
+
+class TestKveIdentity:
+    """Both Bessel functions are exactly one ``kve`` expression each."""
+
+    ORDERS = (0.0, 0.5, 1.0, 1.5, 2.5, -1.5)
+
+    @staticmethod
+    def grid():
+        jitter = 10.0 ** np.random.default_rng(20261018).uniform(-3.0, 3.0, 100)
+        return [float(x) for x in np.concatenate([np.logspace(-3.0, 3.0, 61), jitter])]
+
+    def test_bessel_k_log_value(self):
+        for nu in self.ORDERS:
+            for x in self.grid():
+                assert bessel_k(nu, x).log_value == math.log(kve(abs(nu), x)) - x, (nu, x)
+
+    def test_logderiv(self):
+        for nu in self.ORDERS:
+            a = abs(nu)
+            for x in self.grid():
+                want = -0.5 * float(kve(abs(a - 1.0), x) + kve(a + 1.0, x)) / float(kve(a, x))
+                assert bessel_k_logderiv(nu, x) == want, (nu, x)
 
 
 class TestExpGamma0:
