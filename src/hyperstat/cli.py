@@ -371,6 +371,8 @@ def _cmd_convert(args) -> int:
             raise CliError(EXIT_BAD_PARAMS, f"malformed point {args.value!r}: {err}")
         if arr.shape != (2,):
             raise CliError(EXIT_BAD_PARAMS, f"points are 2-vectors, got {args.value!r}")
+        if not np.all(np.isfinite(arr)):
+            raise CliError(EXIT_BAD_PARAMS, f"point coordinates must be finite, got {args.value!r}")
         if src == "upper-half":
             z = UpperHalfPoint(arr[0], arr[1])
         elif src == "hyperboloid":

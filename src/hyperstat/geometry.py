@@ -437,11 +437,15 @@ def point_h_to_l(z: UpperHalfPoint) -> HyperboloidPoint:
 
 
 def point_l_to_h(p: HyperboloidPoint) -> UpperHalfPoint:
-    """Inverse chart map: the positive root of y^2 (1+Y^2) + 2 X y - 1 = 0."""
+    """Inverse chart map: the positive root of y^2 (1+Y^2) + 2 X y - 1 = 0.
+
+    Of the two equal forms of the root, each is used where it does not cancel.
+    """
     if p.d != 2:
         raise ValueError(f"point correspondence needs d=2, got d={p.d}")
     big_x, big_y = p.coords
-    y = (math.sqrt(1.0 + big_x * big_x + big_y * big_y) - big_x) / (1.0 + big_y * big_y)
+    r = math.sqrt(1.0 + big_x * big_x + big_y * big_y)
+    y = 1.0 / (r + big_x) if big_x >= 0.0 else (r - big_x) / (1.0 + big_y * big_y)
     return UpperHalfPoint(y * big_y, y)
 
 

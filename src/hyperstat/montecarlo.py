@@ -127,6 +127,39 @@ class Proposal:
         return _T7_LOGNORM - 4.0 * np.log1p(z * z / 7.0) - math.log(self.sigma)
 
 
+def _pair_root_inverse(kind: str, z: np.ndarray, w: np.ndarray) -> Callable[[float], np.ndarray]:
+    """sigma -> 1 / sqrt(p_sigma(z) p_sigma(w)), closed form in sigma over arrays built once.
+
+    The log-densities of :meth:`Proposal.logpdf` give, exactly,
+    student_t7: 1 / (p_sigma(z) p_sigma(w)) = sigma^2 e^{-2C} Q^4 with
+    Q = (1 + s z^2)(1 + s w^2) = 1 + s (z^2 + w^2) + s^2 z^2 w^2, s = 1/(7 sigma^2);
+    logistic: 1 / p_sigma(x) = 4 sigma cosh^2(x / (2 sigma)).
+    """
+    if kind == "student_t7":
+        zz, ww = z * z, w * w
+        u, v = zz + ww, zz * ww
+
+        def root_inverse(sigma: float) -> np.ndarray:
+            s = 1.0 / (7.0 * sigma * sigma)
+            k = math.sqrt(sigma * math.exp(-_T7_LOGNORM))
+            q = s * v
+            q += u
+            q *= s * k
+            q += k  # sqrt(sigma e^{-C}) Q
+            return np.multiply(q, q, out=q)
+
+        return root_inverse
+
+    def root_inverse(sigma: float) -> np.ndarray:
+        h = 0.5 / sigma
+        c = np.cosh(z * h)
+        c *= np.cosh(w * h)
+        c *= 4.0 * sigma
+        return c
+
+    return root_inverse
+
+
 @dataclass(frozen=True)
 class McEstimate:
     """A Monte Carlo estimate with its per-sample variance and 95% CLT interval.
@@ -332,7 +365,10 @@ def optimize_sigma(
     A single pilot sample is drawn at scale 1 and reused for every candidate
     sigma (common random numbers), so the objective is deterministic and
     Brent's bounded method applies; it searches log sigma on ``_SIGMA_BRACKET``,
-    where the objective is close to a parabola near its minimum.
+    where the objective is close to a parabola near its minimum.  A pass is a
+    closed form in sigma over pilot arrays computed once (see
+    :func:`_pilot_objective`), with no transcendental per point for the t7
+    proposal and two cosh per point for the logistic one.
     """
     _check_pair(theta, theta2)
     gen = rng.generator()
@@ -340,24 +376,40 @@ def optimize_sigma(
     z = base.sample(n_pilot, gen)
     w = base.sample(n_pilot, gen)
     fv, logp = _f_and_logp(f, theta, theta2, np.column_stack((z, w)))
-    # log of H^2 / (p_1(z) p_1(w)), the sigma-independent part of the summand.
+    objective = _pilot_objective(base, z, w, fv, logp)
+    lo, hi = (math.log(sigma) for sigma in _SIGMA_BRACKET)
+    return math.exp(brent_min(objective, lo, hi, 1e-7)[0])
+
+
+def _pilot_objective(
+    base: Proposal, z: np.ndarray, w: np.ndarray, fv: np.ndarray, logp: np.ndarray
+) -> Callable[[float], float]:
+    """log sigma -> mean over the pilot (z, w) ~ ``base`` of (f p)^2 / (p_sigma(z) p_sigma(w)).
+
+    The summand is a(z, w) / (p_sigma(z) p_sigma(w)) with the sigma-free
+    a = (f p)^2 / (p_1(z) p_1(w)).  Each term is built as the square of
+    sqrt(a) / sqrt(p_sigma(z) p_sigma(w)), so it overflows where
+    exp(log a - log p_sigma(z) - log p_sigma(w)) does, not where only a
+    factor would; the mask drops the terms with a = 0, so none is 0 * inf.
+    """
     mask = fv != 0.0
+    zm, wm = z[mask], w[mask]
     log_a = (
         2.0 * np.log(np.abs(fv[mask]))
         + 2.0 * logp[mask]
-        - base.logpdf(z[mask])
-        - base.logpdf(w[mask])
+        - base.logpdf(zm)
+        - base.logpdf(wm)
     )
-    zm, wm = z[mask], w[mask]
+    root_a = np.exp(0.5 * log_a)
+    root_inverse = _pair_root_inverse(base.kind, zm, wm)
+    n_pilot = z.size
 
     def objective(log_sigma: float) -> float:
-        prop = Proposal(proposal_kind, math.exp(log_sigma))
-        return float(
-            np.sum(np.exp(log_a - prop.logpdf(zm) - prop.logpdf(wm))) / n_pilot
-        )
+        t = root_inverse(math.exp(log_sigma))
+        t *= root_a
+        return float(np.dot(t, t)) / n_pilot
 
-    lo, hi = (math.log(sigma) for sigma in _SIGMA_BRACKET)
-    return math.exp(brent_min(objective, lo, hi, 1e-7)[0])
+    return objective
 
 
 def estimate_mc2(

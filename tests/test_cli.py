@@ -381,6 +381,30 @@ class TestFitAndConvert:
             f'{{"what": "{what}", "from": "{model}", "to": "{model}", "value": {echo}}}\n'
         )
 
+    @pytest.mark.parametrize(
+        "src,dst,value",
+        [
+            ("hyperboloid", "hyperboloid", "[NaN, 1]"),
+            ("hyperboloid", "disk", "[Infinity, 1]"),
+            ("upper-half", "hyperboloid", "[0, Infinity]"),
+        ],
+    )
+    def test_convert_rejects_non_finite_points(self, capsys, src, dst, value):
+        code, out, err = run_cli(
+            ["convert", "--what", "point", "--from", src, "--to", dst, "--value", value], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("hyperstat:") and repr(value) in err
+
+    def test_convert_far_hyperboloid_point(self, capsys):
+        code, out, _ = run_cli(
+            ["convert", "--what", "point", "--from", "hyperboloid", "--to", "upper-half", "--value", "[1e10, 0]"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["value"] == [0.0, pytest.approx(5e-11, rel=1e-15)]
+
     def test_convert_unsupported_direction(self, capsys):
         code, _, _ = run_cli(
             ["convert", "--what", "param", "--from", "upper-half", "--to", "disk", "--value", "[[1,0],[0,1]]"],

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -299,6 +300,21 @@ class TestCorrespondenceMaps:
             assert z.y > 0
             again = point_h_to_l(z)
             assert again.coords == pytest.approx(chart.coords, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("big_y", [0.0, 0.75])
+    def test_point_l_to_h_keeps_full_precision_far_out(self, sign, big_y):
+        # against the root in 50-digit arithmetic; the difference form cancels
+        # for large positive X, the reciprocal form for large negative X
+        for mag in (1.0, 1e3, 1e6, 1e8, 1e10):
+            big_x = sign * mag
+            z = point_l_to_h(HyperboloidPoint((big_x, big_y)))
+            with mpmath.workdps(50):
+                x_, y_ = mpmath.mpf(big_x), mpmath.mpf(big_y)
+                root = (mpmath.sqrt(1 + x_ * x_ + y_ * y_) - x_) / (1 + y_ * y_)
+                want_y, want_x = float(root), float(root * y_)
+            assert abs(z.y - want_y) <= 4 * math.ulp(want_y), big_x
+            assert abs(z.x - want_x) <= 4 * math.ulp(want_x), big_x
 
     def test_disk_maps(self):
         assert point_h_to_disk(UpperHalfPoint(0, 1)) == pytest.approx((0.0, 0.0))

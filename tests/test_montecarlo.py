@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from test_acceptance import PAIRS as PANEL_PAIRS
+
 from hyperstat import hyperboloid as hb
+from hyperstat import montecarlo
 from hyperstat import poincare as pc
+from hyperstat.expfam import brent_min
 from hyperstat.geometry import LorentzParam, SpdParam2
 from hyperstat.montecarlo import (
     FGenerator,
     McEstimate,
     Proposal,
+    _f_and_logp,
+    _pilot_objective,
     error_bound,
     estimate,
     estimate_for_poincare,
@@ -181,6 +187,40 @@ class TestMc1:
         assert est.sigma == 1.25
 
 
+def _pilot(kind, f, ta, tb, n_pilot, rng):
+    """optimize_sigma's pilot rebuilt from the same stream: (z, w, f values, log p)."""
+    base = Proposal(kind, 1.0)
+    gen = rng.generator()
+    z, w = base.sample(n_pilot, gen), base.sample(n_pilot, gen)
+    return (z, w, *_f_and_logp(f, ta, tb, np.column_stack((z, w))))
+
+
+def _log_form_objective(kind, z, w, fv, logp):
+    """The pilot objective as log densities: log sigma -> mean(exp(log_a - logpdf_s(z) - logpdf_s(w)))."""
+    base, mask = Proposal(kind, 1.0), fv != 0.0
+    zm, wm = z[mask], w[mask]
+    log_a = 2.0 * np.log(np.abs(fv[mask])) + 2.0 * logp[mask] - base.logpdf(zm) - base.logpdf(wm)
+
+    def objective(s):
+        prop = Proposal(kind, math.exp(s))
+        return float(np.sum(np.exp(log_a - prop.logpdf(zm) - prop.logpdf(wm))) / z.size)
+
+    return objective
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """(x, evaluations) of each brent_min run inside montecarlo, in call order."""
+    runs = []
+
+    def recording(*args):
+        runs.append(brent_min(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(montecarlo, "brent_min", recording)
+    return runs
+
+
 class TestOptimizeSigma:
     def test_improves_on_unit_scale(self):
         f = FGenerator.total_variation()
@@ -203,34 +243,57 @@ class TestOptimizeSigma:
         assert a == b
 
     @pytest.mark.parametrize("kind", ["logistic", "student_t7"])
-    def test_is_the_argmin_of_its_pilot_objective(self, kind, monkeypatch):
+    def test_is_the_argmin_of_its_pilot_objective(self, kind, searches):
         # the pilot objective rebuilt from the same stream, then minimized on a
         # coarse log-sigma grid over the bracket and a fine grid around its best
         f, n_pilot, rng = FGenerator.total_variation(), 20_000, RngStream(17)
-        gen = rng.generator()
-        base = Proposal(kind, 1.0)
-        z, w = base.sample(n_pilot, gen), base.sample(n_pilot, gen)
-        pts = np.column_stack((z, w))
-        logp = hb.log_density_chart(APEX, pts)
-        fv = f.of_log_ratio(hb.log_density_chart(T211, pts) - logp)
-        log_a = 2.0 * np.log(np.abs(fv)) + 2.0 * logp - base.logpdf(z) - base.logpdf(w)
-
-        def objective(s):
-            prop = Proposal(kind, math.exp(s))
-            return float(np.mean(np.exp(log_a - prop.logpdf(z) - prop.logpdf(w))))
-
+        objective = _log_form_objective(kind, *_pilot(kind, f, APEX, T211, n_pilot, rng))
         coarse = np.linspace(math.log(0.05), math.log(50.0), 2001)
         best = coarse[np.argmin([objective(s) for s in coarse])]
         fine = np.linspace(best - 2 * (coarse[1] - coarse[0]), best + 2 * (coarse[1] - coarse[0]), 1001)
         want = math.exp(fine[np.argmin([objective(s) for s in fine])])
 
-        calls = []
-        logpdf = Proposal.logpdf
-        monkeypatch.setattr(Proposal, "logpdf", lambda self, x: calls.append(1) or logpdf(self, x))
         sigma = optimize_sigma(f, APEX, T211, kind, n_pilot, rng)
         assert sigma == pytest.approx(want, rel=1e-4)
-        passes = (len(calls) - 2) / 2  # two calls build the sigma-free part
+        (_, passes), = searches
         assert passes <= 20
+
+    @pytest.mark.parametrize("kind", ["logistic", "student_t7"])
+    @pytest.mark.parametrize("f", [FGenerator.total_variation(), FGenerator.kl()], ids=["tv", "kl"])
+    def test_closed_form_pass_matches_the_log_form(self, kind, f):
+        # a panel pair, with one extreme draw that overflows the logistic log
+        # form at the small end of the bracket
+        ta, tb = (LorentzParam(t) for t in PANEL_PAIRS[3])
+        base = Proposal(kind, 1.0)
+        gen = RngStream(18).generator()
+        z, w = base.sample(20_000, gen), base.sample(20_000, gen)
+        z[0] = 40.0
+        fv, logp = _f_and_logp(f, ta, tb, np.column_stack((z, w)))
+        closed = _pilot_objective(base, z, w, fv, logp)
+        logged = _log_form_objective(kind, z, w, fv, logp)
+        finite = 0
+        with np.errstate(over="ignore"):
+            for s in np.linspace(math.log(0.05), math.log(50.0), 41):
+                got, want = closed(s), logged(s)
+                assert not math.isnan(got), math.exp(s)
+                if math.isfinite(want):
+                    finite += 1
+                    assert got == pytest.approx(want, rel=1e-12), math.exp(s)
+                else:
+                    assert got == math.inf, math.exp(s)
+        assert finite >= 30
+
+    @pytest.mark.parametrize("kind", ["logistic", "student_t7"])
+    def test_sigma_star_matches_the_log_form_search(self, kind, searches):
+        f, n_pilot = FGenerator.total_variation(), 20_000
+        for i, (a, b) in enumerate(PANEL_PAIRS):
+            ta, tb = LorentzParam(a), LorentzParam(b)
+            rng = RngStream(19).derive(i)
+            sigma = optimize_sigma(f, ta, tb, kind, n_pilot, rng)
+            objective = _log_form_objective(kind, *_pilot(kind, f, ta, tb, n_pilot, rng))
+            x, evaluations = brent_min(objective, math.log(0.05), math.log(50.0), 1e-7)
+            assert sigma == pytest.approx(math.exp(x), rel=1e-6), (a, b)
+            assert searches[-1][1] == evaluations, (a, b)
 
 
 class TestMc2:
