@@ -439,13 +439,19 @@ def point_h_to_l(z: UpperHalfPoint) -> HyperboloidPoint:
 def point_l_to_h(p: HyperboloidPoint) -> UpperHalfPoint:
     """Inverse chart map: the positive root of y^2 (1+Y^2) + 2 X y - 1 = 0.
 
-    Of the two equal forms of the root, each is used where it does not cancel.
+    Of the two equal forms of the root, each is used where it does not cancel;
+    sqrt(1 + X^2 + Y^2) and sqrt(1 + Y^2) are taken by ``math.hypot``, which
+    does not overflow for far points.
     """
     if p.d != 2:
         raise ValueError(f"point correspondence needs d=2, got d={p.d}")
     big_x, big_y = p.coords
-    r = math.sqrt(1.0 + big_x * big_x + big_y * big_y)
-    y = 1.0 / (r + big_x) if big_x >= 0.0 else (r - big_x) / (1.0 + big_y * big_y)
+    r = math.hypot(1.0, big_x, big_y)
+    if big_x >= 0.0:
+        y = 1.0 / (r + big_x)
+    else:
+        h = math.hypot(1.0, big_y)
+        y = (r - big_x) / h / h
     return UpperHalfPoint(y * big_y, y)
 
 

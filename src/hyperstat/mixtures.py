@@ -7,13 +7,32 @@ the MLE read too.  Both families are exponential families, so the EM fit is
 Bregman soft clustering: the E-step sets responsibilities from component log
 densities (the carrier term cancels inside a family), and the M-step averages
 sufficient statistics under the responsibilities and maps the averages back
-through the inverse moment map.  The average log-likelihood is nondecreasing
-across iterations; the trace records it.  The E-step normalizes with the
-module's own log-sum-exp over the component axis of a (k, n) log-joint, in
-the arithmetic of SciPy's ``logsumexp`` (terms tied at the max taken out of
-the sum and counted, the same summation order): for fewer than 8 components
-the two agree bit for bit, and the module's costs a fraction of the library
-call.
+through the inverse moment map.  The E-step normalizes with the module's own
+log-sum-exp over the component axis of a (k, n) log-joint, in the arithmetic
+of SciPy's ``logsumexp`` (terms tied at the max taken out of the sum and
+counted, the same summation order): for fewer than 8 components the two agree
+bit for bit, and the module's costs a fraction of the library call.
+
+The EM map is accelerated by SQUAREM (Varadhan & Roland 2008), which keeps
+its fixed points.  A cycle starts from an evaluated point x0 with
+responsibilities R0, takes two plain maps (R1, R2), and jumps to
+M(R0 - 2 alpha r + alpha^2 v) with r = R1 - R0, v = R2 - 2 R1 + R0 and
+alpha = min(-|r|/|v|, -1).  The M-step's counts and statistic sums are linear
+in R, so the jump extrapolates those and makes no pass over the points.  The
+group actions leave responsibilities unchanged and act linearly on the
+statistics, so alpha is invariant and the fit stays equivariant.  A jump is
+rejected when a count falls below 2, the moment leaves the dual domain or maps
+to a parameter on the numerical cone boundary, or its log-likelihood is
+non-finite or below the second map's; alpha is then halved toward -1 (the
+plain map from x2) a few times, and after the last rejection the plain map is
+taken.  The accepted point's E-step starts the next cycle, so the recorded
+average log-likelihood is nondecreasing.
+
+``EmTrace.iterations`` counts the E-steps evaluated, rejected jumps included,
+and ``_MAX_ITER`` caps them.  The fit stops when a cycle gains less than
+``_TOL`` in average log-likelihood, and returns the last accepted point:
+``loglik[-1]`` is the returned mixture's average log-likelihood and
+``effective_counts`` its responsibilities' column sums.
 
 Initialization draws k-means++ style seeds in sufficient-statistic space and
 hardens the nearest-seed assignment into starting responsibilities.  A fixed
@@ -32,7 +51,7 @@ import numpy as np
 from . import expfam
 from . import hyperboloid as hb
 from . import poincare as pc
-from .geometry import DualDomainError
+from .geometry import ConeError, DualDomainError
 from .sampling import RngStream
 
 __all__ = ["Mixture", "EmTrace", "FitError", "mixture_log_density", "mixture_sample", "em_fit"]
@@ -44,8 +63,9 @@ class FitError(RuntimeError):
 
 _FAMILIES = {"poincare": pc._FAMILY, "hyperboloid": hb._FAMILY}
 _MAX_ITER = 200
-_TOL = 1e-8  # stop once the average log-likelihood gains less than this
+_TOL = 1e-9  # stop once a SQUAREM cycle gains less than this in average log-likelihood
 _RETRIES = 5  # k-means++ initializations tried before FitError
+_JUMP_TRIES = 3  # extrapolated jumps tried per SQUAREM cycle before a plain map
 
 
 @dataclass(frozen=True)
@@ -72,12 +92,22 @@ class Mixture:
 
 @dataclass
 class EmTrace:
-    """Per-iteration average log-likelihood and the final effective counts."""
+    """The fit's history and the returned mixture's effective counts.
+
+    ``loglik`` holds the average log-likelihood of each accepted point, in
+    order; ``loglik[-1]`` belongs to the returned mixture, and
+    ``effective_counts`` are its responsibilities' column sums.
+    ``iterations`` counts the E-steps evaluated, rejected jumps included
+    (capped by ``_MAX_ITER``); ``rejected_jumps`` counts the extrapolated
+    jumps rejected, with or without an E-step.  The fit stops when a SQUAREM
+    cycle gains less than ``_TOL``.
+    """
 
     loglik: list = field(default_factory=list)
     effective_counts: Optional[np.ndarray] = None
     iterations: int = 0
     restarts: int = 0
+    rejected_jumps: int = 0
 
 
 def mixture_log_density(m: Mixture, point) -> float:
@@ -155,14 +185,84 @@ def _kmeanspp_responsibilities(
     return resp
 
 
-def _m_step(fam: expfam.Family, stats: np.ndarray, resp: np.ndarray):
-    counts = resp.sum(axis=0)
+def _moments(stats: np.ndarray, resp: np.ndarray):
+    # What the M-step reads of the responsibilities: effective counts and
+    # statistic sums, both linear in resp.
+    return resp.sum(axis=0), resp.T @ stats
+
+
+def _m_step(fam: expfam.Family, counts: np.ndarray, sums: np.ndarray):
     if np.any(counts < 2.0):
         raise FitError(f"component collapse: effective counts {counts}")
-    weights = counts / resp.shape[0]
-    etas = (resp.T @ stats) / counts[:, None]
-    components = tuple(fam.from_moment(etas[j]) for j in range(resp.shape[1]))
-    return weights, components
+    weights = counts / counts.sum()
+    etas = sums / counts[:, None]
+    return weights, tuple(fam.from_moment(etas[j]) for j in range(counts.size))
+
+
+def _squarem(fam: expfam.Family, stats: np.ndarray, pts: np.ndarray, resp: np.ndarray, trace: EmTrace):
+    # EM from the starting responsibilities in SQUAREM cycles; returns the
+    # last accepted point (weights, components) and its responsibilities.
+    def e_step(x):
+        # The average log-likelihood at x and the (n, k) responsibilities.
+        trace.iterations += 1
+        logs = _log_joint(fam, *x, pts)
+        per_point = _logsumexp(logs)
+        # C-ordered (n, k): on the transposed view the M-step's sum and
+        # product would add in another order and move the last bits.
+        return float(np.mean(per_point)), np.ascontiguousarray(np.exp(logs - per_point).T)
+
+    def em_map(mom):
+        x = _m_step(fam, *mom)
+        ll, r = e_step(x)
+        trace.loglik.append(ll)
+        return x, ll, r, _moments(stats, r)
+
+    x, ll, resp, mom = em_map(_moments(stats, resp))
+    while trace.iterations < _MAX_ITER:
+        ll0, resp0, mom0 = ll, resp, mom
+        x, ll, resp, mom = em_map(mom0)
+        step = resp - resp0
+        if trace.iterations >= _MAX_ITER or not step.any():
+            break  # the cap, or a fixed point: the next map would repeat x
+        resp1, mom1 = resp, mom
+        x, ll, resp, mom = em_map(mom1)
+        if trace.iterations >= _MAX_ITER:
+            break
+        ll2, mom2 = ll, mom
+        # The step length comes from the responsibilities, which the group
+        # actions leave unchanged, so the jump commutes with them.  At
+        # alpha = -1 the jump is the plain map from x2.
+        curve = np.linalg.norm((resp - resp1) - step)
+        alpha = min(-np.linalg.norm(step) / curve, -1.0) if curve > 0.0 else -1.0
+        jumped = False
+        for _ in range(_JUMP_TRIES):
+            if alpha == -1.0 or trace.iterations >= _MAX_ITER:
+                break
+            # M(R0 - 2 alpha r + alpha^2 v), through the moments, linear in R.
+            jump = tuple(
+                m0 - 2.0 * alpha * (m1 - m0) + alpha * alpha * ((m2 - m1) - (m1 - m0))
+                for m0, m1, m2 in zip(mom0, mom1, mom2)
+            )
+            try:
+                xj = _m_step(fam, *jump)
+            except (FitError, DualDomainError, ConeError):
+                pass
+            else:
+                llj, rj = e_step(xj)
+                if math.isfinite(llj) and llj >= ll2:
+                    x, ll, resp, mom = xj, llj, rj, _moments(stats, rj)
+                    trace.loglik.append(ll)
+                    jumped = True
+                    break
+            trace.rejected_jumps += 1
+            alpha = 0.5 * (alpha - 1.0)
+        if not jumped:
+            if trace.iterations >= _MAX_ITER:
+                break
+            x, ll, resp, mom = em_map(mom2)
+        if ll - ll0 < _TOL:
+            break
+    return x, resp
 
 
 def em_fit(
@@ -201,21 +301,7 @@ def em_fit(
                 stats, k, rng.derive(1000 + attempt).generator()
             )
         try:
-            weights, components = _m_step(fam, stats, resp)
-            prev = -math.inf
-            for it in range(_MAX_ITER):
-                logs = _log_joint(fam, weights, components, pts)
-                per_point = _logsumexp(logs)
-                avg_ll = float(np.mean(per_point))
-                trace.loglik.append(avg_ll)
-                trace.iterations = it + 1
-                # C-ordered (n, k): on the transposed view the M-step's sum and
-                # product would add in another order and move the last bits.
-                resp = np.ascontiguousarray(np.exp(logs - per_point).T)
-                weights, components = _m_step(fam, stats, resp)
-                if avg_ll - prev < _TOL and it > 0:
-                    break
-                prev = avg_ll
+            (weights, components), resp = _squarem(fam, stats, pts, resp, trace)
             trace.effective_counts = resp.sum(axis=0)
             mixture = Mixture(
                 family=family, weights=tuple(weights), components=components

@@ -178,9 +178,12 @@ def hyperboloid_sample(theta: LorentzParam, n: int, rng: RngStream) -> np.ndarra
 
 
 def _chart_l_to_h(chart: np.ndarray) -> np.ndarray:
+    # geometry.point_l_to_h over an array: each form of the root where it
+    # does not cancel.
     big_x = chart[:, 0]
     big_y = chart[:, 1]
-    y = (np.sqrt(1.0 + big_x * big_x + big_y * big_y) - big_x) / (1.0 + big_y * big_y)
+    r = np.sqrt(1.0 + big_x * big_x + big_y * big_y)
+    y = np.where(big_x >= 0.0, 1.0 / (r + np.abs(big_x)), (r + np.abs(big_x)) / (1.0 + big_y * big_y))
     return np.column_stack((y * big_y, y))
 
 

@@ -2,7 +2,7 @@
 
 Everything here deliberately avoids the closed-form code paths under test:
 divergences are computed by adaptive quadrature of their defining integrals,
-derivatives by central finite differences.  Density evaluations themselves
+derivatives by central finite differences, mixture fits by unaccelerated EM.  Density evaluations themselves
 are shared with the library; the density is pinned separately by exact
 normalization and pointwise checks, so the oracle routes stay independent of
 the cumulant algebra they are used to verify.
@@ -15,9 +15,12 @@ import math
 import numpy as np
 from scipy import integrate
 
+from scipy.special import logsumexp
+
 from hyperstat import hyperboloid as hb
 from hyperstat import poincare as pc
-from hyperstat.geometry import LorentzParam, SpdParam2
+from hyperstat.geometry import LorentzParam, Moment2, SpdParam2
+from hyperstat.mixtures import Mixture
 
 # ---------------------------------------------------------------------------
 # 2-D adaptive quadrature
@@ -188,3 +191,46 @@ def poincare_cumulant_of_vec(v: np.ndarray) -> float:
 
 def hyperboloid_cumulant_of_vec(v: np.ndarray) -> float:
     return hb.cumulant(LorentzParam(v))
+
+
+# ---------------------------------------------------------------------------
+# Plain EM (the map the library's fit accelerates)
+# ---------------------------------------------------------------------------
+
+
+_EM_FAMILIES = {
+    "poincare": (
+        lambda pts: pc.suff_stats_xy(pts),
+        lambda eta: pc.grad_conjugate(Moment2(*eta)),
+        lambda theta, pts: pc.log_density_xy(theta, pts[:, 0], pts[:, 1]),
+    ),
+    "hyperboloid": (
+        lambda pts: hb.suff_stats_chart(pts),
+        lambda eta: hb.mle_from_moment(eta, eta.size - 1),
+        lambda theta, pts: hb.log_density_chart(theta, pts),
+    ),
+}
+
+
+def plain_em(pts: np.ndarray, family: str, init_resp: np.ndarray, tol: float = 1e-8, max_iter: int = 100_000):
+    """Unaccelerated EM from fixed responsibilities, one map at a time.
+
+    Stops once a map gains less than ``tol`` in average log-likelihood.
+    Returns the mixture whose log-likelihood was evaluated last and the trace
+    of average log-likelihoods.
+    """
+    stats_of, from_moment, log_density = _EM_FAMILIES[family]
+    stats = stats_of(pts)
+    resp = init_resp
+    loglik = []
+    for _ in range(max_iter):
+        counts = resp.sum(axis=0)
+        etas = (resp.T @ stats) / counts[:, None]
+        mix = Mixture(family, tuple(counts / counts.sum()), tuple(from_moment(e) for e in etas))
+        logs = np.stack([log_density(c, pts) for c in mix.components], axis=1) + np.log(counts / counts.sum())
+        per_point = logsumexp(logs, axis=1)
+        loglik.append(float(np.mean(per_point)))
+        resp = np.exp(logs - per_point[:, None])
+        if len(loglik) > 1 and loglik[-1] - loglik[-2] < tol:
+            break
+    return mix, loglik

@@ -405,6 +405,16 @@ class TestFitAndConvert:
         assert code == 0
         assert json.loads(out)["value"] == [0.0, pytest.approx(5e-11, rel=1e-15)]
 
+    @pytest.mark.parametrize("value, want_y", [("[1e200, 0]", 5e-201), ("[-1e200, 0]", 2e200)])
+    def test_convert_hyperboloid_point_beyond_squaring_range(self, capsys, value, want_y):
+        # 1 + X^2 overflows here; the chart map must not square X
+        code, out, _ = run_cli(
+            ["convert", "--what", "point", "--from", "hyperboloid", "--to", "upper-half", "--value", value],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["value"] == [0.0, pytest.approx(want_y, rel=1e-15)]
+
     def test_convert_unsupported_direction(self, capsys):
         code, _, _ = run_cli(
             ["convert", "--what", "param", "--from", "upper-half", "--to", "disk", "--value", "[[1,0],[0,1]]"],

@@ -316,6 +316,32 @@ class TestCorrespondenceMaps:
             assert abs(z.y - want_y) <= 4 * math.ulp(want_y), big_x
             assert abs(z.x - want_x) <= 4 * math.ulp(want_x), big_x
 
+    def test_point_l_to_h_unchanged_in_the_normal_range(self):
+        # against the two-branch form with the radius as sqrt(1 + X^2 + Y^2),
+        # which is exact enough wherever that sum does not overflow
+        def reference(big_x, big_y):
+            r = math.sqrt(1.0 + big_x * big_x + big_y * big_y)
+            return 1.0 / (r + big_x) if big_x >= 0.0 else (r - big_x) / (1.0 + big_y * big_y)
+
+        rng = np.random.default_rng(18)
+        scales = rng.choice([1e-3, 1.0, 10.0, 1e3, 1e6], size=(20_000, 1))
+        for big_x, big_y in rng.normal(size=(20_000, 2)) * scales:
+            want = reference(big_x, big_y)
+            z = point_l_to_h(HyperboloidPoint((big_x, big_y)))
+            assert abs(z.y - want) <= 1e-15 * want
+            assert abs(z.x - want * big_y) <= 1e-15 * abs(want * big_y)
+
+    @pytest.mark.parametrize("big_x, big_y, want_y", [
+        (1e200, 0.0, 5e-201),
+        (-1e200, 0.0, 2e200),
+        (-1e200, 1e200, (1.0 + math.sqrt(2.0)) * 1e-200),
+        (0.0, 1e200, 1e-200),
+    ])
+    def test_point_l_to_h_far_points_do_not_overflow(self, big_x, big_y, want_y):
+        z = point_l_to_h(HyperboloidPoint((big_x, big_y)))
+        assert z.y == pytest.approx(want_y, rel=1e-15)
+        assert z.x == pytest.approx(want_y * big_y, rel=1e-15)
+
     def test_disk_maps(self):
         assert point_h_to_disk(UpperHalfPoint(0, 1)) == pytest.approx((0.0, 0.0))
         assert point_h_to_disk(UpperHalfPoint(1, 1)) == pytest.approx((0.2, -0.4))

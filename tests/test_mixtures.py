@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import hyperboloid_integral
+from helpers import hyperboloid_integral, plain_em
 from hyperstat import hyperboloid as hb
 from hyperstat import mixtures
 from hyperstat import poincare as pc
@@ -345,3 +345,135 @@ class TestLogSumExp:
             assert tr_a.loglik == tr_b.loglik
             assert tr_a.iterations == tr_b.iterations
             assert np.array_equal(tr_a.effective_counts, tr_b.effective_counts)
+
+
+_SQUAREM_TRUTHS = [
+    ("hyperboloid", (0.35, 0.65), [(6.0, 0.0, 0.0), (4.0, 2.0, -2.0)]),
+    ("hyperboloid", (0.3, 0.3, 0.4), [(6.0, 0.0, 0.0), (5.0, 3.0, -3.0), (5.0, -3.0, 3.0)]),
+    ("poincare", (0.35, 0.65), [(3.0, 0.0, 3.0), (3.0, -1.0, 1.0)]),
+    ("poincare", (0.3, 0.3, 0.4), [(3.0, 0.0, 3.0), (4.0, -1.5, 1.0), (1.0, 1.5, 4.0)]),
+]
+
+
+def _truth_mixture(family, weights, comps) -> Mixture:
+    cls = LorentzParam if family == "hyperboloid" else (lambda v: SpdParam2(*v))
+    return Mixture(family, weights, tuple(cls(c) for c in comps))
+
+
+def _random_resp(n: int, k: int, seed: int) -> np.ndarray:
+    resp = np.zeros((n, k))
+    resp[np.arange(n), np.random.default_rng(seed).integers(0, k, size=n)] = 1.0
+    return resp
+
+
+def _rel_dist(a, b) -> float:
+    return float(np.linalg.norm(_component_vec(a) - _component_vec(b)) / np.linalg.norm(_component_vec(b)))
+
+
+class TestSquarem:
+    """The accelerated fit against plain EM, the group actions and its safeguard."""
+
+    @pytest.mark.parametrize("family, weights, comps", _SQUAREM_TRUTHS)
+    def test_against_plain_em(self, family, weights, comps):
+        truth = _truth_mixture(family, weights, comps)
+        k = truth.k
+        for r in range(6):
+            pts = mixture_sample(truth, 3000, RngStream(500 + 10 * k).derive(r))
+            resp = _random_resp(pts.shape[0], k, 40 * k + r)
+            mix, trace = em_fit(pts, k, family, RngStream(1), init_resp=resp)
+            _, plain_ll = plain_em(pts, family, resp)
+            best, _ = plain_em(pts, family, resp, tol=1e-12)
+            assert np.all(np.diff(trace.loglik) >= -1e-10)
+            assert trace.loglik[-1] >= plain_ll[-1] - 1e-10
+            assert trace.iterations < len(plain_ll)
+            for got, want in zip(mix.components, best.components):
+                assert _rel_dist(got, want) < 1e-4
+            np.testing.assert_allclose(mix.weights, best.weights, rtol=1e-4)
+
+    @pytest.mark.parametrize("family, weights, comps", _SQUAREM_TRUTHS + [
+        ("hyperboloid", (1.0,), [(2.0, 1.0, 1.0)]),
+        ("poincare", (1.0,), [(2.0, 0.3, 1.0)]),
+    ])
+    def test_reported_loglik_is_the_fitted_mixtures(self, family, weights, comps):
+        truth = _truth_mixture(family, weights, comps)
+        pts = mixture_sample(truth, 2000, RngStream(90 + truth.k))
+        mix, trace = em_fit(pts, truth.k, family, RngStream(91))
+        assert np.mean(mixture_log_density_array(mix, pts)) == trace.loglik[-1]
+        logs = mixtures._log_joint(mixtures._FAMILIES[family], mix.weights, mix.components, pts)
+        resp = np.exp(logs - mixtures._logsumexp(logs))
+        np.testing.assert_allclose(trace.effective_counts, resp.sum(axis=1), rtol=1e-12)
+
+    def test_lorentz_equivariance_same_iterations(self):
+        truth = two_component_mixture()
+        pts = mixture_sample(truth, 1500, RngStream(73))
+        resp = _random_resp(pts.shape[0], 2, 5)
+        g = lorentz_random_element(2, np.random.default_rng(6))
+        lifts = np.column_stack((np.sqrt(1 + np.sum(pts**2, axis=1)), pts))
+        moved = (g.matrix @ lifts.T).T[:, 1:]
+        mix_a, tr_a = em_fit(pts, 2, "hyperboloid", RngStream(74), init_resp=resp)
+        mix_b, tr_b = em_fit(moved, 2, "hyperboloid", RngStream(74), init_resp=resp)
+        assert tr_a.iterations == tr_b.iterations
+        assert tr_a.rejected_jumps == tr_b.rejected_jumps
+        for ca, cb in zip(mix_a.components, mix_b.components):
+            assert g.apply_param(ca).vec == pytest.approx(cb.vec, rel=1e-6, abs=1e-6)
+
+    def test_mobius_equivariance_same_iterations(self):
+        truth = _truth_mixture(*_SQUAREM_TRUTHS[2])
+        pts = mixture_sample(truth, 1200, RngStream(75))
+        resp = _random_resp(pts.shape[0], 2, 7)
+        g = random_mobius(np.random.default_rng(8))
+        moved = np.array(
+            [(w.x, w.y) for w in (mobius_act_point(g, UpperHalfPoint(x, y)) for x, y in pts)]
+        )
+        mix_a, tr_a = em_fit(pts, 2, "poincare", RngStream(76), init_resp=resp)
+        mix_b, tr_b = em_fit(moved, 2, "poincare", RngStream(76), init_resp=resp)
+        assert tr_a.iterations == tr_b.iterations
+        assert tr_a.rejected_jumps == tr_b.rejected_jumps
+        for ca, cb in zip(mix_a.components, mix_b.components):
+            moved_param = mobius_act_param(g, ca)
+            assert (moved_param.a, moved_param.b, moved_param.c) == pytest.approx(
+                (cb.a, cb.b, cb.c), rel=1e-6
+            )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family, theta", [
+        ("hyperboloid", LorentzParam((2.0, 1.0, 1.0))),
+        ("poincare", SpdParam2(2.0, 0.3, 1.0)),
+    ])
+    def test_single_component_stops_at_the_fixed_point(self, family, theta):
+        # k = 1: every responsibility is 1, so the first map repeats the start.
+        pts = mixtures._FAMILIES[family].sample(theta, 1000, RngStream(92))
+        _, trace = em_fit(pts, 1, family, RngStream(93))
+        assert trace.iterations == 2
+        assert trace.loglik[0] == trace.loglik[1]
+        assert trace.rejected_jumps == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_hard_responsibilities_stop_at_the_fixed_point(self):
+        # Two concentrated laws far apart: responsibilities round to exactly
+        # 0 and 1, so the map fixes the true labels and the first step r is 0.
+        truth = Mixture(
+            "hyperboloid",
+            (0.4, 0.6),
+            (LorentzParam((50.0, 0.0, 0.0)), LorentzParam((50.0 * math.cosh(3.0), 50.0 * math.sinh(3.0), 0.0))),
+        )
+        pts, labels = mixture_sample(truth, 1000, RngStream(94), return_labels=True)
+        resp = np.zeros((pts.shape[0], 2))
+        resp[np.arange(pts.shape[0]), labels] = 1.0
+        mix, trace = em_fit(pts, 2, "hyperboloid", RngStream(95), init_resp=resp)
+        assert trace.iterations == 2
+        assert np.array_equal(trace.effective_counts, resp.sum(axis=0))
+        assert mix.weights == tuple(resp.sum(axis=0) / pts.shape[0])
+
+    def test_rejected_jumps_keep_the_trace_monotone(self):
+        # A one-component sample fitted with k = 2: one weight shrinks toward
+        # collapse, and extrapolated jumps overshoot.  Seeded so that some are
+        # rejected after their E-step (log-likelihood below the second map's)
+        # and some before it (a count below 2 or a moment outside the domain).
+        pts = hyperboloid_sample(LorentzParam((2.0, 0.5, 0.0)), 1000, RngStream(3))
+        mix, trace = em_fit(pts, 2, "hyperboloid", RngStream(103))
+        evaluated_rejections = trace.iterations - len(trace.loglik)
+        assert evaluated_rejections >= 1
+        assert trace.rejected_jumps > evaluated_rejections
+        assert np.all(np.diff(trace.loglik) >= -1e-10)
+        assert np.mean(mixture_log_density_array(mix, pts)) == trace.loglik[-1]

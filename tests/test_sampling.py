@@ -143,6 +143,18 @@ class TestHyperboloidSampler:
         se = pts.std(axis=0, ddof=1) / math.sqrt(len(pts))
         assert np.all(np.abs(pts.mean(axis=0)) < 3.5 * se)
 
+    def test_chart_map_agrees_with_point_map(self):
+        # the sampler's vectorized chart map and geometry.point_l_to_h take
+        # the same non-cancelling branch, far out as well as near the origin
+        from hyperstat import sampling
+        from hyperstat.geometry import HyperboloidPoint, point_l_to_h
+
+        rng = np.random.default_rng(19)
+        chart = rng.normal(size=(5000, 2)) * rng.choice([1e-3, 1.0, 1e3, 1e6, 1e10], size=(5000, 1))
+        got = sampling._chart_l_to_h(chart)
+        want = np.array([(z.x, z.y) for z in (point_l_to_h(HyperboloidPoint(c)) for c in chart)])
+        np.testing.assert_allclose(got, want, rtol=2e-15, atol=0)
+
     def test_histogram_chi2_against_quadrature(self):
         theta = LorentzParam((2.0, 1.0, 1.0))
         n = 100_000
