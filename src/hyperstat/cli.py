@@ -275,7 +275,7 @@ def _cmd_estimate(args) -> int:
         "shards": args.shards,
         "ci95": list(est.ci95),
         "sigma": est.sigma,
-        "sup_bound": est.sup_bound,
+        "sup_bound": None,
         "tail_index": est.tail_index,
         "heavy_tail": est.heavy_tail,
     }

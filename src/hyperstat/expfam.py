@@ -1,14 +1,18 @@
 """Exponential families as one record each: divergences, MLE and EM read it.
 
-A family is given on natural-parameter vectors by its cumulant F, the
-gradient of F, and the quadratic form q whose sheet {v_0 > 0, q(v) > 0} is the
-parameter cone; on points by its log density, its sufficient statistics, the
-inverse moment map from their mean, and its sampler.  With densities
-exp(-<v, s(x)> - F(v)) h(x), every divergence is a functional of F (Nielsen &
-Nock 2010); Chernoff information is the maximum of the skew Jensen divergence
-(Nielsen 2013); the MLE is the inverse moment map at the mean statistic, and
-EM is Bregman soft clustering (Banerjee et al. 2005).  The module also holds
-the library's one 1-D minimizer, Brent's bounded method.
+Each family's cumulant depends on a natural-parameter vector v only through
+the invariant u = q(v) = v^T Q v / 2 of its group action, for a constant
+symmetric Q: F(v) = g(u).  A family is given on vectors by that radial
+function g (with its derivatives), Q and q, whose sheet {v_0 > 0, q(v) > 0}
+is the parameter cone; on points by its log density, its sufficient
+statistics, the inverse moment map from their mean, and its sampler.  The
+gradient g'(u) Q v and the Fisher information g''(u) (Qv)(Qv)^T + g'(u) Q are
+derived here once.  With densities exp(-<v, s(x)> - F(v)) h(x), every
+divergence is a functional of F (Nielsen & Nock 2010); Chernoff information
+is the maximum of the skew Jensen divergence (Nielsen 2013); the MLE is the
+inverse moment map at the mean statistic, and EM is Bregman soft clustering
+(Banerjee et al. 2005).  The module also holds the library's one 1-D
+minimizer, Brent's bounded method.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ from .geometry import _CONE_RTOL, DualDomainError
 
 __all__ = [
     "Family",
+    "cumulant",
+    "grad",
+    "fim",
     "mle",
     "kld",
     "skew_jensen",
@@ -36,21 +43,45 @@ __all__ = [
 class Family(NamedTuple):
     """One exponential family.
 
-    ``cumulant``, ``grad`` and ``quad`` act on coefficient vectors.  The rest
-    act on cone parameters and (n, d) point arrays: ``log_density(theta, pts)``,
+    ``radial(u, d, order)`` returns g(u) and its first ``order`` derivatives
+    for parameters of dimension d (vectors of size d + 1), ``metric(size)``
+    the constant matrix Q, and ``quad(v)`` the invariant u.  The rest act on
+    cone parameters and (n, d) point arrays: ``log_density(theta, pts)``,
     ``stats(pts)`` (one row per point), ``from_moment(eta)`` (the parameter
     whose mean statistic is eta) and ``sample(theta, n, rng)``.  The fields
     are lambdas that look their module's functions up when called, so a
     replaced module attribute (a tracing wrapper) is seen through the record.
     """
 
-    cumulant: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
+    radial: Callable[[float, int, int], tuple]
+    metric: Callable[[int], np.ndarray]
     quad: Callable[[np.ndarray], float]
     log_density: Callable[[Any, np.ndarray], np.ndarray]
     stats: Callable[[np.ndarray], np.ndarray]
     from_moment: Callable[[np.ndarray], Any]
     sample: Callable[[Any, int, Any], np.ndarray]
+
+
+def _radial(fam: Family, v: np.ndarray, order: int) -> tuple:
+    return fam.radial(fam.quad(v), v.size - 1, order)
+
+
+def cumulant(fam: Family, v: np.ndarray) -> float:
+    """F(v) = g(q(v))."""
+    return _radial(fam, v, 0)[0]
+
+
+def grad(fam: Family, v: np.ndarray) -> np.ndarray:
+    """grad F(v) = g'(u) Q v, the mean of the sufficient statistic."""
+    return _radial(fam, v, 1)[1] * (fam.metric(v.size) @ v)
+
+
+def fim(fam: Family, v: np.ndarray) -> np.ndarray:
+    """Fisher information, the Hessian of F: g''(u) (Qv)(Qv)^T + g'(u) Q."""
+    _, g1, g2 = _radial(fam, v, 2)
+    q = fam.metric(v.size)
+    qv = q @ v
+    return g2 * np.outer(qv, qv) + g1 * q
 
 
 def mle(fam: Family, pts: np.ndarray):
@@ -68,20 +99,20 @@ def mle(fam: Family, pts: np.ndarray):
 
 def kld(fam: Family, v: np.ndarray, v2: np.ndarray) -> float:
     """KL[p_v : p_v2] = F(v2) - F(v) - <v2 - v, grad F(v)>."""
-    return fam.cumulant(v2) - fam.cumulant(v) - float(fam.grad(v) @ (v2 - v))
+    return cumulant(fam, v2) - cumulant(fam, v) - float(grad(fam, v) @ (v2 - v))
 
 
 def skew_jensen(fam: Family, v: np.ndarray, v2: np.ndarray, alpha: float) -> float:
     """J_alpha = (1-alpha) F(v) + alpha F(v2) - F((1-alpha) v + alpha v2)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return _skew_jensen(fam, v, v2, alpha, fam.cumulant(v), fam.cumulant(v2))
+    return _skew_jensen(fam, v, v2, alpha, cumulant(fam, v), cumulant(fam, v2))
 
 
 def _skew_jensen(fam: Family, v: np.ndarray, v2: np.ndarray, alpha: float, f_v: float, f_v2: float) -> float:
     # J_alpha given F(v) and F(v2), which do not depend on alpha.
     w = 1.0 - alpha
-    return w * f_v + alpha * f_v2 - fam.cumulant(w * v + alpha * v2)
+    return w * f_v + alpha * f_v2 - cumulant(fam, w * v + alpha * v2)
 
 
 def hellinger_sq(fam: Family, v: np.ndarray, v2: np.ndarray) -> float:
@@ -97,19 +128,19 @@ def neyman_chi2(fam: Family, v: np.ndarray, v2: np.ndarray) -> float:
     # boundary, F(m) would be evaluated at a numerically zero q.
     if not (m[0] > 0.0 and fam.quad(m) > _CONE_RTOL * scale * scale):
         return math.inf
-    return math.expm1(fam.cumulant(m) - 2.0 * fam.cumulant(v2) + fam.cumulant(v))
+    return math.expm1(cumulant(fam, m) - 2.0 * cumulant(fam, v2) + cumulant(fam, v))
 
 
 def jeffreys(fam: Family, v: np.ndarray, v2: np.ndarray) -> float:
     """KL both ways: <v2 - v, grad F(v2) - grad F(v)>."""
-    return float((v2 - v) @ (fam.grad(v2) - fam.grad(v)))
+    return float((v2 - v) @ (grad(fam, v2) - grad(fam, v)))
 
 
 def chernoff(fam: Family, v: np.ndarray, v2: np.ndarray) -> tuple:
     """(alpha*, J_alpha*): J_alpha is strictly concave in alpha, so Brent's method finds its max."""
     if np.array_equal(v, v2):
         return (0.5, 0.0)
-    f_v, f_v2 = fam.cumulant(v), fam.cumulant(v2)
+    f_v, f_v2 = cumulant(fam, v), cumulant(fam, v2)
     alpha, _ = brent_min(lambda a: -_skew_jensen(fam, v, v2, a, f_v, f_v2), 1e-12, 1.0 - 1e-12, 1e-8)
     return (alpha, _skew_jensen(fam, v, v2, alpha, f_v, f_v2))
 

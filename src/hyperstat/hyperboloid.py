@@ -5,14 +5,17 @@ In chart coordinates (x_1..x_d) the density against Lebesgue measure is
     p(x) = c_d(|theta|) exp(-[theta, lift(x)]) / sqrt(1 + |x|^2),
 
 with [.,.] the Minkowski form, |theta| = [theta,theta]^(1/2), and
-c_d(t) = t^((d-1)/2) / (2 (2 pi)^((d-1)/2) K_((d-1)/2)(t)).
+c_d(t) = t^((d-1)/2) / (2 (2 pi)^((d-1)/2) K_((d-1)/2)(t)).  At d = 2,
+K_(1/2) is elementary and c_2(t) = t e^t / (2 pi), so no d = 2 path evaluates
+a Bessel function or imports scipy.
 
-The divergences (KL, squared Hellinger, Neyman chi-squared, Jeffreys, skew
-Jensen) are not written out here: :mod:`hyperstat.expfam` derives each of them
-once from the cumulant F = -log c_d(|theta|) and its gradient, which
-reproduces the d = 2 specializations and stays consistent for every d; the
-MLE is likewise expfam's inverse moment map at the mean sufficient statistic.
-The Fisher information matrix is provided in closed form for d = 2.
+The cumulant F = g(u) = -log c_d(sqrt(u)) depends on theta only through the
+Minkowski square u = [theta, theta] = theta^T Q theta / 2 with
+Q = 2 diag(1, -1, ..., -1).  The family record carries g and Q, and
+:mod:`hyperstat.expfam` derives from them the gradient, the Fisher information
+(d = 2 only) and the divergences (KL, squared Hellinger, Neyman chi-squared,
+Jeffreys, skew Jensen) once for every d; the MLE is likewise expfam's inverse
+moment map at the mean sufficient statistic.
 """
 
 from __future__ import annotations
@@ -46,28 +49,37 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 
 def log_normalizer_c(d: int, t: float) -> float:
-    """log c_d(t), the log of the density normalizing constant at norm t."""
+    """log c_d(t), the log of the density normalizing constant at norm t (log t + t - log 2 pi at d = 2)."""
+    if d == 2:
+        return math.log(t) + t - _LOG_2PI
     nu = 0.5 * (d - 1)
     return nu * math.log(t) - math.log(2.0) - nu * _LOG_2PI - bessel_k(nu, t).log_value
 
 
+def _fprime(d: int, t: float) -> float:
+    # F'(t) = (log K_nu)'(t) - nu/t, the derivative of -log c_d for d >= 3.
+    nu = 0.5 * (d - 1)
+    return bessel_k_logderiv(nu, t) - nu / t
+
+
+def _radial(u: float, d: int, order: int) -> tuple:
+    # g(u) = -log c_d(sqrt(u)) and its first `order` derivatives; g' = F'(t) / (2t).
+    t = math.sqrt(u)
+    g = -log_normalizer_c(d, t)
+    if d == 2:
+        return (g, -0.5 / u - 0.5 / t, 0.5 / (u * u) + 0.25 / (u * t))[: order + 1]
+    # Orders 0 and 1 only: g'' (the FIM) is offered at d = 2 alone.
+    return (g, _fprime(d, t) / (2.0 * t)) if order else (g,)
+
+
 def cumulant(theta: LorentzParam) -> float:
     """Log-normalizer F(theta) = -log c_d(|theta|); for d=2 this is -log t - t + log(2 pi)."""
-    return -log_normalizer_c(theta.d, theta.minkowski_norm())
-
-
-def _metric_times(theta_vec: np.ndarray) -> np.ndarray:
-    out = -theta_vec.copy()
-    out[0] = theta_vec[0]
-    return out
+    return expfam.cumulant(_FAMILY, theta.vec)
 
 
 def grad_cumulant(theta: LorentzParam) -> np.ndarray:
     """Gradient of the cumulant; equals the mean of the sufficient statistic (-x0~, x1..xd)."""
-    t = theta.minkowski_norm()
-    nu = 0.5 * (theta.d - 1)
-    fprime = bessel_k_logderiv(nu, t) - nu / t
-    return (fprime / t) * _metric_times(theta.vec)
+    return expfam.grad(_FAMILY, theta.vec)
 
 
 def log_density_chart(theta: LorentzParam, points) -> np.ndarray:
@@ -95,8 +107,8 @@ def log_density(theta: LorentzParam, p: HyperboloidPoint) -> float:
 
 
 _FAMILY = expfam.Family(
-    cumulant=lambda v: cumulant(LorentzParam(v)),
-    grad=lambda v: grad_cumulant(LorentzParam(v)),
+    radial=lambda u, d, order: _radial(u, d, order),
+    metric=lambda size: np.diag([2.0] + [-2.0] * (size - 1)),
     # Summed as LorentzParam sums it, so a vector passing the cone test is a parameter.
     quad=lambda v: v[0] * v[0] - sum(x * x for x in v[1:]),
     log_density=lambda theta, pts: log_density_chart(theta, pts),
@@ -147,10 +159,7 @@ def fim2(theta: LorentzParam) -> np.ndarray:
     """
     if theta.d != 2:
         raise ValueError(f"closed-form FIM needs d=2, got d={theta.d}")
-    t = theta.minkowski_norm()
-    gtheta = _metric_times(theta.vec)
-    g = np.diag([1.0, -1.0, -1.0])
-    return ((2.0 + t) * np.outer(gtheta, gtheta) - t * t * (1.0 + t) * g) / t**4
+    return expfam.fim(_FAMILY, theta.vec)
 
 
 def modified_entropy2(theta: LorentzParam) -> float:
@@ -182,11 +191,6 @@ def suff_stats_chart(points) -> np.ndarray:
     return np.column_stack((-x0, pts))
 
 
-def _neg_fprime(d: int, t: float) -> float:
-    nu = 0.5 * (d - 1)
-    return nu / t - bessel_k_logderiv(nu, t)
-
-
 def mle_from_moment(eta: np.ndarray, d: int) -> LorentzParam:
     """Invert the moment map: solve |F'(t)| = sqrt([eta,eta]) then rescale G eta."""
     eta = np.asarray(eta, dtype=float)
@@ -209,12 +213,12 @@ def mle_from_moment(eta: np.ndarray, d: int) -> LorentzParam:
         from scipy.optimize import brentq
 
         lo, hi = 1e-10, 1.0
-        while _neg_fprime(d, hi) > m:
+        while -_fprime(d, hi) > m:
             lo = hi
             hi *= 2.0
             if hi > 1e12:
                 raise DualDomainError(f"moment inversion bracket failed for {eta}")
-        t = float(brentq(lambda s: _neg_fprime(d, s) - m, lo, hi, xtol=1e-14, rtol=1e-14))
+        t = float(brentq(lambda s: -_fprime(d, s) - m, lo, hi, xtol=1e-14, rtol=1e-14))
     g_eta = eta.copy()
     g_eta[1:] = -g_eta[1:]
     return LorentzParam(-(t / m) * g_eta)

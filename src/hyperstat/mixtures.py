@@ -30,7 +30,8 @@ average log-likelihood is nondecreasing.
 
 ``EmTrace.iterations`` counts the E-steps evaluated, rejected jumps included,
 and ``_MAX_ITER`` caps them.  The fit stops when a cycle gains less than
-``_TOL`` in average log-likelihood, and returns the last accepted point:
+``_TOL`` in average log-likelihood or reaches a fixed point
+(``EmTrace.converged``), or at the cap, and returns the last accepted point:
 ``loglik[-1]`` is the returned mixture's average log-likelihood and
 ``effective_counts`` its responsibilities' column sums.
 
@@ -99,8 +100,9 @@ class EmTrace:
     ``effective_counts`` are its responsibilities' column sums.
     ``iterations`` counts the E-steps evaluated, rejected jumps included
     (capped by ``_MAX_ITER``); ``rejected_jumps`` counts the extrapolated
-    jumps rejected, with or without an E-step.  The fit stops when a SQUAREM
-    cycle gains less than ``_TOL``.
+    jumps rejected, with or without an E-step.  ``converged`` is True when
+    the fit stopped because a SQUAREM cycle gained less than ``_TOL`` or the
+    map reached a fixed point, and False when it stopped at the cap.
     """
 
     loglik: list = field(default_factory=list)
@@ -108,6 +110,7 @@ class EmTrace:
     iterations: int = 0
     restarts: int = 0
     rejected_jumps: int = 0
+    converged: bool = False
 
 
 def mixture_log_density(m: Mixture, point) -> float:
@@ -222,8 +225,11 @@ def _squarem(fam: expfam.Family, stats: np.ndarray, pts: np.ndarray, resp: np.nd
         ll0, resp0, mom0 = ll, resp, mom
         x, ll, resp, mom = em_map(mom0)
         step = resp - resp0
-        if trace.iterations >= _MAX_ITER or not step.any():
-            break  # the cap, or a fixed point: the next map would repeat x
+        if not step.any():
+            trace.converged = True  # a fixed point: the next map would repeat x
+            break
+        if trace.iterations >= _MAX_ITER:
+            break
         resp1, mom1 = resp, mom
         x, ll, resp, mom = em_map(mom1)
         if trace.iterations >= _MAX_ITER:
@@ -261,6 +267,7 @@ def _squarem(fam: expfam.Family, stats: np.ndarray, pts: np.ndarray, resp: np.nd
                 break
             x, ll, resp, mom = em_map(mom2)
         if ll - ll0 < _TOL:
+            trace.converged = True
             break
     return x, resp
 

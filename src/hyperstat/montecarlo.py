@@ -41,10 +41,8 @@ __all__ = [
     "estimate_mc1",
     "estimate_mc2",
     "optimize_sigma",
-    "error_bound",
     "estimate",
     "estimate_for_poincare",
-    "probe_sup_weight",
 ]
 
 
@@ -175,7 +173,6 @@ class McEstimate:
     n: int
     stream: RngStream
     ci95: tuple
-    sup_bound: Optional[float] = None
     sigma: Optional[float] = None
     tail_index: Optional[float] = None
     heavy_tail: bool = False
@@ -315,19 +312,6 @@ def _hill_tail_index(w: np.ndarray) -> Optional[float]:
     return 1.0 / mean if mean > 0.0 else None
 
 
-def _mc1_weights(
-    f: FGenerator,
-    theta: LorentzParam,
-    theta2: LorentzParam,
-    proposal: Proposal,
-    x: np.ndarray,
-    y: np.ndarray,
-) -> np.ndarray:
-    """The importance weight f(p'/p) p / (p_sigma(x) p_sigma(y)) at the points (x, y)."""
-    fv, logp = _f_and_logp(f, theta, theta2, np.column_stack((x, y)))
-    return fv * np.exp(logp - proposal.logpdf(x) - proposal.logpdf(y))
-
-
 def estimate_mc1(
     f: FGenerator,
     theta: LorentzParam,
@@ -344,7 +328,9 @@ def estimate_mc1(
         gen = stream.generator()
         x = proposal.sample(size, gen)
         y = proposal.sample(size, gen)
-        return _mc1_weights(f, theta, theta2, proposal, x, y)
+        # The importance weight f(p'/p) p / (p_sigma(x) p_sigma(y)).
+        fv, logp = _f_and_logp(f, theta, theta2, np.column_stack((x, y)))
+        return fv * np.exp(logp - proposal.logpdf(x) - proposal.logpdf(y))
 
     return _finalize(_sharded(draw, n, shards, rng)[0], rng, sigma=proposal.sigma)
 
@@ -443,50 +429,6 @@ def estimate_mc2(
         return fv * np.exp(logp + log_jac)
 
     return _finalize(_sharded(draw, n, shards, rng)[0], rng)
-
-
-def error_bound(sup_bound: float, n: int, t: float) -> float:
-    """Two-sided deviation bound for a mean of n bounded weights.
-
-    Returns 2 min{ s^2/(s^2 + 4 n t^2), exp(-n t^2 / s^2) } where s is the
-    sup norm of the weight.
-    """
-    if not (sup_bound > 0.0 and n >= 1 and t > 0.0):
-        raise ValueError(
-            f"need sup_bound > 0, n >= 1, t > 0; got {sup_bound}, {n}, {t}"
-        )
-    s2 = sup_bound * sup_bound
-    chebyshev = s2 / (s2 + 4.0 * n * t * t)
-    hoeffding = math.exp(-n * t * t / s2)
-    return 2.0 * min(chebyshev, hoeffding)
-
-
-_PROBE_CHUNK = 250_000  # lattice points per evaluation in probe_sup_weight
-
-
-def probe_sup_weight(
-    f: FGenerator,
-    theta: LorentzParam,
-    theta2: LorentzParam,
-    proposal: Proposal,
-    n_grid: int = 1000,
-    half_width: float = 60.0,
-) -> float:
-    """Estimated sup of the MC1 weight over an n_grid x n_grid lattice.
-
-    This is a probe, not a proof: it lower-bounds the true sup.  With the
-    heavy-tailed t proposal the weight is genuinely bounded and the probe is
-    a usable stand-in for the bound entering :func:`error_bound`.
-    """
-    _check_pair(theta, theta2)
-    axis = np.linspace(-half_width, half_width, n_grid)
-    rows = max(1, _PROBE_CHUNK // n_grid)
-    best = 0.0
-    for start in range(0, n_grid, rows):
-        x0 = axis[start : start + rows]
-        w = _mc1_weights(f, theta, theta2, proposal, np.repeat(x0, n_grid), np.tile(axis, x0.size))
-        best = max(best, float(np.max(np.abs(w))))
-    return best
 
 
 _METHOD_KEYS = {"plugin": 11, "mc1-logistic": 12, "mc1-t7": 13, "mc2": 14}

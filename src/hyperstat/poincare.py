@@ -9,9 +9,11 @@ This module carries the cumulant and its conjugate, the moment map and its
 inverse, closed-form divergences (KL, squared Hellinger, Neyman chi-squared,
 Jeffreys, skew Jensen, Chernoff), entropy, the Fisher information matrix, the
 cubic tensor, and the maximum-likelihood estimator.  The divergences and the
-MLE are not written out here: :mod:`hyperstat.expfam` derives each of them
-once from this module's family record (the reduced cumulant and its gradient
-on (a, b, c), the sufficient statistics and the inverse moment map).
+MLE are not written out here: :mod:`hyperstat.expfam` derives each of them,
+and the gradient and Fisher information of the cumulant, once from this
+module's family record: the reduced cumulant is phi(u) = -log(u)/2 - 2 sqrt(u)
+of the invariant u = ac - b^2 = (a, b, c) Q (a, b, c)^T / 2, so the record
+carries phi with its derivatives and the constant Q.
 
 The cumulant is exposed in two equivalent normalizations: the full
 log-normalizer ``log pi - log D - 2D`` and the reduced Bregman generator
@@ -92,23 +94,15 @@ def log_density(theta: SpdParam2, z: UpperHalfPoint) -> float:
 
 
 def cumulant(theta: SpdParam2) -> CumulantPair:
-    d = theta.sqrt_det()
-    reduced = -math.log(d) - 2.0 * d
+    reduced = expfam.cumulant(_FAMILY, theta.as_vector())
     return CumulantPair(full=_LOG_PI + reduced, reduced=reduced)
 
 
 def grad_cumulant(theta: SpdParam2) -> Moment2:
     """Moment parameter eta = -(1/2 + D) theta^{-1}; identical for both normalizations."""
-    coeff = -(0.5 + theta.sqrt_det())
-    inv = theta.inverse_matrix()
-    return Moment2(coeff * inv[0, 0], coeff * inv[0, 1], coeff * inv[1, 1])
-
-
-def _grad_cumulant_vec(theta: SpdParam2) -> np.ndarray:
-    # Gradient in (a, b, c) coordinates; off-diagonal entry doubled relative
-    # to the matrix form because b appears twice in the matrix pairing.
-    eta = grad_cumulant(theta)
-    return np.array([eta.m11, 2.0 * eta.m12, eta.m22])
+    # The vector gradient's middle entry is 2 m12: b appears twice in the matrix pairing.
+    m11, m12_twice, m22 = expfam.grad(_FAMILY, theta.as_vector())
+    return Moment2(m11, 0.5 * m12_twice, m22)
 
 
 def grad_conjugate(eta: Moment2) -> SpdParam2:
@@ -144,9 +138,24 @@ def conjugate(eta: Moment2) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Q, the Hessian of u(a,b,c) = ac - b^2: u = v^T Q v / 2.
+_HESS_U = np.array([[0.0, 0.0, 1.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]])
+
+
+def _radial(u: float, d: int, order: int) -> tuple:
+    # phi(u) = -log(u)/2 - 2 sqrt(u) and phi', phi'', phi''', cut after `order`.
+    su = math.sqrt(u)
+    return (
+        -math.log(su) - 2.0 * su,
+        -0.5 / u - 1.0 / su,
+        0.5 / (u * u) + 0.5 / (u * su),
+        -1.0 / (u * u * u) - 0.75 / (u * u * su),
+    )[: order + 1]
+
+
 _FAMILY = expfam.Family(
-    cumulant=lambda v: cumulant(SpdParam2(*v)).reduced,
-    grad=lambda v: _grad_cumulant_vec(SpdParam2(*v)),
+    radial=lambda u, d, order: _radial(u, d, order),
+    metric=lambda size: _HESS_U,
     quad=lambda v: v[0] * v[2] - v[1] * v[1],
     log_density=lambda theta, pts: log_density_xy(theta, pts[:, 0], pts[:, 1]),
     # The Moment2 entries (m11, m12, m22) that from_moment inverts, not the
@@ -231,25 +240,9 @@ def modified_entropy(theta: SpdParam2) -> float:
 # Information geometry
 # ---------------------------------------------------------------------------
 
-# Hessian of u(a,b,c) = ac - b^2, a constant matrix.
-_HESS_U = np.array([[0.0, 0.0, 1.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]])
-
-
-def _phi_derivs(u: float) -> tuple:
-    # phi(u) = -log(u)/2 - 2 sqrt(u); returns phi', phi'', phi'''.
-    su = math.sqrt(u)
-    p1 = -0.5 / u - 1.0 / su
-    p2 = 0.5 / (u * u) + 0.5 / (u * su)
-    p3 = -1.0 / (u * u * u) - 0.75 / (u * u * su)
-    return p1, p2, p3
-
-
 def fim(theta: SpdParam2) -> np.ndarray:
     """Fisher information matrix in (a, b, c) coordinates: the Hessian of the cumulant."""
-    u = theta.det()
-    g = np.array([theta.c, -2.0 * theta.b, theta.a])
-    p1, p2, _ = _phi_derivs(u)
-    return p2 * np.outer(g, g) + p1 * _HESS_U
+    return expfam.fim(_FAMILY, theta.as_vector())
 
 
 def fim_dual(eta: Moment2) -> np.ndarray:
@@ -264,9 +257,8 @@ def fim_dual(eta: Moment2) -> np.ndarray:
 
 def cubic_tensor(theta: SpdParam2) -> np.ndarray:
     """Totally symmetric third-derivative tensor of the cumulant in (a, b, c)."""
-    u = theta.det()
-    g = np.array([theta.c, -2.0 * theta.b, theta.a])
-    _, p2, p3 = _phi_derivs(u)
+    _, _, p2, p3 = _radial(theta.det(), 2, 3)
+    g = _HESS_U @ theta.as_vector()
     t = p3 * np.einsum("i,j,k->ijk", g, g, g)
     t += p2 * (
         np.einsum("ij,k->ijk", _HESS_U, g)

@@ -1,15 +1,17 @@
 """Special functions shared by both hyperbolic families.
 
-Three quantities are needed throughout the library: the modified Bessel
-function of the second kind ``K_nu`` (normalizer of the hyperboloid family),
-its logarithmic derivative (gradient of the hyperboloid cumulant), and the
-exponentially scaled upper incomplete gamma ``e^x * Gamma(0, x)`` (entropy of
-the half-plane family).  Everything here is a pure function of floats and is
+Three quantities are needed: the modified Bessel function of the second kind
+``K_nu`` (normalizer of the hyperboloid family for d >= 3), its logarithmic
+derivative (gradient of that cumulant), and the exponentially scaled upper
+incomplete gamma ``e^x * Gamma(0, x)`` (entropy of the half-plane family).
+At d = 2 the order is 1/2, where K is elementary, and the hyperboloid module
+does not call this one.  Everything here is a pure function of floats and is
 safe to call concurrently.
 
 ``scipy.special`` is imported on the first Bessel evaluation, not with this
-module: the half-plane closed forms, sampler and EM evaluate no Bessel
-function and so never load scipy.
+module: the half-plane family and the d = 2 hyperboloid (closed forms,
+densities, sampler, MLE and EM) evaluate no Bessel function and so never load
+scipy.
 """
 
 from __future__ import annotations

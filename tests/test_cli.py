@@ -480,21 +480,48 @@ class TestEntryPoint:
         assert proc.stdout.strip() == "[]"
         assert json.loads((tmp_path / "out.txt").read_text())["iterations"] >= 1
 
-    def test_hyperboloid_estimate_loads_scipy(self, capsys):
-        argv = [
-            "estimate", "--family", "hyperboloid", "--measure", "kl", "--method", "plugin",
-            "--theta", "[1,0,0]", "--theta2", "[2,1,1]", "--n", "2000", "--seed", "5",
+    def test_d2_hyperboloid_commands_leave_scipy_unloaded(self, tmp_path, capsys):
+        # At d = 2 the normalizer's K_1/2 is elementary, so no command on the
+        # d = 2 sheet evaluates a Bessel function or imports scipy.
+        pts = str(tmp_path / "pts.csv")
+        theta, theta2 = "[1,0,0]", "[2,1,1]"
+        commands = [
+            ["divergence", "--measure", "kl", "--theta", theta, "--theta2", theta2],
+            ["divergence", "--measure", "neyman", "--theta", theta, "--theta2", theta2],
+            ["fim", "--theta", theta2],
+            ["entropy", "--theta", theta2],
+            ["sample", "--theta", theta2, "--n", "300", "--seed", "1", "--out", pts],
+            ["estimate", "--measure", "kl", "--method", "plugin", "--theta", theta,
+             "--theta2", theta2, "--n", "2000", "--seed", "5"],
+            ["fit", "--input", pts, "--k", "2", "--seed", "2"],
         ]
+        commands = [argv[:1] + ["--family", "hyperboloid"] + argv[1:] for argv in commands]
         code = (
             "import sys\n"
             "from hyperstat.cli import main\n"
-            f"rc = main({argv!r})\n"
-            "sys.stderr.write(str('scipy.special' in sys.modules))\n"
-            "sys.exit(rc)\n"
+            f"for argv in {commands!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "sys.stderr.write(repr(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == "True"
-        rc, out, _ = run_cli(argv, capsys)
-        assert rc == 0
-        assert proc.stdout == out
+        assert proc.stderr == "[]"
+        outs = []
+        for argv in commands:
+            rc, out, _ = run_cli(argv, capsys)
+            assert rc == 0
+            outs.append(out)
+        assert proc.stdout == "".join(outs)
+        assert json.loads(outs[-1])["iterations"] >= 1
+
+    def test_d3_hyperboloid_divergence_loads_scipy(self):
+        code = (
+            "import sys\n"
+            "from hyperstat import hyperboloid as hb\n"
+            "from hyperstat.geometry import LorentzParam\n"
+            "kl = hb.kld(LorentzParam((2.0, 0.5, 0.3, 0.1)), LorentzParam((3.0, 1.0, 0.0, 0.5)))\n"
+            "print(kl > 0.0, 'scipy.special' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True True"

@@ -22,6 +22,9 @@ from hyperstat.geometry import (
     random_lorentz_param,
     random_spd,
 )
+from hyperstat.mixtures import Mixture, em_fit, mixture_sample
+from hyperstat.sampling import RngStream, hyperboloid_sample
+from hyperstat.specfun import bessel_k, bessel_k_logderiv
 
 APEX = LorentzParam((1.0, 0.0, 0.0))
 T211 = LorentzParam((2.0, 1.0, 1.0))
@@ -107,6 +110,65 @@ class TestCumulant:
         grad = hb.grad_cumulant(T211)
         se = stats.std(axis=0, ddof=1) / math.sqrt(len(pts))
         assert np.all(np.abs(stats.mean(axis=0) - grad) < 3.5 * se)
+
+
+class TestElementaryD2:
+    """The d = 2 paths take K_1/2 in elementary form; the Bessel route is the reference."""
+
+    def test_log_normalizer_matches_bessel_form(self):
+        for t in np.logspace(-3.0, 3.0, 601).tolist():
+            ref = 0.5 * (math.log(t) - math.log(2.0 * math.pi)) - math.log(2.0) - bessel_k(0.5, t).log_value
+            assert abs(hb.log_normalizer_c(2, t) - ref) <= 1e-14 * max(abs(ref), 1.0)
+
+    def test_grad_matches_bessel_form(self):
+        rng = np.random.default_rng(63)
+        for _ in range(200):
+            theta = random_lorentz_param(2, rng, log_scale=4.0)
+            t = theta.minkowski_norm()
+            fprime = bessel_k_logderiv(0.5, t) - 0.5 / t
+            ref = (fprime / t) * np.array([1.0, -1.0, -1.0]) * theta.vec
+            assert np.max(np.abs(hb.grad_cumulant(theta) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_fim2_matches_expanded_formula(self):
+        # (1/t^4) [(2+t) (G theta)(G theta)^T - t^2 (1+t) G], G = diag(1,-1,-1)
+        rng = np.random.default_rng(64)
+        g = np.diag([1.0, -1.0, -1.0])
+        for _ in range(200):
+            theta = random_lorentz_param(2, rng, log_scale=4.0)
+            t = theta.minkowski_norm()
+            g_theta = g @ theta.vec
+            ref = ((2.0 + t) * np.outer(g_theta, g_theta) - t * t * (1.0 + t) * g) / t**4
+            assert np.max(np.abs(hb.fim2(theta) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_no_bessel_evaluation(self, monkeypatch):
+        def no_bessel(*args):
+            raise AssertionError("a Bessel function was evaluated")
+
+        monkeypatch.setattr(hb, "bessel_k", no_bessel)
+        monkeypatch.setattr(hb, "bessel_k_logderiv", no_bessel)
+        with pytest.raises(AssertionError):
+            hb.cumulant(LorentzParam((2.0, 0.0, 0.0, 0.0)))
+        other = LorentzParam((3.0, -1.0, 0.5))
+        values = [
+            hb.log_normalizer_c(2, 1.5),
+            hb.cumulant(T211),
+            *hb.grad_cumulant(T211),
+            hb.kld(T211, other),
+            hb.hellinger_sq(T211, other),
+            hb.neyman_chi2(T211, other),
+            hb.jeffreys(T211, other),
+            hb.skew_jensen(T211, other, 0.3),
+            *hb.fim2(T211).ravel(),
+            hb.modified_entropy2(T211),
+            *hb.log_density_chart(T211, np.array([[0.0, 0.0], [1.0, -2.0]])),
+            *hb.mle(hyperboloid_sample(T211, 500, RngStream(3))).theta,
+        ]
+        assert all(math.isfinite(v) for v in values)
+        truth = Mixture(
+            "hyperboloid", (0.4, 0.6), (LorentzParam((6.0, 0.0, 0.0)), LorentzParam((4.0, 2.0, -2.0)))
+        )
+        mix, _ = em_fit(mixture_sample(truth, 400, RngStream(4)), 2, "hyperboloid", RngStream(5))
+        assert mix.k == 2
 
 
 class TestDivergences:

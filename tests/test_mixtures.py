@@ -447,6 +447,7 @@ class TestSquarem:
         assert trace.iterations == 2
         assert trace.loglik[0] == trace.loglik[1]
         assert trace.rejected_jumps == 0
+        assert trace.converged
 
     @pytest.mark.filterwarnings("error")
     def test_hard_responsibilities_stop_at_the_fixed_point(self):
@@ -464,6 +465,19 @@ class TestSquarem:
         assert trace.iterations == 2
         assert np.array_equal(trace.effective_counts, resp.sum(axis=0))
         assert mix.weights == tuple(resp.sum(axis=0) / pts.shape[0])
+
+    def test_converged_at_a_small_gain_not_at_the_cap(self):
+        # A one-component sample fitted with k = 2 is still gaining at the cap.
+        pts = hyperboloid_sample(LorentzParam((2.0, 0.5, 0.0)), 1000, RngStream(0))
+        _, trace = em_fit(pts, 2, "hyperboloid", RngStream(100))
+        assert trace.iterations == mixtures._MAX_ITER
+        assert not trace.converged
+        for truth in (_SQUAREM_TRUTHS[0], _SQUAREM_TRUTHS[2]):
+            pts = mixture_sample(_truth_mixture(*truth), 3000, RngStream(7))
+            _, trace = em_fit(pts, 2, truth[0], RngStream(8))
+            assert trace.converged
+            assert trace.iterations < mixtures._MAX_ITER
+            assert trace.loglik[-1] - trace.loglik[-4] < mixtures._TOL
 
     def test_rejected_jumps_keep_the_trace_monotone(self):
         # A one-component sample fitted with k = 2: one weight shrinks toward

@@ -17,14 +17,12 @@ from hyperstat.montecarlo import (
     Proposal,
     _f_and_logp,
     _pilot_objective,
-    error_bound,
     estimate,
     estimate_for_poincare,
     estimate_mc1,
     estimate_mc2,
     estimate_plugin,
     optimize_sigma,
-    probe_sup_weight,
 )
 from hyperstat.sampling import RngStream
 
@@ -316,58 +314,6 @@ class TestMc2:
         est = estimate_mc2(FGenerator.kl(), T211, APEX, 400_000, RngStream(19))
         se = math.sqrt(est.sample_variance / est.n)
         assert abs(est.estimate - hb.kld(T211, APEX)) < 4.0 * se
-
-
-class TestErrorBound:
-    def test_reference_value(self):
-        # 2 min{1/(1+400), e^{-100}} = 2 e^{-100}
-        got = error_bound(1.0, 10**6, 0.01)
-        assert got == pytest.approx(2.0 * math.exp(-100.0), rel=1e-12)
-
-    def test_vacuous_at_zero_deviation(self):
-        assert error_bound(1.0, 10, 1e-12) == pytest.approx(2.0, abs=1e-6)
-
-    def test_monotone_in_n(self):
-        vals = [error_bound(2.0, n, 0.05) for n in (10, 100, 1000, 10**4, 10**6)]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            error_bound(0.0, 10, 0.1)
-        with pytest.raises(ValueError):
-            error_bound(1.0, 0, 0.1)
-
-    def test_probe_bound_covers_observed_weights(self):
-        # sup probe with the t proposal (bounded weight) dominates the weights
-        # seen by the estimator, and the bound at the observed deviation holds
-        f = FGenerator.total_variation()
-        prop = Proposal("student_t7", 2.0)
-        sup = probe_sup_weight(f, APEX, T211, prop, n_grid=400)
-        est = estimate_mc1(f, APEX, T211, prop, 100_000, RngStream(20))
-        assert sup > 0.0
-        dev = abs(est.estimate - 0.4685145) + 1e-3
-        assert error_bound(sup * 1.05, est.n, dev) <= 2.0
-
-    @pytest.mark.parametrize(
-        "f",
-        [FGenerator.total_variation(), FGenerator.custom(lambda u: 1.0 - u)],
-        ids=["tv", "linear"],
-    )
-    @pytest.mark.parametrize("kind", ["logistic", "student_t7"])
-    def test_probe_is_max_weight_on_its_grid(self, f, kind):
-        # brute force over the whole lattice at once: |f(p'/p)| p / (q(x) q(y));
-        # the linear generator's weight p - p' is most negative where p' peaks,
-        # so the probe must take |.| and not the signed maximum
-        prop = Proposal(kind, 1.7)
-        n_grid, half_width = 120, 30.0
-        axis = np.linspace(-half_width, half_width, n_grid)
-        x, y = (c.ravel() for c in np.meshgrid(axis, axis, indexing="ij"))
-        pts = np.column_stack((x, y))
-        logp = hb.log_density_chart(APEX, pts)
-        lr = hb.log_density_chart(T211, pts) - logp
-        w = np.abs(f.of_log_ratio(lr)) * np.exp(logp - prop.logpdf(x) - prop.logpdf(y))
-        sup = probe_sup_weight(f, APEX, T211, prop, n_grid=n_grid, half_width=half_width)
-        assert sup == pytest.approx(float(np.max(w)), rel=1e-12)
 
 
 class TestPoincareDelegation:
