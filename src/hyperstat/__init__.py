@@ -5,6 +5,7 @@ upper-half-plane and Minkowski-hyperboloid models."""
 from . import geometry, hyperboloid, mixtures, montecarlo, poincare, sampling, specfun
 from .geometry import (
     ConeError,
+    DimensionError,
     DualDomainError,
     HyperboloidPoint,
     InvariantTriple,
@@ -30,6 +31,7 @@ __all__ = [
     "montecarlo",
     "mixtures",
     "ConeError",
+    "DimensionError",
     "DualDomainError",
     "SpdParam2",
     "UpperHalfPoint",

@@ -12,8 +12,9 @@ fit          EM mixture fitting from a CSV of points
 convert      parameter and point conversions between models
 
 Exit codes: 0 ok, 2 invalid parameters, 3 infinite divergence,
-4 unsupported dimension, 5 fit failure, 6 ``estimate --verify`` found the
-estimate more than 4 standard errors from the closed form.  All randomness
+4 unsupported dimension (any library ``DimensionError``: a d = 2-only routine
+given another d), 5 fit failure, 6 ``estimate --verify`` found the estimate
+more than 4 standard errors from the closed form.  All randomness
 derives from ``--seed``; results are reproducible for a fixed flag set.  The
 environment variable HYPERSTAT_THREADS caps the worker count used to evaluate
 shards.
@@ -33,6 +34,7 @@ from . import hyperboloid as hb
 from . import poincare as pc
 from .geometry import (
     ConeError,
+    DimensionError,
     HyperboloidPoint,
     LorentzParam,
     SpdParam2,
@@ -201,8 +203,6 @@ def _cmd_entropy(args) -> int:
             "modified_entropy": pc.modified_entropy(theta),
         }
     else:
-        if theta.d != 2:
-            raise CliError(EXIT_BAD_DIMENSION, "hyperboloid entropy is available for d=2 only")
         payload = {"entropy": None, "modified_entropy": hb.modified_entropy2(theta)}
     _emit(payload, args.out)
     return EXIT_OK
@@ -213,8 +213,6 @@ def _cmd_fim(args) -> int:
     if args.family == "poincare":
         matrix = pc.fim(theta)
     else:
-        if theta.d != 2:
-            raise CliError(EXIT_BAD_DIMENSION, "closed-form FIM is available for d=2 only")
         matrix = hb.fim2(theta)
     _emit({"fim": [list(row) for row in matrix]}, args.out)
     return EXIT_OK
@@ -235,8 +233,6 @@ def _cmd_sample(args) -> int:
         header = "x,y"
         theta_repr = [theta.a, theta.b, theta.c]
     else:
-        if theta.d != 2:
-            raise CliError(EXIT_BAD_DIMENSION, "sampling is implemented for d=2 only")
         pts = hyperboloid_sample(theta, args.n, stream)
         header = "x1,x2"
         theta_repr = list(theta.theta)
@@ -255,8 +251,6 @@ def _cmd_estimate(args) -> int:
     theta2 = _parse_param(args.theta2, args.family)
     f = FGenerator.by_name(args.measure)
     stream = RngStream(args.seed, _STREAM_ESTIMATE)
-    if args.family == "hyperboloid" and (theta.d != 2 or theta2.d != 2):
-        raise CliError(EXIT_BAD_DIMENSION, "estimators are implemented for d=2 only")
     closed = _DIVERGENCES[args.family].get(args.measure)
     if args.verify and closed is None:
         raise CliError(EXIT_BAD_PARAMS, f"--verify has no closed form for {args.measure}")
@@ -317,11 +311,7 @@ def _cmd_fit(args) -> int:
         raise CliError(EXIT_BAD_PARAMS, f"cannot read points from {args.input}: {err}")
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise CliError(EXIT_BAD_PARAMS, f"expected two CSV columns, got shape {pts.shape}")
-    stream = RngStream(args.seed, _STREAM_FIT)
-    try:
-        mixture, trace = em_fit(pts, args.k, args.family, stream)
-    except FitError as err:
-        raise CliError(EXIT_FIT_FAILURE, f"EM failed: {err}")
+    mixture, trace = em_fit(pts, args.k, args.family, RngStream(args.seed, _STREAM_FIT))
     if args.family == "poincare":
         comps = [[c.a, c.b, c.c] for c in mixture.components]
         d = 2
@@ -349,8 +339,6 @@ def _cmd_convert(args) -> int:
     except json.JSONDecodeError as err:
         raise CliError(EXIT_BAD_PARAMS, f"unparseable value {args.value!r}: {err}")
     src, dst = args.src, args.dst
-    if src not in _MODELS or dst not in _MODELS:
-        raise CliError(EXIT_BAD_PARAMS, f"models must be one of {_MODELS}")
     if args.what == "param":
         if "disk" in (src, dst):
             raise CliError(EXIT_BAD_PARAMS, "parameter conversion covers upper-half <-> hyperboloid")
@@ -360,8 +348,6 @@ def _cmd_convert(args) -> int:
         elif src == "upper-half":
             out = list(param_h_to_l(theta).theta)
         else:
-            if theta.d != 2:
-                raise CliError(EXIT_BAD_DIMENSION, "parameter conversion needs d=2")
             s = param_l_to_h(theta)
             out = [[s.a, s.b], [s.b, s.c]]
     else:
@@ -469,10 +455,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("convert", help="convert parameters/points between models")
+    p = sub.add_parser(
+        "convert", help="convert parameters/points between models",
+        description="Parameters map by (a, b, c) -> (a+c, a-c, 2b), which keeps divergences; "
+                    "points map to the law with (a+c, a-c, -2b), so for b != 0 a converted "
+                    "parameter and converted points are not a matched pair.",
+    )
     p.add_argument("--what", required=True, choices=("param", "point"))
-    p.add_argument("--from", dest="src", required=True)
-    p.add_argument("--to", dest="dst", required=True)
+    p.add_argument("--from", dest="src", required=True, choices=_MODELS)
+    p.add_argument("--to", dest="dst", required=True, choices=_MODELS)
     p.add_argument("--value", required=True)
     _add_out(p)
     p.set_defaults(func=_cmd_convert)
@@ -483,17 +474,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Library error types become exit codes here and nowhere else.
     try:
         return args.func(args)
     except CliError as err:
-        sys.stderr.write(f"hyperstat: {err}\n")
-        return err.code
+        code, message = err.code, str(err)
+    except DimensionError as err:
+        code, message = EXIT_BAD_DIMENSION, str(err)
+    except FitError as err:
+        code, message = EXIT_FIT_FAILURE, f"EM failed: {err}"
     except ConeError as err:
-        sys.stderr.write(f"hyperstat: parameter outside its cone: {err}\n")
-        return EXIT_BAD_PARAMS
+        code, message = EXIT_BAD_PARAMS, f"parameter outside its cone: {err}"
     except ValueError as err:
-        sys.stderr.write(f"hyperstat: {err}\n")
-        return EXIT_BAD_PARAMS
+        code, message = EXIT_BAD_PARAMS, str(err)
+    sys.stderr.write(f"hyperstat: {message}\n")
+    return code
 
 
 if __name__ == "__main__":

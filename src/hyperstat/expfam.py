@@ -43,8 +43,9 @@ __all__ = [
 class Family(NamedTuple):
     """One exponential family.
 
-    ``radial(u, d, order)`` returns g(u) and its first ``order`` derivatives
-    for parameters of dimension d (vectors of size d + 1), ``metric(size)``
+    ``radial(u, d, first, last)`` returns the derivatives of g of orders
+    ``first`` to ``last`` at u (order 0 is g itself), evaluating no other,
+    for parameters of dimension d (vectors of size d + 1); ``metric(size)``
     the constant matrix Q, and ``quad(v)`` the invariant u.  The rest act on
     cone parameters and (n, d) point arrays: ``log_density(theta, pts)``,
     ``stats(pts)`` (one row per point), ``from_moment(eta)`` (the parameter
@@ -53,7 +54,7 @@ class Family(NamedTuple):
     replaced module attribute (a tracing wrapper) is seen through the record.
     """
 
-    radial: Callable[[float, int, int], tuple]
+    radial: Callable[[float, int, int, int], tuple]
     metric: Callable[[int], np.ndarray]
     quad: Callable[[np.ndarray], float]
     log_density: Callable[[Any, np.ndarray], np.ndarray]
@@ -62,23 +63,23 @@ class Family(NamedTuple):
     sample: Callable[[Any, int, Any], np.ndarray]
 
 
-def _radial(fam: Family, v: np.ndarray, order: int) -> tuple:
-    return fam.radial(fam.quad(v), v.size - 1, order)
+def _radial(fam: Family, v: np.ndarray, first: int, last: int) -> tuple:
+    return fam.radial(fam.quad(v), v.size - 1, first, last)
 
 
 def cumulant(fam: Family, v: np.ndarray) -> float:
     """F(v) = g(q(v))."""
-    return _radial(fam, v, 0)[0]
+    return _radial(fam, v, 0, 0)[0]
 
 
 def grad(fam: Family, v: np.ndarray) -> np.ndarray:
     """grad F(v) = g'(u) Q v, the mean of the sufficient statistic."""
-    return _radial(fam, v, 1)[1] * (fam.metric(v.size) @ v)
+    return _radial(fam, v, 1, 1)[0] * (fam.metric(v.size) @ v)
 
 
 def fim(fam: Family, v: np.ndarray) -> np.ndarray:
     """Fisher information, the Hessian of F: g''(u) (Qv)(Qv)^T + g'(u) Q."""
-    _, g1, g2 = _radial(fam, v, 2)
+    g1, g2 = _radial(fam, v, 1, 2)
     q = fam.metric(v.size)
     qv = q @ v
     return g2 * np.outer(qv, qv) + g1 * q

@@ -22,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "ConeError",
+    "DimensionError",
     "DualDomainError",
     "SpdParam2",
     "UpperHalfPoint",
@@ -56,6 +57,10 @@ _CONE_RTOL = 1e-12
 
 class ConeError(ValueError):
     """A natural parameter fell outside (or numerically on) its open cone."""
+
+
+class DimensionError(ValueError):
+    """The routine is implemented for d = 2 only; the command line exits 4 on it."""
 
 
 class DualDomainError(ValueError):
@@ -417,7 +422,9 @@ def param_h_to_l(theta: SpdParam2) -> LorentzParam:
     """Half-plane parameter to hyperboloid parameter: (a+c, a-c, 2b).
 
     Satisfies [out,out] = 4 det(theta) and, pairwise, [out,out'] =
-    2 det(theta) tr(theta' theta^{-1}).
+    2 det(theta) tr(theta' theta^{-1}), so divergences agree across the map.
+    It is not the parameter that :func:`point_h_to_l` carries the law to:
+    that one is (a+c, a-c, -2b), and the two differ when b != 0.
     """
     return LorentzParam((theta.a + theta.c, theta.a - theta.c, 2.0 * theta.b))
 
@@ -425,13 +432,18 @@ def param_h_to_l(theta: SpdParam2) -> LorentzParam:
 def param_l_to_h(theta: LorentzParam) -> SpdParam2:
     """Inverse of :func:`param_h_to_l` (d = 2 only)."""
     if theta.d != 2:
-        raise ValueError(f"parameter correspondence needs d=2, got d={theta.d}")
+        raise DimensionError(f"parameter correspondence needs d=2, got d={theta.d}")
     t0, t1, t2 = theta.theta
     return SpdParam2(0.5 * (t0 + t1), 0.5 * t2, 0.5 * (t0 - t1))
 
 
 def point_h_to_l(z: UpperHalfPoint) -> HyperboloidPoint:
-    """Half-plane point to hyperboloid chart: (X, Y) = ((1-x^2-y^2)/(2y), x/y)."""
+    """Half-plane point to hyperboloid chart: (X, Y) = ((1-x^2-y^2)/(2y), x/y).
+
+    It carries the half-plane law theta = (a, b, c) to the hyperboloid law
+    with parameter (a+c, a-c, -2b), not to :func:`param_h_to_l` (theta): the
+    exponents agree, (a (x^2+y^2) + 2 b x + c)/y = [(a+c, a-c, -2b), lift(X, Y)].
+    """
     r2 = z.x * z.x + z.y * z.y
     return HyperboloidPoint(((1.0 - r2) / (2.0 * z.y), z.x / z.y))
 
@@ -444,7 +456,7 @@ def point_l_to_h(p: HyperboloidPoint) -> UpperHalfPoint:
     does not overflow for far points.
     """
     if p.d != 2:
-        raise ValueError(f"point correspondence needs d=2, got d={p.d}")
+        raise DimensionError(f"point correspondence needs d=2, got d={p.d}")
     big_x, big_y = p.coords
     r = math.hypot(1.0, big_x, big_y)
     if big_x >= 0.0:

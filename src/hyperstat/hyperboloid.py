@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from . import expfam
-from .geometry import DualDomainError, HyperboloidPoint, LorentzParam
+from .geometry import DimensionError, DualDomainError, HyperboloidPoint, LorentzParam
 from .sampling import hyperboloid_sample
 from .specfun import bessel_k, bessel_k_logderiv
 
@@ -62,14 +62,16 @@ def _fprime(d: int, t: float) -> float:
     return bessel_k_logderiv(nu, t) - nu / t
 
 
-def _radial(u: float, d: int, order: int) -> tuple:
-    # g(u) = -log c_d(sqrt(u)) and its first `order` derivatives; g' = F'(t) / (2t).
+def _radial(u: float, d: int, first: int, last: int) -> tuple:
+    # g(u) = -log c_d(sqrt(u)) and its derivatives, orders first..last; g' = F'(t) / (2t).
     t = math.sqrt(u)
-    g = -log_normalizer_c(d, t)
     if d == 2:
-        return (g, -0.5 / u - 0.5 / t, 0.5 / (u * u) + 0.25 / (u * t))[: order + 1]
-    # Orders 0 and 1 only: g'' (the FIM) is offered at d = 2 alone.
-    return (g, _fprime(d, t) / (2.0 * t)) if order else (g,)
+        derivs = (-log_normalizer_c(d, t), -0.5 / u - 0.5 / t, 0.5 / (u * u) + 0.25 / (u * t))
+        return derivs[first : last + 1]
+    # Orders 0 and 1 only (g'', the FIM, is offered at d = 2 alone), and each
+    # only when asked for: both cost Bessel function evaluations.
+    g = (-log_normalizer_c(d, t),) if first == 0 else ()
+    return g + ((_fprime(d, t) / (2.0 * t),) if last >= 1 else ())
 
 
 def cumulant(theta: LorentzParam) -> float:
@@ -96,8 +98,6 @@ def log_density_chart(theta: LorentzParam, points) -> np.ndarray:
 
 
 def log_density(theta: LorentzParam, p: HyperboloidPoint) -> float:
-    if p.d != theta.d:
-        raise ValueError(f"point has d={p.d}, parameter has d={theta.d}")
     return float(log_density_chart(theta, p.vec)[0])
 
 
@@ -107,7 +107,7 @@ def log_density(theta: LorentzParam, p: HyperboloidPoint) -> float:
 
 
 _FAMILY = expfam.Family(
-    radial=lambda u, d, order: _radial(u, d, order),
+    radial=lambda u, d, first, last: _radial(u, d, first, last),
     metric=lambda size: np.diag([2.0] + [-2.0] * (size - 1)),
     # Summed as LorentzParam sums it, so a vector passing the cone test is a parameter.
     quad=lambda v: v[0] * v[0] - sum(x * x for x in v[1:]),
@@ -158,14 +158,14 @@ def fim2(theta: LorentzParam) -> np.ndarray:
     G = diag(1,-1,-1); this is the Hessian of the cumulant.
     """
     if theta.d != 2:
-        raise ValueError(f"closed-form FIM needs d=2, got d={theta.d}")
+        raise DimensionError(f"closed-form FIM needs d=2, got d={theta.d}")
     return expfam.fim(_FAMILY, theta.vec)
 
 
 def modified_entropy2(theta: LorentzParam) -> float:
     """Entropy against the invariant measure on the d = 2 sheet: 1 + log(2 pi / |theta|)."""
     if theta.d != 2:
-        raise ValueError(f"closed-form entropy needs d=2, got d={theta.d}")
+        raise DimensionError(f"closed-form entropy needs d=2, got d={theta.d}")
     return 1.0 + _LOG_2PI - math.log(theta.minkowski_norm())
 
 
@@ -185,8 +185,13 @@ def _as_chart_array(points) -> np.ndarray:
 
 
 def suff_stats_chart(points) -> np.ndarray:
-    """Sufficient-statistic vectors (-x0~, x1..xd), one row per chart point."""
+    """Sufficient-statistic vectors (-x0~, x1..xd), one row per chart point.
+
+    Raises ValueError for a non-finite chart coordinate.
+    """
     pts = _as_chart_array(points)
+    if not np.isfinite(pts).all():
+        raise ValueError("chart points need finite coordinates")
     x0 = np.sqrt(1.0 + np.einsum("ij,ij->i", pts, pts))
     return np.column_stack((-x0, pts))
 

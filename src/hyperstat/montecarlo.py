@@ -30,7 +30,7 @@ import numpy as np
 
 from . import hyperboloid as hb
 from .expfam import brent_min
-from .geometry import LorentzParam, SpdParam2, param_h_to_l
+from .geometry import DimensionError, LorentzParam, SpdParam2, param_h_to_l
 from .sampling import RngStream, hyperboloid_sample
 
 __all__ = [
@@ -273,7 +273,7 @@ def _finalize(
 
 def _check_pair(theta: LorentzParam, theta2: LorentzParam) -> None:
     if theta.d != 2 or theta2.d != 2:
-        raise ValueError("estimators cover d=2 only")
+        raise DimensionError(f"estimators cover d=2 only, got d={theta.d} and d={theta2.d}")
 
 
 def estimate_plugin(
@@ -455,6 +455,7 @@ def estimate(
     """
     if method not in _METHOD_KEYS:
         raise ValueError(f"unknown method {method!r}")
+    _check_pair(theta, theta2)  # the dimension first, so d = 3 with n = 0 reports the dimension
     _shard_sizes(n, shards)  # reject the sizes before a pilot is drawn
     est_rng = rng.derive(_METHOD_KEYS[method])
     if method == "plugin":

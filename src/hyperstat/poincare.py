@@ -142,19 +142,19 @@ def conjugate(eta: Moment2) -> float:
 _HESS_U = np.array([[0.0, 0.0, 1.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]])
 
 
-def _radial(u: float, d: int, order: int) -> tuple:
-    # phi(u) = -log(u)/2 - 2 sqrt(u) and phi', phi'', phi''', cut after `order`.
+def _radial(u: float, d: int, first: int, last: int) -> tuple:
+    # phi(u) = -log(u)/2 - 2 sqrt(u), phi', phi'', phi''': orders first..last.
     su = math.sqrt(u)
     return (
         -math.log(su) - 2.0 * su,
         -0.5 / u - 1.0 / su,
         0.5 / (u * u) + 0.5 / (u * su),
         -1.0 / (u * u * u) - 0.75 / (u * u * su),
-    )[: order + 1]
+    )[first : last + 1]
 
 
 _FAMILY = expfam.Family(
-    radial=lambda u, d, order: _radial(u, d, order),
+    radial=lambda u, d, first, last: _radial(u, d, first, last),
     metric=lambda size: _HESS_U,
     quad=lambda v: v[0] * v[2] - v[1] * v[1],
     log_density=lambda theta, pts: log_density_xy(theta, pts[:, 0], pts[:, 1]),
@@ -257,7 +257,7 @@ def fim_dual(eta: Moment2) -> np.ndarray:
 
 def cubic_tensor(theta: SpdParam2) -> np.ndarray:
     """Totally symmetric third-derivative tensor of the cumulant in (a, b, c)."""
-    _, _, p2, p3 = _radial(theta.det(), 2, 3)
+    p2, p3 = _radial(theta.det(), 2, 2, 3)
     g = _HESS_U @ theta.as_vector()
     t = p3 * np.einsum("i,j,k->ijk", g, g, g)
     t += p2 * (
@@ -292,9 +292,15 @@ def _as_xy_array(points) -> np.ndarray:
 
 
 def suff_stats_xy(points) -> np.ndarray:
-    """Sufficient-statistic vectors, one row per point: -((x^2+y^2)/y, x/y, 1/y)."""
+    """Sufficient-statistic vectors, one row per point: -((x^2+y^2)/y, x/y, 1/y).
+
+    Raises ValueError for a point outside the half-plane (y <= 0 or a
+    non-finite coordinate).
+    """
     pts = _as_xy_array(points)
     x, y = pts[:, 0], pts[:, 1]
+    if not (np.isfinite(pts).all() and (y > 0.0).all()):
+        raise ValueError("half-plane points need finite x and y > 0")
     return -np.column_stack(((x * x + y * y) / y, x / y, 1.0 / y))
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expfam import brent_min
-from .geometry import LorentzParam, SpdParam2
+from .geometry import DimensionError, LorentzParam, SpdParam2
 
 __all__ = [
     "GigParams",
@@ -164,14 +164,22 @@ def gig_sample(
 
 
 def hyperboloid_sample(theta: LorentzParam, n: int, rng: RngStream) -> np.ndarray:
-    """n chart points from the d = 2 hyperboloid law, as an (n, 2) array."""
+    """n chart points from the d = 2 hyperboloid law, as an (n, 2) array.
+
+    Raises ValueError rather than return a non-finite point when a mixing
+    draw is not positive and finite: numpy's Wald generator returns 0 for
+    some draws once |theta| is below about 5e-15.
+    """
     if theta.d != 2:
-        raise ValueError(f"sampler covers d=2 only, got d={theta.d}")
+        raise DimensionError(f"sampler covers d=2 only, got d={theta.d}")
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")
     t = theta.minkowski_norm()
     gen = rng.generator()
-    s = _gig_half_order(GigParams(0.5, 1.0, t * t), n, gen)
+    with np.errstate(divide="ignore"):  # a zero Wald draw is rejected below, not warned about
+        s = _gig_half_order(GigParams(0.5, 1.0, t * t), n, gen)
+    if n and not (s.min() > 0.0 and s.max() < math.inf):
+        raise ValueError(f"mixing draws at |theta| = {t:g} are not all positive and finite")
     z = gen.standard_normal((n, 2))
     spatial = theta.vec[1:]
     return s[:, None] * spatial[None, :] + np.sqrt(s)[:, None] * z

@@ -205,3 +205,60 @@ def test_verify_without_closed_form_exits_2_before_estimating():
     assert code == 2
     assert out.getvalue() == ""
     assert err.getvalue().startswith("hyperstat: ")
+
+
+def run_captured(argv) -> tuple:
+    """(exit code, stdout, stderr) of one in-process CLI call that returns."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+HB_EST = ["estimate", "--family", "hyperboloid", "--measure", "kl", "--method", "plugin", "--seed", "1"]
+TINY_SAMPLE = ["sample", "--n", "100000", "--seed", "1", "--theta"]
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        # Every d = 2-only command exits 4 at d = 3.
+        pytest.param(["entropy", "--family", "hyperboloid", "--theta", HB_D3], 4, id="entropy_d3"),
+        pytest.param(["fim", "--family", "hyperboloid", "--theta", HB_D3], 4, id="fim_d3"),
+        pytest.param(["sample", "--family", "hyperboloid", "--theta", HB_D3, "--n", "10", "--seed", "1"], 4,
+                     id="sample_d3"),
+        pytest.param(["convert", "--what", "param", "--from", "hyperboloid", "--to", "upper-half",
+                      "--value", HB_D3], 4, id="convert_d3"),
+        pytest.param(HB_EST + ["--theta", HB_D3, "--theta2", HB[1], "--n", "100"], 4, id="estimate_theta_d3"),
+        pytest.param(HB_EST + ["--theta", HB[0], "--theta2", HB_D3, "--n", "100"], 4, id="estimate_theta2_d3"),
+        pytest.param(HB_EST + ["--theta", HB_D3, "--theta2", HB_D3, "--n", "100"], 4, id="estimate_both_d3"),
+        pytest.param(HB_EST + ["--theta", HB_D3, "--theta2", HB_D3, "--n", "0"], 4, id="estimate_d3_n_0"),
+        # At |theta| ~ 1e-15 some mixing draws are infinite: no NaN rows.
+        pytest.param(TINY_SAMPLE + ["[1e-15, 0, 0]", "--family", "hyperboloid"], 2, id="sample_tiny_norm_hb"),
+        pytest.param(TINY_SAMPLE + ["[[1e-15, 0], [0, 1e-15]]"], 2, id="sample_tiny_norm_pc"),
+    ],
+)
+def test_rejected_input_writes_nothing_to_stdout(argv, want):
+    code, out, err = run_captured(argv)
+    assert code == want
+    assert out == ""
+    assert err.startswith("hyperstat:")
+
+
+@pytest.mark.parametrize(
+    "family, bad_row",
+    [("poincare", "0.5,-1"), ("poincare", "nan,1"), ("hyperboloid", "0.5,nan")],
+)
+def test_fit_points_outside_the_sample_space_exit_2(tmp_path, family, bad_row):
+    path = tmp_path / "points.csv"
+    rows = "".join(f"{0.1 * i},{0.5 + 0.1 * i}\n" for i in range(20))
+    path.write_text("x,y\n" + rows + bad_row + "\n")
+    code, out, err = run_captured(["fit", "--family", family, "--input", str(path), "--k", "2", "--seed", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("hyperstat:") and "points need" in err
+
+
+def test_convert_unknown_model_exits_2():
+    code, _ = run(["convert", "--what", "param", "--from", "klein", "--to", "upper-half", "--value", PC[0]])
+    assert code == 2

@@ -4,8 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from hyperstat import hyperboloid as hb
 from hyperstat.geometry import (
     ConeError,
+    DimensionError,
     DualDomainError,
     HyperboloidPoint,
     LorentzParam,
@@ -31,6 +33,8 @@ from hyperstat.geometry import (
     random_spd,
     upper_half_distance,
 )
+from hyperstat.montecarlo import FGenerator, estimate, estimate_plugin
+from hyperstat.sampling import RngStream, hyperboloid_sample
 
 EX_THETA = SpdParam2(4.0, 0.25, 0.5)
 EX_THETA2 = SpdParam2(0.5, 0.25, 2.0)
@@ -371,3 +375,43 @@ class TestCorrespondenceMaps:
         dens = np.exp(pc.log_density_xy(theta, z.real, z.imag)) * jac
         mass = np.sum(dens * rr) * (rs[1] - rs[0]) * (ts[1] - ts[0])
         assert mass == pytest.approx(1.0, abs=2e-3)
+
+    def test_point_chart_pairs_with_the_reflected_parameter(self):
+        # point_h_to_l carries the half-plane law (a, b, c) to the hyperboloid
+        # law (a+c, a-c, -2b); param_h_to_l's (a+c, a-c, 2b) matches it only at b = 0.
+        th, z = SpdParam2(2.0, 0.7, 1.5), UpperHalfPoint(0.3, 0.8)
+        lift = point_h_to_l(z).lift()
+        assert minkowski_inner((3.5, 0.5, -1.4), lift) == pytest.approx(4.225, rel=1e-14)
+        assert minkowski_inner(param_h_to_l(th).vec, lift) == pytest.approx(3.175, rel=1e-14)
+        rng = np.random.default_rng(17)
+        for _ in range(1000):
+            th = random_spd(rng)
+            z = UpperHalfPoint(rng.normal(0, 2), math.exp(rng.normal()))
+            exponent = (th.a * (z.x * z.x + z.y * z.y) + 2.0 * th.b * z.x + th.c) / z.y
+            reflected = (th.a + th.c, th.a - th.c, -2.0 * th.b)
+            assert minkowski_inner(reflected, point_h_to_l(z).lift()) == pytest.approx(exponent, rel=1e-12)
+
+
+class TestDimensionError:
+    """Every d = 2-only routine raises DimensionError, a ValueError, at d = 3."""
+
+    D3 = LorentzParam((2.0, 0.3, -0.4, 0.1))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda p: param_l_to_h(p), id="param_l_to_h"),
+            pytest.param(lambda p: point_l_to_h(HyperboloidPoint((0.1, 0.2, 0.3))), id="point_l_to_h"),
+            pytest.param(lambda p: hb.fim2(p), id="fim2"),
+            pytest.param(lambda p: hb.modified_entropy2(p), id="modified_entropy2"),
+            pytest.param(lambda p: hyperboloid_sample(p, 10, RngStream(0)), id="hyperboloid_sample"),
+            pytest.param(lambda p: estimate_plugin(FGenerator.kl(), p, p, 10, RngStream(0)),
+                         id="estimate_plugin"),
+            # The dimension is checked before the sizes.
+            pytest.param(lambda p: estimate(FGenerator.kl(), p, p, "mc2", 0, RngStream(0)), id="estimate_n_0"),
+        ],
+    )
+    def test_guard_raises(self, call):
+        with pytest.raises(DimensionError) as info:
+            call(self.D3)
+        assert isinstance(info.value, ValueError)

@@ -97,6 +97,25 @@ class TestCumulant:
                 fd = central_gradient(hyperboloid_cumulant_of_vec, theta.vec)
                 assert hb.grad_cumulant(theta) == pytest.approx(fd, rel=1e-7, abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "call, want",
+        [
+            pytest.param(lambda a, b: hb.grad_cumulant(a), (0, 1), id="grad_cumulant"),
+            pytest.param(lambda a, b: hb.jeffreys(a, b), (0, 2), id="jeffreys"),
+            pytest.param(lambda a, b: hb.kld(a, b), (2, 1), id="kld"),
+        ],
+    )
+    def test_bessel_calls_at_d3_are_only_those_needed(self, monkeypatch, call, want):
+        # (bessel_k, bessel_k_logderiv) calls: F needs one K, grad F one log-derivative.
+        counts = {"bessel_k": 0, "bessel_k_logderiv": 0}
+        for fn in counts:
+            def counted(*args, _fn=getattr(hb, fn), _name=fn):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(hb, fn, counted)
+        call(LorentzParam((2.0, 0.3, -0.4, 0.1)), LorentzParam((3.0, -0.5, 0.7, 0.2)))
+        assert (counts["bessel_k"], counts["bessel_k_logderiv"]) == want
+
     def test_apex_symmetry(self):
         grad = hb.grad_cumulant(APEX)
         assert grad[1] == pytest.approx(0.0, abs=1e-14)

@@ -252,6 +252,20 @@ class TestEmFit:
         with pytest.raises(FitError):
             em_fit(pts, 2, "hyperboloid", RngStream(77))
 
+    @pytest.mark.parametrize(
+        "family, bad",
+        [("poincare", (0.5, -1.0)), ("poincare", (0.5, 0.0)), ("poincare", (math.nan, 1.0)),
+         ("poincare", (0.5, math.inf)), ("hyperboloid", (math.nan, 0.3)), ("hyperboloid", (0.3, -math.inf))],
+    )
+    def test_points_outside_the_sample_space_rejected_before_any_restart(self, family, bad):
+        # One bad point among valid ones: a ValueError from the statistics, not
+        # a FitError after every k-means++ restart.
+        pts = np.vstack((np.column_stack((np.linspace(-1.0, 1.0, 20), np.linspace(0.5, 2.0, 20))), bad))
+        mle = pc.mle if family == "poincare" else hb.mle
+        for call in (lambda: em_fit(pts, 2, family, RngStream(0)), lambda: mle(pts)):
+            with pytest.raises(ValueError, match="points need"):
+                call()
+
     def test_fit_determinism(self):
         truth = two_component_mixture()
         pts = mixture_sample(truth, 1000, RngStream(78))

@@ -193,6 +193,14 @@ class TestHyperboloidSampler:
             hyperboloid_sample(LorentzParam((2.0, 0.0, 0.0)), -5, RngStream(0))
         assert hyperboloid_sample(LorentzParam((2.0, 0.0, 0.0)), 0, RngStream(0)).shape == (0, 2)
 
+    def test_tiny_norm_raises_instead_of_returning_nan(self):
+        # numpy's Wald draws hit 0 at |theta| ~ 1e-15, so the mixing scale 1/w is inf.
+        with pytest.raises(ValueError, match="not all positive and finite"):
+            hyperboloid_sample(LorentzParam((1e-15, 0.0, 0.0)), 100_000, RngStream(1, 1))
+        with pytest.raises(ValueError, match="not all positive and finite"):
+            poincare_sample(SpdParam2(1e-15, 0.0, 1e-15), 100_000, RngStream(1, 1))
+        assert np.isfinite(hyperboloid_sample(LorentzParam((1e-10, 0.0, 0.0)), 100_000, RngStream(1, 1))).all()
+
     def test_determinism(self):
         theta = LorentzParam((2.0, 1.0, 1.0))
         a = hyperboloid_sample(theta, 500, RngStream(44))
