@@ -482,7 +482,7 @@ def main(argv=None) -> int:
     except DimensionError as err:
         code, message = EXIT_BAD_DIMENSION, str(err)
     except FitError as err:
-        code, message = EXIT_FIT_FAILURE, f"EM failed: {err}"
+        code, message = EXIT_FIT_FAILURE, str(err)
     except ConeError as err:
         code, message = EXIT_BAD_PARAMS, f"parameter outside its cone: {err}"
     except ValueError as err:

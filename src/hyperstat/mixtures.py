@@ -7,11 +7,14 @@ the MLE read too.  Both families are exponential families, so the EM fit is
 Bregman soft clustering: the E-step sets responsibilities from component log
 densities (the carrier term cancels inside a family), and the M-step averages
 sufficient statistics under the responsibilities and maps the averages back
-through the inverse moment map.  The E-step normalizes with the module's own
-log-sum-exp over the component axis of a (k, n) log-joint, in the arithmetic
-of SciPy's ``logsumexp`` (terms tied at the max taken out of the sum and
-counted, the same summation order): for fewer than 8 components the two agree
-bit for bit, and the module's costs a fraction of the library call.
+through the inverse moment map.  Every array the E-step and the M-step's
+reductions touch is component-major, a C-ordered (k, n) array, so each
+reduction over the points runs along a contiguous row.  The E-step normalizes
+with the module's own log-sum-exp over the component axis of the log-joint,
+in the arithmetic of SciPy's ``logsumexp`` (terms tied at the max taken out
+of the sum and counted, the same summation order): for fewer than 8
+components the two agree bit for bit, and the module's costs a fraction of
+the library call.
 
 The EM map is accelerated by SQUAREM (Varadhan & Roland 2008), which keeps
 its fixed points.  A cycle starts from an evaluated point x0 with
@@ -33,12 +36,13 @@ and ``_MAX_ITER`` caps them.  The fit stops when a cycle gains less than
 ``_TOL`` in average log-likelihood or reaches a fixed point
 (``EmTrace.converged``), or at the cap, and returns the last accepted point:
 ``loglik[-1]`` is the returned mixture's average log-likelihood and
-``effective_counts`` its responsibilities' column sums.
+``effective_counts`` its responsibilities summed over the points.
 
 Initialization draws k-means++ style seeds in sufficient-statistic space and
 hardens the nearest-seed assignment into starting responsibilities.  A fixed
-responsibility matrix can be injected instead, which makes the whole fit a
-deterministic function of the data (used by the equivariance tests).
+responsibility matrix, (n, k) like the points, can be injected instead, which
+makes the whole fit a deterministic function of the data (used by the
+equivariance tests).
 """
 
 from __future__ import annotations
@@ -97,7 +101,7 @@ class EmTrace:
 
     ``loglik`` holds the average log-likelihood of each accepted point, in
     order; ``loglik[-1]`` belongs to the returned mixture, and
-    ``effective_counts`` are its responsibilities' column sums.
+    ``effective_counts`` are its responsibilities summed over the points.
     ``iterations`` counts the E-steps evaluated, rejected jumps included
     (capped by ``_MAX_ITER``); ``rejected_jumps`` counts the extrapolated
     jumps rejected, with or without an E-step.  ``converged`` is True when
@@ -131,7 +135,11 @@ def mixture_log_density_array(m: Mixture, pts: np.ndarray) -> np.ndarray:
 
 def _log_joint(fam: expfam.Family, weights, components, pts: np.ndarray) -> np.ndarray:
     # (k, n): log weight plus component log density, one row per component.
-    return np.stack([fam.log_density(c, pts) for c in components]) + np.log(weights)[:, None]
+    log_w = np.log(weights)
+    out = np.empty((len(components), pts.shape[0]))
+    for j, c in enumerate(components):
+        np.add(fam.log_density(c, pts), log_w[j], out=out[j])
+    return out
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -139,11 +147,20 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     # arithmetic: the terms equal to the column max are taken out of the sum
     # and counted, and the result is log1p(rest / ties) + log(ties) + max;
     # +-inf and nan columns come out as the direct formula gives them.  The
-    # rows are added in order, as numpy adds a point's k < 8 terms in the
-    # (n, k) layout SciPy is given, so the two agree bit for bit; for k >= 8
-    # numpy sums that layout pairwise and the last bit can differ.
+    # rows are added in order, as SciPy's reduction adds a point's k < 8
+    # terms in its (n, k) layout, so the two agree bit for bit; for k >= 8
+    # that reduction sums pairwise and the last bit can differ.
     top = a.max(axis=0)
     is_top = a == top
+    if np.isfinite(top).all() and np.count_nonzero(is_top) == a.shape[1]:
+        # Every max is finite, so each column holds at least one term equal
+        # to it, and a count of n means exactly one.  Every exp(a - top) is
+        # then finite and in [0, 1], so multiplying by ~is_top zeroes the max
+        # term and keeps the others exactly, as the select below does; with
+        # ties = 1, log1p(rest / 1) + log(1) is log1p(rest) to the bit.
+        rest = np.exp(a - top)
+        rest *= ~is_top
+        return np.log1p(rest.sum(axis=0)) + top
     with np.errstate(divide="ignore", invalid="ignore"):
         rest = np.where(is_top, 0.0, np.exp(a - top)).sum(axis=0)
         ties = is_top.sum(axis=0)
@@ -180,18 +197,16 @@ def _kmeanspp_responsibilities(
         pick = gen.choice(n, p=d2 / total)
         centers.append(stats[pick])
         d2 = np.minimum(d2, np.sum((stats - centers[-1]) ** 2, axis=1))
-    dists = np.stack(
-        [np.sum((stats - c) ** 2, axis=1) for c in centers], axis=1
-    )
-    resp = np.zeros((n, k))
-    resp[np.arange(n), np.argmin(dists, axis=1)] = 1.0
+    dists = np.stack([np.sum((stats - c) ** 2, axis=1) for c in centers])
+    resp = np.zeros((k, n))
+    resp[np.argmin(dists, axis=0), np.arange(n)] = 1.0
     return resp
 
 
 def _moments(stats: np.ndarray, resp: np.ndarray):
-    # What the M-step reads of the responsibilities: effective counts and
-    # statistic sums, both linear in resp.
-    return resp.sum(axis=0), resp.T @ stats
+    # What the M-step reads of the (k, n) responsibilities: effective counts
+    # and statistic sums, both linear in resp.
+    return resp.sum(axis=1), resp @ stats
 
 
 def _m_step(fam: expfam.Family, counts: np.ndarray, sums: np.ndarray):
@@ -203,16 +218,16 @@ def _m_step(fam: expfam.Family, counts: np.ndarray, sums: np.ndarray):
 
 
 def _squarem(fam: expfam.Family, stats: np.ndarray, pts: np.ndarray, resp: np.ndarray, trace: EmTrace):
-    # EM from the starting responsibilities in SQUAREM cycles; returns the
-    # last accepted point (weights, components) and its responsibilities.
+    # EM from the starting (k, n) responsibilities in SQUAREM cycles; returns
+    # the last accepted point (weights, components) and its effective counts.
     def e_step(x):
-        # The average log-likelihood at x and the (n, k) responsibilities.
+        # The average log-likelihood at x and the (k, n) responsibilities,
+        # computed in place in the log-joint's array.
         trace.iterations += 1
         logs = _log_joint(fam, *x, pts)
         per_point = _logsumexp(logs)
-        # C-ordered (n, k): on the transposed view the M-step's sum and
-        # product would add in another order and move the last bits.
-        return float(np.mean(per_point)), np.ascontiguousarray(np.exp(logs - per_point).T)
+        logs -= per_point
+        return float(np.mean(per_point)), np.exp(logs, out=logs)
 
     def em_map(mom):
         x = _m_step(fam, *mom)
@@ -269,7 +284,7 @@ def _squarem(fam: expfam.Family, stats: np.ndarray, pts: np.ndarray, resp: np.nd
         if ll - ll0 < _TOL:
             trace.converged = True
             break
-    return x, resp
+    return x, mom[0]
 
 
 def em_fit(
@@ -290,10 +305,10 @@ def em_fit(
     if fam is None:
         raise ValueError(f"unknown family {family!r}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    stats = fam.stats(pts)  # rejects points outside the sample space first
     n = pts.shape[0]
     if n < 2 * k:
-        raise FitError(f"need at least 2k={2 * k} points, got {n}")
-    stats = fam.stats(pts)
+        raise FitError(f"EM failed: need at least 2k={2 * k} points, got {n}")
 
     attempts = 1 if init_resp is not None else _RETRIES
     last_err: Optional[Exception] = None
@@ -303,13 +318,13 @@ def em_fit(
             resp = np.asarray(init_resp, dtype=float)
             if resp.shape != (n, k):
                 raise ValueError(f"init_resp must have shape {(n, k)}, got {resp.shape}")
+            resp = np.ascontiguousarray(resp.T)
         else:
             resp = _kmeanspp_responsibilities(
                 stats, k, rng.derive(1000 + attempt).generator()
             )
         try:
-            (weights, components), resp = _squarem(fam, stats, pts, resp, trace)
-            trace.effective_counts = resp.sum(axis=0)
+            (weights, components), trace.effective_counts = _squarem(fam, stats, pts, resp, trace)
             mixture = Mixture(
                 family=family, weights=tuple(weights), components=components
             )

@@ -1,9 +1,15 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# The CLI tests start Python subprocesses; they import hyperstat from this
+# checkout as the test process does (pyproject.toml's pythonpath).
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")))
+)
 
 _ACCEPTANCE_RESULTS = []
 

@@ -262,3 +262,27 @@ def test_fit_points_outside_the_sample_space_exit_2(tmp_path, family, bad_row):
 def test_convert_unknown_model_exits_2():
     code, _ = run(["convert", "--what", "param", "--from", "klein", "--to", "upper-half", "--value", PC[0]])
     assert code == 2
+
+
+def test_fit_bad_point_among_too_few_exits_2(tmp_path):
+    # Fewer than 2k points, one of them with y <= 0: the bad point decides.
+    path = tmp_path / "points.csv"
+    path.write_text("x,y\n0,1\n1,-1\n2,1\n")
+    code, out, err = run_captured(["fit", "--input", str(path), "--k", "2", "--seed", "1"])
+    assert code == 2
+    assert out == ""
+    assert "points need" in err
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [["0,1", "1,2", "2,1"], ["0.4,1.2"] * 10],
+    ids=["too_few_points", "identical_points_collapse"],
+)
+def test_fit_failure_says_em_failed_once(tmp_path, rows):
+    path = tmp_path / "points.csv"
+    path.write_text("x,y\n" + "\n".join(rows) + "\n")
+    code, out, err = run_captured(["fit", "--input", str(path), "--k", "2", "--seed", "1"])
+    assert code == 5
+    assert out == ""
+    assert err.startswith("hyperstat: ") and err.count("EM failed") == 1

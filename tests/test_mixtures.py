@@ -300,6 +300,30 @@ def _lse_input(k: int) -> np.ndarray:
     return a
 
 
+def _lse_single_max_input(k: int) -> np.ndarray:
+    # Finite column maxima, each reached by one term: magnitudes from 1e-3 to
+    # 1e5, -inf terms below a finite max and [800, -800] columns.
+    gen = np.random.default_rng(200 + k)
+    n = 4000
+    a = gen.normal(size=(k, n)) * gen.choice([1e-3, 1.0, 30.0, 300.0, 1e3, 1e5], size=n)
+    if k > 1:
+        cols = np.arange(2, n, 7)
+        a[gen.integers(k, size=cols.size), cols] = -np.inf
+        a[:2, 5::19] = [[800.0], [-800.0]]
+    return a
+
+
+def _logsumexp_counting_selects(monkeypatch, a: np.ndarray):
+    # mixtures._logsumexp(a) and how many times it called np.where.
+    calls = []
+    where = np.where
+    monkeypatch.setattr(np, "where", lambda *args: calls.append(args) or where(*args))
+    try:
+        return mixtures._logsumexp(a), len(calls)
+    finally:
+        monkeypatch.undo()
+
+
 class TestLogSumExp:
     """The E-step's own log-sum-exp against scipy's, bit for bit."""
 
@@ -321,6 +345,29 @@ class TestLogSumExp:
     def test_edge_columns(self, column):
         a = np.array(column)[:, None]
         assert np.array_equal(mixtures._logsumexp(a), _scipy_logsumexp(a), equal_nan=True)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_single_finite_max_matches_scipy_bitwise(self, monkeypatch, k):
+        # No ties and finite maxima: the branch without the masked select.
+        a = _lse_single_max_input(k)
+        got, selects = _logsumexp_counting_selects(monkeypatch, a)
+        assert selects == 0
+        assert np.array_equal(got, _scipy_logsumexp(a))
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [[np.nan, 1.0], [0.0, 1.0]],  # a nan column and a tied one: n maxima in all
+            [[-np.inf, 0.5]],  # k = 1, one max per column, one of them -inf
+            [[np.inf, 0.5], [1.0, 0.0]],
+            [[2.0, 0.5], [1.0, 0.5]],
+        ],
+    )
+    def test_ties_or_non_finite_maxima_take_the_select(self, monkeypatch, a):
+        a = np.array(a)
+        got, selects = _logsumexp_counting_selects(monkeypatch, a)
+        assert selects == 1
+        assert np.array_equal(got, _scipy_logsumexp(a), equal_nan=True)
 
     @pytest.mark.parametrize(
         "family, truth",
@@ -505,3 +552,35 @@ class TestSquarem:
         assert trace.rejected_jumps > evaluated_rejections
         assert np.all(np.diff(trace.loglik) >= -1e-10)
         assert np.mean(mixture_log_density_array(mix, pts)) == trace.loglik[-1]
+
+
+@pytest.mark.parametrize("family, weights, comps", [_SQUAREM_TRUTHS[1], _SQUAREM_TRUTHS[3]])
+def test_fit_independent_of_init_resp_layout(family, weights, comps):
+    # The same responsibilities C-ordered, Fortran-ordered or as a strided
+    # view give the same fit to the bit.
+    truth = _truth_mixture(family, weights, comps)
+    pts = mixture_sample(truth, 2000, RngStream(110))
+    resp = _random_resp(pts.shape[0], truth.k, 111)
+    padded = np.zeros((2 * pts.shape[0], truth.k + 1))
+    padded[::2, 1:] = resp
+    layouts = [resp, np.asfortranarray(resp), padded[::2, 1:]]
+    assert not layouts[2].flags.c_contiguous and not layouts[2].flags.f_contiguous
+    fits = [em_fit(pts, truth.k, family, RngStream(112), init_resp=r) for r in layouts]
+    mix_a, tr_a = fits[0]
+    assert tr_a.effective_counts.shape == (truth.k,)
+    for mix_b, tr_b in fits[1:]:
+        assert mix_a.weights == mix_b.weights
+        for ca, cb in zip(mix_a.components, mix_b.components):
+            assert np.array_equal(_component_vec(ca), _component_vec(cb))
+        assert tr_a.loglik == tr_b.loglik
+        assert (tr_a.iterations, tr_a.rejected_jumps) == (tr_b.iterations, tr_b.rejected_jumps)
+        assert np.array_equal(tr_a.effective_counts, tr_b.effective_counts)
+
+
+@pytest.mark.parametrize("family", ["poincare", "hyperboloid"])
+def test_bad_point_rejected_before_the_size_check(family):
+    # Three points with k = 2 are too few, but the point outside the sample
+    # space is reported first.
+    pts = np.array([[0.0, 1.0], [1.0, -1.0 if family == "poincare" else math.nan], [2.0, 1.0]])
+    with pytest.raises(ValueError, match="points need"):
+        em_fit(pts, 2, family, RngStream(0))
