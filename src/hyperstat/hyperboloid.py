@@ -91,10 +91,23 @@ def log_density_chart(theta: LorentzParam, points) -> np.ndarray:
         raise ValueError(
             f"points have dimension {pts.shape[1]}, parameter has d={theta.d}"
         )
-    x0 = np.sqrt(1.0 + np.einsum("ij,ij->i", pts, pts))
+    if not pts.flags.c_contiguous:
+        # BLAS rounds the row products of a column-major operand differently
+        # (with or without a fused multiply-add); column_stack copies by column.
+        pts = np.column_stack(pts.T)
+    # |x|^2 summed column by column, at d = 2 the bits of a row-wise einsum.
+    sq = pts * pts
+    x0 = sq[:, 0] + sq[:, 1]
+    for j in range(2, theta.d):
+        x0 += sq[:, j]
+    x0 += 1.0
+    np.sqrt(x0, out=x0)
     tv = theta.vec
-    pairing = tv[0] * x0 - pts @ tv[1:]
-    return log_normalizer_c(theta.d, theta.minkowski_norm()) - pairing - np.log(x0)
+    out = x0 * tv[0]
+    out -= pts @ tv[1:]
+    np.subtract(log_normalizer_c(theta.d, theta.minkowski_norm()), out, out=out)
+    out -= np.log(x0, out=x0)
+    return out
 
 
 def log_density(theta: LorentzParam, p: HyperboloidPoint) -> float:

@@ -15,6 +15,13 @@ Half-plane divergences are estimated by mapping the parameters through the
 d = 2 correspondence first.  Estimates are deterministic given the stream and
 the shard count; shards are combined with Chan's parallel moment update, so
 the combined moments do not depend on combination order.
+
+Each estimator is a sampler and a weight kernel.  The sampler makes every
+generator call of a shard up front; the kernel is elementwise and runs over
+row blocks of ``_BLOCK`` draws, writing each block's weights into one array
+that is then reduced whole (moments, tail index, the sigma search's pilot
+mean).  The block size therefore changes wall time only, never a bit of a
+result.
 """
 
 from __future__ import annotations
@@ -94,6 +101,7 @@ class FGenerator:
         return table[name]()
 
 
+_LOG_2PI = math.log(2.0 * math.pi)
 _T7_LOGNORM = (
     math.lgamma(4.0) - math.lgamma(3.5) - 0.5 * math.log(7.0 * math.pi)
 )
@@ -115,47 +123,82 @@ class Proposal:
     def sample(self, n: int, gen: np.random.Generator) -> np.ndarray:
         if self.kind == "logistic":
             return gen.logistic(0.0, self.sigma, size=n)
-        return self.sigma * gen.standard_t(7, size=n)
+        x = gen.standard_t(7, size=n)
+        x *= self.sigma
+        return x
 
     def logpdf(self, x: np.ndarray) -> np.ndarray:
-        z = np.asarray(x, dtype=float) / self.sigma
+        z = np.array(x, dtype=float)
+        z /= self.sigma
         if self.kind == "logistic":
-            az = np.abs(z)
-            return -az - 2.0 * np.log1p(np.exp(-az)) - math.log(self.sigma)
-        return _T7_LOGNORM - 4.0 * np.log1p(z * z / 7.0) - math.log(self.sigma)
+            # -|z| - 2 log1p(exp(-|z|)) - log sigma
+            np.negative(np.abs(z, out=z), out=z)
+            t = np.exp(z)
+            np.log1p(t, out=t)
+            t *= 2.0
+            z -= t
+        else:
+            # C - 4 log1p(z^2 / 7) - log sigma
+            z *= z
+            z /= 7.0
+            np.log1p(z, out=z)
+            z *= 4.0
+            np.subtract(_T7_LOGNORM, z, out=z)
+        z -= math.log(self.sigma)
+        return z
 
 
-def _pair_root_inverse(kind: str, z: np.ndarray, w: np.ndarray) -> Callable[[float], np.ndarray]:
-    """sigma -> 1 / sqrt(p_sigma(z) p_sigma(w)), closed form in sigma over arrays built once.
+def _pass_terms(kind: str, z: np.ndarray, w: np.ndarray) -> tuple:
+    """(arrays, terms): ``terms(sigma)`` is a kernel(out, root_a, *blocks of arrays).
 
-    The log-densities of :meth:`Proposal.logpdf` give, exactly,
+    The kernel writes root_a / sqrt(p_sigma(z) p_sigma(w)) into ``out``, a
+    closed form in sigma over the arrays built here once.  The log-densities
+    of :meth:`Proposal.logpdf` give, exactly,
     student_t7: 1 / (p_sigma(z) p_sigma(w)) = sigma^2 e^{-2C} Q^4 with
     Q = (1 + s z^2)(1 + s w^2) = 1 + s (z^2 + w^2) + s^2 z^2 w^2, s = 1/(7 sigma^2);
     logistic: 1 / p_sigma(x) = 4 sigma cosh^2(x / (2 sigma)).
     """
     if kind == "student_t7":
-        zz, ww = z * z, w * w
-        u, v = zz + ww, zz * ww
+        u, v = np.empty(z.size), np.empty(z.size)
 
-        def root_inverse(sigma: float) -> np.ndarray:
+        def sums(u: np.ndarray, v: np.ndarray, z: np.ndarray, w: np.ndarray) -> None:
+            zz, ww = z * z, w * w
+            np.add(zz, ww, out=u)
+            np.multiply(zz, ww, out=v)
+
+        _by_block(sums, u, v, z, w)
+
+        def terms(sigma: float) -> Callable[..., None]:
             s = 1.0 / (7.0 * sigma * sigma)
             k = math.sqrt(sigma * math.exp(-_T7_LOGNORM))
-            q = s * v
-            q += u
-            q *= s * k
-            q += k  # sqrt(sigma e^{-C}) Q
-            return np.multiply(q, q, out=q)
+            sk = s * k
 
-        return root_inverse
+            def kernel(out: np.ndarray, root_a: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+                np.multiply(v, s, out=out)
+                out += u
+                out *= sk
+                out += k  # sqrt(sigma e^{-C}) Q
+                np.multiply(out, out, out=out)
+                out *= root_a
 
-    def root_inverse(sigma: float) -> np.ndarray:
+            return kernel
+
+        return (u, v), terms
+
+    def terms(sigma: float) -> Callable[..., None]:
         h = 0.5 / sigma
-        c = np.cosh(z * h)
-        c *= np.cosh(w * h)
-        c *= 4.0 * sigma
-        return c
+        scale = 4.0 * sigma
 
-    return root_inverse
+        def kernel(out: np.ndarray, root_a: np.ndarray, z: np.ndarray, w: np.ndarray) -> None:
+            np.cosh(np.multiply(z, h, out=out), out=out)
+            c = np.multiply(w, h)
+            out *= np.cosh(c, out=c)
+            out *= scale
+            out *= root_a
+
+        return kernel
+
+    return (z, w), terms
 
 
 @dataclass(frozen=True)
@@ -189,7 +232,9 @@ class _Moments:
     def add_array(self, w: np.ndarray) -> None:
         n_b = w.size
         mean_b = float(np.mean(w))
-        m2_b = float(np.sum((w - mean_b) ** 2))
+        dev = w - mean_b
+        dev *= dev
+        m2_b = float(np.sum(dev))
         delta = mean_b - self.mean
         n = self.n + n_b
         self.mean += delta * n_b / n
@@ -244,10 +289,22 @@ def _sharded(draw: Callable[[int, RngStream], np.ndarray], n: int, shards: int, 
     return acc, weights
 
 
+_BLOCK = 16_384  # draws per weight-kernel block: a few block temporaries stay in a 2 MB L2 cache
+
+
+def _by_block(kernel: Callable[..., None], *arrays: np.ndarray) -> None:
+    """``kernel(*(a[rows] for a in arrays))`` over consecutive row blocks of ``_BLOCK``."""
+    for start in range(0, len(arrays[0]), _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        kernel(*(a[rows] for a in arrays))
+
+
 def _f_and_logp(f: FGenerator, theta: LorentzParam, theta2: LorentzParam, pts: np.ndarray) -> tuple:
     """(f(log p'/p), log p) at the chart points ``pts``; every estimator evaluates densities here."""
     logp = hb.log_density_chart(theta, pts)
-    return f.of_log_ratio(hb.log_density_chart(theta2, pts) - logp), logp
+    log_ratio = hb.log_density_chart(theta2, pts)
+    log_ratio -= logp
+    return f.of_log_ratio(log_ratio), logp
 
 
 def _finalize(
@@ -292,8 +349,14 @@ def estimate_plugin(
     """
     _check_pair(theta, theta2)
 
+    def kernel(out: np.ndarray, pts: np.ndarray) -> None:
+        out[:] = _f_and_logp(f, theta, theta2, pts)[0]
+
     def draw(size: int, stream: RngStream) -> np.ndarray:
-        return _f_and_logp(f, theta, theta2, hyperboloid_sample(theta, size, stream))[0]
+        pts = hyperboloid_sample(theta, size, stream)
+        weights = np.empty(size)
+        _by_block(kernel, weights, pts)
+        return weights
 
     acc, weights = _sharded(draw, n, shards, rng)
     return _finalize(acc, rng, tail_index=_hill_tail_index(np.concatenate(weights)))
@@ -324,13 +387,19 @@ def estimate_mc1(
     """Importance sampling from the product proposal p_sigma x p_sigma."""
     _check_pair(theta, theta2)
 
-    def draw(size: int, stream: RngStream) -> np.ndarray:
-        gen = stream.generator()
-        x = proposal.sample(size, gen)
-        y = proposal.sample(size, gen)
+    def kernel(out: np.ndarray, xy: np.ndarray) -> None:
         # The importance weight f(p'/p) p / (p_sigma(x) p_sigma(y)).
-        fv, logp = _f_and_logp(f, theta, theta2, np.column_stack((x, y)))
-        return fv * np.exp(logp - proposal.logpdf(x) - proposal.logpdf(y))
+        fv, logp = _f_and_logp(f, theta, theta2, xy)
+        logp -= proposal.logpdf(xy[:, 0])
+        logp -= proposal.logpdf(xy[:, 1])
+        np.multiply(fv, np.exp(logp, out=logp), out=out)
+
+    def draw(size: int, stream: RngStream) -> np.ndarray:
+        # One call for x then y: the stream of two calls of ``size`` draws each.
+        xy = proposal.sample(2 * size, stream.generator()).reshape(2, size).T
+        weights = np.empty(size)
+        _by_block(kernel, weights, xy)
+        return weights
 
     return _finalize(_sharded(draw, n, shards, rng)[0], rng, sigma=proposal.sigma)
 
@@ -357,12 +426,15 @@ def optimize_sigma(
     proposal and two cosh per point for the logistic one.
     """
     _check_pair(theta, theta2)
-    gen = rng.generator()
     base = Proposal(proposal_kind, 1.0)
-    z = base.sample(n_pilot, gen)
-    w = base.sample(n_pilot, gen)
-    fv, logp = _f_and_logp(f, theta, theta2, np.column_stack((z, w)))
-    objective = _pilot_objective(base, z, w, fv, logp)
+    zw = base.sample(2 * n_pilot, rng.generator()).reshape(2, n_pilot).T
+    fv, logp = np.empty(n_pilot), np.empty(n_pilot)
+
+    def kernel(fv: np.ndarray, logp: np.ndarray, zw: np.ndarray) -> None:
+        fv[:], logp[:] = _f_and_logp(f, theta, theta2, zw)
+
+    _by_block(kernel, fv, logp, zw)
+    objective = _pilot_objective(base, zw[:, 0], zw[:, 1], fv, logp)
     lo, hi = (math.log(sigma) for sigma in _SIGMA_BRACKET)
     return math.exp(brent_min(objective, lo, hi, 1e-7)[0])
 
@@ -378,21 +450,28 @@ def _pilot_objective(
     exp(log a - log p_sigma(z) - log p_sigma(w)) does, not where only a
     factor would; the mask drops the terms with a = 0, so none is 0 * inf.
     """
-    mask = fv != 0.0
-    zm, wm = z[mask], w[mask]
-    log_a = (
-        2.0 * np.log(np.abs(fv[mask]))
-        + 2.0 * logp[mask]
-        - base.logpdf(zm)
-        - base.logpdf(wm)
-    )
-    root_a = np.exp(0.5 * log_a)
-    root_inverse = _pair_root_inverse(base.kind, zm, wm)
     n_pilot = z.size
+    mask = fv != 0.0
+    if not mask.all():  # most pilots have no term with a = 0, and then need no copies
+        z, w, fv, logp = z[mask], w[mask], fv[mask], logp[mask]
+
+    def root_a_kernel(out: np.ndarray, fv: np.ndarray, logp: np.ndarray, z: np.ndarray, w: np.ndarray) -> None:
+        # exp(log a / 2), log a = 2 log|f| + 2 log p - log p_1(z) - log p_1(w)
+        np.log(np.abs(fv, out=out), out=out)
+        out *= 2.0
+        out += np.multiply(logp, 2.0)
+        out -= base.logpdf(z)
+        out -= base.logpdf(w)
+        out *= 0.5
+        np.exp(out, out=out)
+
+    root_a = np.empty(z.size)
+    _by_block(root_a_kernel, root_a, fv, logp, z, w)
+    arrays, terms = _pass_terms(base.kind, z, w)
+    t = np.empty(z.size)
 
     def objective(log_sigma: float) -> float:
-        t = root_inverse(math.exp(log_sigma))
-        t *= root_a
+        _by_block(terms(math.exp(log_sigma)), t, root_a, *arrays)
         return float(np.dot(t, t)) / n_pilot
 
     return objective
@@ -418,15 +497,32 @@ def estimate_mc2(
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
 
+    def kernel(out: np.ndarray, r: np.ndarray, zeta: np.ndarray) -> None:
+        rr = r * r
+        denom = np.subtract(1.0, rr)
+        np.sqrt(denom, out=denom)
+        xy = np.empty((2, r.size))
+        for row, trig in zip(xy, (np.cos, np.sin)):
+            trig(zeta, out=row)
+            row *= r
+            row /= denom  # r (cos, sin)(zeta) / sqrt(1 - r^2)
+        fv, logp = _f_and_logp(f, theta, theta2, xy.T)
+        # log Jacobian: log 2 pi + log r - 2 log1p(-r^2)
+        np.log1p(np.negative(rr, out=rr), out=rr)
+        rr *= 2.0
+        log_jac = np.log(r)
+        log_jac += _LOG_2PI
+        log_jac -= rr
+        logp += log_jac
+        np.multiply(fv, np.exp(logp, out=logp), out=out)
+
     def draw(size: int, stream: RngStream) -> np.ndarray:
         gen = stream.generator()
         r = gen.uniform(0.0, 1.0 - eps, size=size)
         zeta = gen.uniform(0.0, 2.0 * math.pi, size=size)
-        denom = np.sqrt(1.0 - r * r)
-        pts = np.column_stack((r * np.cos(zeta) / denom, r * np.sin(zeta) / denom))
-        fv, logp = _f_and_logp(f, theta, theta2, pts)
-        log_jac = math.log(2.0 * math.pi) + np.log(r) - 2.0 * np.log1p(-(r * r))
-        return fv * np.exp(logp + log_jac)
+        weights = np.empty(size)
+        _by_block(kernel, weights, r, zeta)
+        return weights
 
     return _finalize(_sharded(draw, n, shards, rng)[0], rng)
 

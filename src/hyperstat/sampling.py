@@ -90,7 +90,8 @@ def _gig_half_order(p: GigParams, n: int, gen: np.random.Generator) -> np.ndarra
     # chi and psi exchanged.
     if p.lam == -0.5:
         return gen.wald(math.sqrt(p.chi / p.psi), p.chi, size=n)
-    return 1.0 / gen.wald(math.sqrt(p.psi / p.chi), p.psi, size=n)
+    x = gen.wald(math.sqrt(p.psi / p.chi), p.psi, size=n)
+    return np.divide(1.0, x, out=x)
 
 
 def _gig_ratio_of_uniforms(p: GigParams, n: int, gen: np.random.Generator) -> np.ndarray:
@@ -181,8 +182,12 @@ def hyperboloid_sample(theta: LorentzParam, n: int, rng: RngStream) -> np.ndarra
     if n and not (s.min() > 0.0 and s.max() < math.inf):
         raise ValueError(f"mixing draws at |theta| = {t:g} are not all positive and finite")
     z = gen.standard_normal((n, 2))
-    spatial = theta.vec[1:]
-    return s[:, None] * spatial[None, :] + np.sqrt(s)[:, None] * z
+    # s * spatial + sqrt(s) * z, column by column in place
+    root, shift = np.sqrt(s), np.empty_like(s)
+    for column, spatial in zip(z.T, theta.vec[1:]):
+        column *= root
+        column += np.multiply(s, spatial, out=shift)
+    return z
 
 
 def _chart_l_to_h(chart: np.ndarray) -> np.ndarray:

@@ -234,3 +234,125 @@ def plain_em(pts: np.ndarray, family: str, init_resp: np.ndarray, tol: float = 1
         if len(loglik) > 1 and loglik[-1] - loglik[-2] < tol:
             break
     return mix, loglik
+
+
+# ---------------------------------------------------------------------------
+# Whole-array Monte Carlo weights (the formulas the block kernels replaced)
+# ---------------------------------------------------------------------------
+#
+# Each function evaluates one shard's weights over the whole array at once,
+# making the same generator calls and the same IEEE operations in the same
+# order as the library's block kernels, so the tests compare them with ==.
+
+
+def ref_log_density_chart(theta: LorentzParam, pts: np.ndarray) -> np.ndarray:
+    """The row-wise einsum form; the product with the spatial parameter on C-ordered rows."""
+    pts = np.ascontiguousarray(np.atleast_2d(np.asarray(pts, dtype=float)))
+    x0 = np.sqrt(1.0 + np.einsum("ij,ij->i", pts, pts))
+    tv = theta.vec
+    pairing = tv[0] * x0 - pts @ tv[1:]
+    return hb.log_normalizer_c(theta.d, theta.minkowski_norm()) - pairing - np.log(x0)
+
+
+_T7_LOGNORM = math.lgamma(4.0) - math.lgamma(3.5) - 0.5 * math.log(7.0 * math.pi)
+
+
+def ref_logpdf(kind: str, sigma: float, x: np.ndarray) -> np.ndarray:
+    z = np.asarray(x, dtype=float) / sigma
+    if kind == "logistic":
+        az = np.abs(z)
+        return -az - 2.0 * np.log1p(np.exp(-az)) - math.log(sigma)
+    return _T7_LOGNORM - 4.0 * np.log1p(z * z / 7.0) - math.log(sigma)
+
+
+def ref_f_and_logp(f, theta: LorentzParam, theta2: LorentzParam, pts: np.ndarray) -> tuple:
+    logp = ref_log_density_chart(theta, pts)
+    return f.of_log_ratio(ref_log_density_chart(theta2, pts) - logp), logp
+
+
+def ref_plugin_weights(f, theta: LorentzParam, theta2: LorentzParam, size: int, stream) -> np.ndarray:
+    # hyperboloid_sample: s ~ GIG(1/2, 1, t^2) as 1 / wald, then s theta_1: + sqrt(s) z
+    gen = stream.generator()
+    t = theta.minkowski_norm()
+    s = 1.0 / gen.wald(math.sqrt(t * t / 1.0), t * t, size=size)
+    z = gen.standard_normal((size, 2))
+    pts = s[:, None] * theta.vec[1:][None, :] + np.sqrt(s)[:, None] * z
+    return ref_f_and_logp(f, theta, theta2, pts)[0]
+
+
+def ref_proposal_sample(kind: str, sigma: float, n: int, gen: np.random.Generator) -> np.ndarray:
+    if kind == "logistic":
+        return gen.logistic(0.0, sigma, size=n)
+    return sigma * gen.standard_t(7, size=n)
+
+
+def ref_mc1_weights(f, theta, theta2, kind: str, sigma: float, size: int, stream) -> np.ndarray:
+    gen = stream.generator()
+    x = ref_proposal_sample(kind, sigma, size, gen)
+    y = ref_proposal_sample(kind, sigma, size, gen)
+    fv, logp = ref_f_and_logp(f, theta, theta2, np.column_stack((x, y)))
+    return fv * np.exp(logp - ref_logpdf(kind, sigma, x) - ref_logpdf(kind, sigma, y))
+
+
+def ref_mc2_weights(f, theta, theta2, size: int, stream, eps: float = 1e-4) -> np.ndarray:
+    gen = stream.generator()
+    r = gen.uniform(0.0, 1.0 - eps, size=size)
+    zeta = gen.uniform(0.0, 2.0 * math.pi, size=size)
+    denom = np.sqrt(1.0 - r * r)
+    pts = np.column_stack((r * np.cos(zeta) / denom, r * np.sin(zeta) / denom))
+    fv, logp = ref_f_and_logp(f, theta, theta2, pts)
+    log_jac = math.log(2.0 * math.pi) + np.log(r) - 2.0 * np.log1p(-(r * r))
+    return fv * np.exp(logp + log_jac)
+
+
+def ref_moments(weights: list) -> tuple:
+    """(mean, variance) of the shards' weights by Chan's update, shard by shard."""
+    n, mean, m2 = 0, 0.0, 0.0
+    for w in weights:
+        n_b = w.size
+        mean_b = float(np.mean(w))
+        m2_b = float(np.sum((w - mean_b) ** 2))
+        delta = mean_b - mean
+        total = n + n_b
+        mean += delta * n_b / total
+        m2 += m2_b + delta * delta * n * n_b / total
+        n = total
+    return mean, m2 / (n - 1) if n > 1 else 0.0
+
+
+def ref_pilot(kind: str, f, theta, theta2, n_pilot: int, stream) -> tuple:
+    """optimize_sigma's pilot: (z, w, f values, log p) from two draws of n_pilot."""
+    gen = stream.generator()
+    z = ref_proposal_sample(kind, 1.0, n_pilot, gen)
+    w = ref_proposal_sample(kind, 1.0, n_pilot, gen)
+    return (z, w, *ref_f_and_logp(f, theta, theta2, np.column_stack((z, w))))
+
+
+def ref_pilot_objective(kind: str, z, w, fv, logp):
+    """log sigma -> the pilot mean of (sqrt(a) / sqrt(p_sigma(z) p_sigma(w)))^2, whole-array."""
+    mask = fv != 0.0
+    zm, wm = z[mask], w[mask]
+    log_a = 2.0 * np.log(np.abs(fv[mask])) + 2.0 * logp[mask] - ref_logpdf(kind, 1.0, zm) - ref_logpdf(kind, 1.0, wm)
+    root_a = np.exp(0.5 * log_a)
+    zz, ww = zm * zm, wm * wm
+    u, v = zz + ww, zz * ww
+
+    def objective(log_sigma: float) -> float:
+        sigma = math.exp(log_sigma)
+        if kind == "student_t7":
+            s = 1.0 / (7.0 * sigma * sigma)
+            k = math.sqrt(sigma * math.exp(-_T7_LOGNORM))
+            q = s * v
+            q += u
+            q *= s * k
+            q += k
+            t = q * q
+        else:
+            h = 0.5 / sigma
+            t = np.cosh(zm * h)
+            t *= np.cosh(wm * h)
+            t *= 4.0 * sigma
+        t *= root_a
+        return float(np.dot(t, t)) / z.size
+
+    return objective

@@ -26,6 +26,8 @@ from hyperstat.montecarlo import (
 )
 from hyperstat.sampling import RngStream
 
+import helpers
+
 APEX = LorentzParam((1.0, 0.0, 0.0))
 T211 = LorentzParam((2.0, 1.0, 1.0))
 
@@ -463,3 +465,118 @@ class TestShardMachinery:
         pooled = np.concatenate(chunks)
         assert acc.mean == pytest.approx(pooled.mean(), rel=1e-13)
         assert acc.variance() == pytest.approx(pooled.var(ddof=1), rel=1e-12)
+
+
+BLOCK = montecarlo._BLOCK
+BLOCK_SIZES = [2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
+KERNEL_PAIRS = [(APEX, T211), tuple(LorentzParam(t) for t in PANEL_PAIRS[3])]
+
+
+@pytest.fixture
+def shard_weights(monkeypatch):
+    """The per-shard weight arrays of each estimator call, in call order."""
+    seen = []
+    original = montecarlo._sharded
+
+    def recording(*args):
+        acc, weights = original(*args)
+        seen.append(weights)
+        return acc, weights
+
+    monkeypatch.setattr(montecarlo, "_sharded", recording)
+    return seen
+
+
+class TestBlockKernels:
+    """The block kernels against the whole-array reference of tests/helpers.py, bit for bit."""
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    @pytest.mark.parametrize("method", ["plugin", "mc1-logistic", "mc1-t7", "mc2"])
+    @pytest.mark.parametrize("pair", [0, 1])
+    def test_estimators_match_whole_array_reference(self, method, n, shards, pair, shard_weights):
+        f = FGenerator.squared_hellinger() if pair else FGenerator.total_variation()
+        ta, tb = KERNEL_PAIRS[pair]
+        rng = RngStream(61).derive(pair, n, shards)
+        if method == "plugin":
+            est = estimate_plugin(f, ta, tb, n, rng, shards=shards)
+            ref = lambda size, stream: helpers.ref_plugin_weights(f, ta, tb, size, stream)
+        elif method == "mc2":
+            est = estimate_mc2(f, ta, tb, n, rng, shards=shards)
+            ref = lambda size, stream: helpers.ref_mc2_weights(f, ta, tb, size, stream)
+        else:
+            kind = "logistic" if method == "mc1-logistic" else "student_t7"
+            est = estimate_mc1(f, ta, tb, Proposal(kind, 1.7), n, rng, shards=shards)
+            ref = lambda size, stream: helpers.ref_mc1_weights(f, ta, tb, kind, 1.7, size, stream)
+        sizes = montecarlo._shard_sizes(n, shards)
+        want = [ref(size, rng.derive(i)) for i, size in enumerate(sizes)]
+        (got,) = shard_weights
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w)
+        assert (est.estimate, est.sample_variance) == helpers.ref_moments(want)
+        if method == "plugin":
+            assert est.tail_index == montecarlo._hill_tail_index(np.concatenate(want))
+
+    @pytest.mark.parametrize("n_pilot", BLOCK_SIZES)
+    @pytest.mark.parametrize("kind", ["logistic", "student_t7"])
+    def test_pilot_objective_matches_whole_array_reference(self, kind, n_pilot):
+        f, (ta, tb) = FGenerator.total_variation(), KERNEL_PAIRS[1]
+        z, w, fv, logp = helpers.ref_pilot(kind, f, ta, tb, n_pilot, RngStream(62).derive(n_pilot))
+        fv[n_pilot // 2] = 0.0  # a term with a = 0, which the mask drops
+        got = _pilot_objective(Proposal(kind, 1.0), z, w, fv, logp)
+        want = helpers.ref_pilot_objective(kind, z, w, fv, logp)
+        with np.errstate(over="ignore"):
+            for s in np.linspace(math.log(0.05), math.log(50.0), 9):
+                assert got(s) == want(s), math.exp(s)
+
+    @pytest.mark.parametrize("n_pilot", BLOCK_SIZES)
+    @pytest.mark.parametrize("kind", ["logistic", "student_t7"])
+    def test_sigma_star_matches_whole_array_reference(self, kind, n_pilot):
+        f, (ta, tb) = FGenerator.kl(), KERNEL_PAIRS[1]
+        rng = RngStream(63).derive(n_pilot)
+        objective = helpers.ref_pilot_objective(kind, *helpers.ref_pilot(kind, f, ta, tb, n_pilot, rng))
+        with np.errstate(over="ignore"):
+            want = math.exp(brent_min(objective, math.log(0.05), math.log(50.0), 1e-7)[0])
+            assert optimize_sigma(f, ta, tb, kind, n_pilot, rng) == want
+
+
+def _layouts(rows: np.ndarray) -> dict:
+    """The same (n, d) values as a C-ordered, an F-ordered and a row-strided array."""
+    strided = np.zeros((2 * rows.shape[0], rows.shape[1]))
+    strided[::2] = rows
+    return {"C": np.ascontiguousarray(rows), "F": np.asfortranarray(rows), "strided": strided[::2]}
+
+
+class TestKernelInputs:
+    # an odd row count: BLAS treats the last row of a column-major operand apart
+    ROWS = np.random.default_rng(64).standard_normal((BLOCK + 1, 2)) * 3.0
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_log_density_chart_is_layout_free_and_leaves_input(self, layout):
+        pts = _layouts(self.ROWS)[layout]
+        before = pts.copy()
+        want = helpers.ref_log_density_chart(T211, self.ROWS)
+        assert np.array_equal(hb.log_density_chart(T211, pts), want)
+        assert np.array_equal(pts, before)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("kind", ["logistic", "student_t7"])
+    def test_logpdf_is_layout_free_and_leaves_input(self, kind, layout):
+        pts = _layouts(self.ROWS)[layout]
+        before = pts.copy()
+        prop = Proposal(kind, 1.7)
+        for column in (0, 1):
+            want = helpers.ref_logpdf(kind, 1.7, self.ROWS[:, column])
+            assert np.array_equal(prop.logpdf(pts[:, column]), want)
+        assert np.array_equal(prop.logpdf(pts), helpers.ref_logpdf(kind, 1.7, self.ROWS))
+        assert np.array_equal(pts, before)
+
+    def test_log_density_chart_d3_matches_einsum_form(self):
+        theta = LorentzParam((3.0, 1.0, -0.5, 0.7))
+        rows = np.random.default_rng(65).standard_normal((BLOCK + 1, 3)) * 3.0
+        want = helpers.ref_log_density_chart(theta, rows)
+        for pts in _layouts(rows).values():
+            # |x|^2 is summed column by column, the einsum by row: the sums may
+            # differ in the last bit at d = 3
+            np.testing.assert_allclose(hb.log_density_chart(theta, pts), want, rtol=1e-14, atol=1e-14)
