@@ -17,7 +17,7 @@ given another d), 5 fit failure, 6 ``estimate --verify`` found the estimate
 more than 4 standard errors from the closed form.  All randomness
 derives from ``--seed``; results are reproducible for a fixed flag set.  The
 environment variable HYPERSTAT_THREADS caps the worker count used to evaluate
-shards.
+shards; neither it nor the BLAS thread count changes any result.
 """
 
 from __future__ import annotations

@@ -203,6 +203,12 @@ def _kmeanspp_responsibilities(
     return resp
 
 
+def _norm(a: np.ndarray) -> float:
+    # The Frobenius norm by NumPy's pairwise sum: np.linalg.norm calls BLAS,
+    # which splits the sum of squares by thread count.
+    return math.sqrt(float(np.sum(a * a)))
+
+
 def _moments(stats: np.ndarray, resp: np.ndarray):
     # What the M-step reads of the (k, n) responsibilities: effective counts
     # and statistic sums, both linear in resp.
@@ -253,8 +259,8 @@ def _squarem(fam: expfam.Family, stats: np.ndarray, pts: np.ndarray, resp: np.nd
         # The step length comes from the responsibilities, which the group
         # actions leave unchanged, so the jump commutes with them.  At
         # alpha = -1 the jump is the plain map from x2.
-        curve = np.linalg.norm((resp - resp1) - step)
-        alpha = min(-np.linalg.norm(step) / curve, -1.0) if curve > 0.0 else -1.0
+        curve = _norm((resp - resp1) - step)
+        alpha = min(-_norm(step) / curve, -1.0) if curve > 0.0 else -1.0
         jumped = False
         for _ in range(_JUMP_TRIES):
             if alpha == -1.0 or trace.iterations >= _MAX_ITER:

@@ -151,8 +151,8 @@ class Proposal:
 def _pass_terms(kind: str, z: np.ndarray, w: np.ndarray) -> tuple:
     """(arrays, terms): ``terms(sigma)`` is a kernel(out, root_a, *blocks of arrays).
 
-    The kernel writes root_a / sqrt(p_sigma(z) p_sigma(w)) into ``out``, a
-    closed form in sigma over the arrays built here once.  The log-densities
+    The kernel writes (root_a / sqrt(p_sigma(z) p_sigma(w)))^2 into ``out``,
+    a closed form in sigma over the arrays built here once.  The log-densities
     of :meth:`Proposal.logpdf` give, exactly,
     student_t7: 1 / (p_sigma(z) p_sigma(w)) = sigma^2 e^{-2C} Q^4 with
     Q = (1 + s z^2)(1 + s w^2) = 1 + s (z^2 + w^2) + s^2 z^2 w^2, s = 1/(7 sigma^2);
@@ -180,6 +180,7 @@ def _pass_terms(kind: str, z: np.ndarray, w: np.ndarray) -> tuple:
                 out += k  # sqrt(sigma e^{-C}) Q
                 np.multiply(out, out, out=out)
                 out *= root_a
+                np.multiply(out, out, out=out)
 
             return kernel
 
@@ -195,6 +196,7 @@ def _pass_terms(kind: str, z: np.ndarray, w: np.ndarray) -> tuple:
             out *= np.cosh(c, out=c)
             out *= scale
             out *= root_a
+            np.multiply(out, out, out=out)
 
         return kernel
 
@@ -472,7 +474,8 @@ def _pilot_objective(
 
     def objective(log_sigma: float) -> float:
         _by_block(terms(math.exp(log_sigma)), t, root_a, *arrays)
-        return float(np.dot(t, t)) / n_pilot
+        # NumPy's pairwise sum: BLAS's dot splits its sum by thread count.
+        return float(np.sum(t)) / n_pilot
 
     return objective
 

@@ -329,7 +329,9 @@ def ref_pilot(kind: str, f, theta, theta2, n_pilot: int, stream) -> tuple:
 
 
 def ref_pilot_objective(kind: str, z, w, fv, logp):
-    """log sigma -> the pilot mean of (sqrt(a) / sqrt(p_sigma(z) p_sigma(w)))^2, whole-array."""
+    """log sigma -> the pilot mean of (sqrt(a) / sqrt(p_sigma(z) p_sigma(w)))^2, whole-array.
+
+    Reduced by NumPy's pairwise sum, as the library reduces it."""
     mask = fv != 0.0
     zm, wm = z[mask], w[mask]
     log_a = 2.0 * np.log(np.abs(fv[mask])) + 2.0 * logp[mask] - ref_logpdf(kind, 1.0, zm) - ref_logpdf(kind, 1.0, wm)
@@ -353,6 +355,6 @@ def ref_pilot_objective(kind: str, z, w, fv, logp):
             t *= np.cosh(wm * h)
             t *= 4.0 * sigma
         t *= root_a
-        return float(np.dot(t, t)) / z.size
+        return float(np.sum(t * t)) / z.size
 
     return objective

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from hyperstat.cli import _read_points_csv, main
+from hyperstat.geometry import SpdParam2
 
 
 def run_cli(args, capsys):
@@ -421,6 +423,37 @@ class TestFitAndConvert:
             capsys,
         )
         assert code == 2
+
+
+class TestBlasThreadCount:
+    """Output does not depend on how many threads BLAS runs (OpenBLAS splits its sums by thread)."""
+
+    @staticmethod
+    def _run(args, threads):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+        proc = subprocess.run([sys.executable, "-m", "hyperstat", *args], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    @pytest.mark.parametrize("method", ["mc1-t7", "mc1-logistic"])
+    def test_estimate_sigma_search(self, method):
+        args = [
+            "estimate", "--family", "hyperboloid", "--measure", "tv", "--method", method,
+            "--theta", "[1,0,0]", "--theta2", "[4,3,2]", "--n", "2000", "--seed", "3",
+        ]
+        assert self._run(args, 1) == self._run(args, 2)
+
+    def test_fit(self, tmp_path):
+        from hyperstat.sampling import RngStream, poincare_sample
+
+        pts = np.vstack([
+            poincare_sample(SpdParam2(3.0, 0.0, 3.0), 6000, RngStream(2)),
+            poincare_sample(SpdParam2(3.0, -1.0, 1.0), 4000, RngStream(3)),
+        ])
+        csv = tmp_path / "mix.csv"
+        np.savetxt(csv, pts, delimiter=",", header="x,y", comments="", fmt="%.17g")
+        args = ["fit", "--input", str(csv), "--k", "2", "--seed", "3"]
+        assert self._run(args, 1) == self._run(args, 2)
 
 
 class TestEntryPoint:
