@@ -101,7 +101,6 @@ class FGenerator:
         return table[name]()
 
 
-_LOG_2PI = math.log(2.0 * math.pi)
 _T7_LOGNORM = (
     math.lgamma(4.0) - math.lgamma(3.5) - 0.5 * math.log(7.0 * math.pi)
 )
@@ -457,7 +456,9 @@ def _pilot_objective(
     if not mask.all():  # most pilots have no term with a = 0, and then need no copies
         z, w, fv, logp = z[mask], w[mask], fv[mask], logp[mask]
 
-    def root_a_kernel(out: np.ndarray, fv: np.ndarray, logp: np.ndarray, z: np.ndarray, w: np.ndarray) -> None:
+    def root_a_kernel(
+        out: np.ndarray, fv: np.ndarray, logp: np.ndarray, z: np.ndarray, w: np.ndarray
+    ) -> None:
         # exp(log a / 2), log a = 2 log|f| + 2 log p - log p_1(z) - log p_1(w)
         np.log(np.abs(fv, out=out), out=out)
         out *= 2.0
@@ -514,7 +515,7 @@ def estimate_mc2(
         np.log1p(np.negative(rr, out=rr), out=rr)
         rr *= 2.0
         log_jac = np.log(r)
-        log_jac += _LOG_2PI
+        log_jac += math.log(2.0 * math.pi)
         log_jac -= rr
         logp += log_jac
         np.multiply(fv, np.exp(logp, out=logp), out=out)

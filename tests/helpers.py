@@ -334,7 +334,10 @@ def ref_pilot_objective(kind: str, z, w, fv, logp):
     Reduced by NumPy's pairwise sum, as the library reduces it."""
     mask = fv != 0.0
     zm, wm = z[mask], w[mask]
-    log_a = 2.0 * np.log(np.abs(fv[mask])) + 2.0 * logp[mask] - ref_logpdf(kind, 1.0, zm) - ref_logpdf(kind, 1.0, wm)
+    log_a = (
+        2.0 * np.log(np.abs(fv[mask])) + 2.0 * logp[mask]
+        - ref_logpdf(kind, 1.0, zm) - ref_logpdf(kind, 1.0, wm)
+    )
     root_a = np.exp(0.5 * log_a)
     zz, ww = zm * zm, wm * wm
     u, v = zz + ww, zz * ww

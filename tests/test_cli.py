@@ -431,7 +431,8 @@ class TestBlasThreadCount:
     @staticmethod
     def _run(args, threads):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
-        proc = subprocess.run([sys.executable, "-m", "hyperstat", *args], capture_output=True, text=True, env=env)
+        cmd = [sys.executable, "-m", "hyperstat", *args]
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 

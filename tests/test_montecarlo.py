@@ -4,6 +4,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from helpers import (
+    ref_log_density_chart,
+    ref_logpdf,
+    ref_mc1_weights,
+    ref_mc2_weights,
+    ref_moments,
+    ref_pilot,
+    ref_pilot_objective,
+    ref_plugin_weights,
+)
 from test_acceptance import PAIRS as PANEL_PAIRS
 
 from hyperstat import hyperboloid as hb
@@ -25,8 +35,6 @@ from hyperstat.montecarlo import (
     optimize_sigma,
 )
 from hyperstat.sampling import RngStream
-
-import helpers
 
 APEX = LorentzParam((1.0, 0.0, 0.0))
 T211 = LorentzParam((2.0, 1.0, 1.0))
@@ -500,21 +508,21 @@ class TestBlockKernels:
         rng = RngStream(61).derive(pair, n, shards)
         if method == "plugin":
             est = estimate_plugin(f, ta, tb, n, rng, shards=shards)
-            ref = lambda size, stream: helpers.ref_plugin_weights(f, ta, tb, size, stream)
+            ref = lambda size, stream: ref_plugin_weights(f, ta, tb, size, stream)
         elif method == "mc2":
             est = estimate_mc2(f, ta, tb, n, rng, shards=shards)
-            ref = lambda size, stream: helpers.ref_mc2_weights(f, ta, tb, size, stream)
+            ref = lambda size, stream: ref_mc2_weights(f, ta, tb, size, stream)
         else:
             kind = "logistic" if method == "mc1-logistic" else "student_t7"
             est = estimate_mc1(f, ta, tb, Proposal(kind, 1.7), n, rng, shards=shards)
-            ref = lambda size, stream: helpers.ref_mc1_weights(f, ta, tb, kind, 1.7, size, stream)
+            ref = lambda size, stream: ref_mc1_weights(f, ta, tb, kind, 1.7, size, stream)
         sizes = montecarlo._shard_sizes(n, shards)
         want = [ref(size, rng.derive(i)) for i, size in enumerate(sizes)]
         (got,) = shard_weights
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.shape == w.shape and np.array_equal(g, w)
-        assert (est.estimate, est.sample_variance) == helpers.ref_moments(want)
+        assert (est.estimate, est.sample_variance) == ref_moments(want)
         if method == "plugin":
             assert est.tail_index == montecarlo._hill_tail_index(np.concatenate(want))
 
@@ -522,10 +530,10 @@ class TestBlockKernels:
     @pytest.mark.parametrize("kind", ["logistic", "student_t7"])
     def test_pilot_objective_matches_whole_array_reference(self, kind, n_pilot):
         f, (ta, tb) = FGenerator.total_variation(), KERNEL_PAIRS[1]
-        z, w, fv, logp = helpers.ref_pilot(kind, f, ta, tb, n_pilot, RngStream(62).derive(n_pilot))
+        z, w, fv, logp = ref_pilot(kind, f, ta, tb, n_pilot, RngStream(62).derive(n_pilot))
         fv[n_pilot // 2] = 0.0  # a term with a = 0, which the mask drops
         got = _pilot_objective(Proposal(kind, 1.0), z, w, fv, logp)
-        want = helpers.ref_pilot_objective(kind, z, w, fv, logp)
+        want = ref_pilot_objective(kind, z, w, fv, logp)
         with np.errstate(over="ignore"):
             for s in np.linspace(math.log(0.05), math.log(50.0), 9):
                 assert got(s) == want(s), math.exp(s)
@@ -535,7 +543,7 @@ class TestBlockKernels:
     def test_sigma_star_matches_whole_array_reference(self, kind, n_pilot):
         f, (ta, tb) = FGenerator.kl(), KERNEL_PAIRS[1]
         rng = RngStream(63).derive(n_pilot)
-        objective = helpers.ref_pilot_objective(kind, *helpers.ref_pilot(kind, f, ta, tb, n_pilot, rng))
+        objective = ref_pilot_objective(kind, *ref_pilot(kind, f, ta, tb, n_pilot, rng))
         with np.errstate(over="ignore"):
             want = math.exp(brent_min(objective, math.log(0.05), math.log(50.0), 1e-7)[0])
             assert optimize_sigma(f, ta, tb, kind, n_pilot, rng) == want
@@ -556,7 +564,7 @@ class TestKernelInputs:
     def test_log_density_chart_is_layout_free_and_leaves_input(self, layout):
         pts = _layouts(self.ROWS)[layout]
         before = pts.copy()
-        want = helpers.ref_log_density_chart(T211, self.ROWS)
+        want = ref_log_density_chart(T211, self.ROWS)
         assert np.array_equal(hb.log_density_chart(T211, pts), want)
         assert np.array_equal(pts, before)
 
@@ -567,15 +575,15 @@ class TestKernelInputs:
         before = pts.copy()
         prop = Proposal(kind, 1.7)
         for column in (0, 1):
-            want = helpers.ref_logpdf(kind, 1.7, self.ROWS[:, column])
+            want = ref_logpdf(kind, 1.7, self.ROWS[:, column])
             assert np.array_equal(prop.logpdf(pts[:, column]), want)
-        assert np.array_equal(prop.logpdf(pts), helpers.ref_logpdf(kind, 1.7, self.ROWS))
+        assert np.array_equal(prop.logpdf(pts), ref_logpdf(kind, 1.7, self.ROWS))
         assert np.array_equal(pts, before)
 
     def test_log_density_chart_d3_matches_einsum_form(self):
         theta = LorentzParam((3.0, 1.0, -0.5, 0.7))
         rows = np.random.default_rng(65).standard_normal((BLOCK + 1, 3)) * 3.0
-        want = helpers.ref_log_density_chart(theta, rows)
+        want = ref_log_density_chart(theta, rows)
         for pts in _layouts(rows).values():
             # |x|^2 is summed column by column, the einsum by row: the sums may
             # differ in the last bit at d = 3
