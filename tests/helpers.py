@@ -274,7 +274,7 @@ def ref_plugin_weights(f, theta: LorentzParam, theta2: LorentzParam, size: int, 
     # hyperboloid_sample: s ~ GIG(1/2, 1, t^2) as 1 / wald, then s theta_1: + sqrt(s) z
     gen = stream.generator()
     t = theta.minkowski_norm()
-    s = 1.0 / gen.wald(math.sqrt(t * t / 1.0), t * t, size=size)
+    s = 1.0 / gen.wald(math.sqrt(t * t), t * t, size=size)
     z = gen.standard_normal((size, 2))
     pts = s[:, None] * theta.vec[1:][None, :] + np.sqrt(s)[:, None] * z
     return ref_f_and_logp(f, theta, theta2, pts)[0]
