@@ -52,6 +52,15 @@ class Family(NamedTuple):
     whose mean statistic is eta) and ``sample(theta, n, rng)``.  The fields
     are lambdas that look their module's functions up when called, so a
     replaced module attribute (a tracing wrapper) is seen through the record.
+
+    The log density is linear in a statistic row t(x):
+    log p_theta(x) = <paired(v), t(x)> - F(v) + log h(x), with v =
+    ``vector(theta)`` the parameter's natural vector, F = :func:`cumulant`
+    and ``paired(v)`` the vector a row pairs with: v on the hyperboloid,
+    (a, 2b, c) on the half-plane, whose rows hold m12 once where the density
+    counts b twice.  ``reference(d)`` is a fixed cone parameter of dimension
+    d; the carrier log h(x) is read off ``log_density`` there, so no family
+    writes a formula for it.
     """
 
     radial: Callable[[float, int, int, int], tuple]
@@ -61,6 +70,9 @@ class Family(NamedTuple):
     stats: Callable[[np.ndarray], np.ndarray]
     from_moment: Callable[[np.ndarray], Any]
     sample: Callable[[Any, int, Any], np.ndarray]
+    vector: Callable[[Any], np.ndarray]
+    paired: Callable[[np.ndarray], np.ndarray]
+    reference: Callable[[int], Any]
 
 
 def _radial(fam: Family, v: np.ndarray, first: int, last: int) -> tuple:

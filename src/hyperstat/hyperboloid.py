@@ -128,6 +128,9 @@ _FAMILY = expfam.Family(
     stats=lambda pts: suff_stats_chart(pts),
     from_moment=lambda eta: mle_from_moment(eta, eta.size - 1),
     sample=lambda theta, n, rng: hyperboloid_sample(theta, n, rng),
+    vector=lambda theta: theta.vec,
+    paired=lambda v: v,
+    reference=lambda d: LorentzParam((1.0,) + (0.0,) * d),  # the apex
 )
 
 

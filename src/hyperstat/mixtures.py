@@ -1,20 +1,31 @@
 """Finite mixtures of half-plane or hyperboloid components, fitted by EM.
 
-A mixture names its component family; everything EM uses of that family (log
-density, sufficient statistics, inverse moment map, sampler) comes from the
-family's :class:`hyperstat.expfam.Family` record, which the divergences and
-the MLE read too.  Both families are exponential families, so the EM fit is
-Bregman soft clustering: the E-step sets responsibilities from component log
-densities (the carrier term cancels inside a family), and the M-step averages
-sufficient statistics under the responsibilities and maps the averages back
-through the inverse moment map.  Every array the E-step and the M-step's
+A mixture names its component family; everything EM uses of that family
+(sufficient statistics, the pairing of a parameter with them, cumulant,
+reference density, inverse moment map, sampler) comes from the family's
+:class:`hyperstat.expfam.Family` record, which the divergences and the MLE
+read too.  Both families are exponential families,
+log p(x) = <theta~, t(x)> - F(theta) + log h(x), so the EM fit is Bregman
+soft clustering: the E-step sets responsibilities from the log-joint, and the
+M-step averages sufficient statistics under the responsibilities and maps the
+averages back through the inverse moment map.
+
+The E-step is a linear form in statistics built once per fit: the statistic
+columns t_i(x), a C-ordered (d + 1, n) array, and the carrier log h(x), read
+off the family's own density at a fixed reference parameter (the apex or the
+identity) as log p_ref - <ref~, t> + F(ref), so no family writes a carrier
+formula.  A component's row of the log-joint is then
+log w - F(theta) + log h(x) + sum_i theta~_i t_i(x), d + 1 multiply-adds with
+no density call and no BLAS.  Every array the E-step and the M-step's
 reductions touch is component-major, a C-ordered (k, n) array, so each
 reduction over the points runs along a contiguous row.  The E-step normalizes
-with the module's own log-sum-exp over the component axis of the log-joint,
-in the arithmetic of SciPy's ``logsumexp`` (terms tied at the max taken out
-of the sum and counted, the same summation order): for fewer than 8
-components the two agree bit for bit, and the module's costs a fraction of
-the library call.
+over the component axis with one exponential: e = exp(a - max) gives the
+log-sum-exp log1p(rest) + max, in the arithmetic of SciPy's ``logsumexp``
+(for fewer than 8 components the two agree bit for bit), and the
+responsibilities e / (1 + rest).  A log-joint with a tied, infinite or nan
+column max takes SciPy's general formula and exp(a - lse) throughout.
+``mixture_log_density`` and ``mixture_log_density_array`` evaluate the same
+form, so a fit's reported log-likelihood is the returned mixture's to the bit.
 
 The EM map is accelerated by SQUAREM (Varadhan & Roland 2008), which keeps
 its fixed points.  A cycle starts from an evaluated point x0 with
@@ -129,42 +140,82 @@ def mixture_log_density(m: Mixture, point) -> float:
 
 
 def mixture_log_density_array(m: Mixture, pts: np.ndarray) -> np.ndarray:
+    """Log of the mixture density at each row of an (n, d) point array.
+
+    Raises ValueError for a point outside the family's sample space.
+    """
+    fam = _FAMILIES[m.family]
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    return _logsumexp(_log_joint(_FAMILIES[m.family], m.weights, m.components, pts))
+    logs = _log_joint(fam, *_linear_basis(fam, pts, fam.stats(pts)), m.weights, m.components)
+    return _normalize(logs)
 
 
-def _log_joint(fam: expfam.Family, weights, components, pts: np.ndarray) -> np.ndarray:
-    # (k, n): log weight plus component log density, one row per component.
+def _linear_basis(fam: expfam.Family, pts: np.ndarray, stats: np.ndarray):
+    # The (d + 1, n) statistic columns and the carrier
+    # log h = log p_ref - <ref~, t> + F(ref).
+    cols = np.ascontiguousarray(stats.T)
+    ref = fam.reference(cols.shape[0] - 1)
+    v = fam.vector(ref)
+    carrier = fam.log_density(ref, pts) + expfam.cumulant(fam, v)
+    for coef, col in zip(fam.paired(v), cols):
+        carrier -= coef * col
+    return cols, carrier
+
+
+def _log_joint(fam: expfam.Family, cols: np.ndarray, carrier: np.ndarray, weights, components) -> np.ndarray:
+    # (k, n): log w_j - F(theta_j) + log h(x) + <theta~_j, t(x)>, one row per
+    # component, written column by column: d + 1 multiply-adds, no BLAS.
+    vecs = [fam.vector(c) for c in components]
+    paired = np.array([fam.paired(v) for v in vecs])
+    if paired.shape[1] != cols.shape[0]:
+        raise ValueError(
+            f"points have dimension {cols.shape[0] - 1}, components have d={paired.shape[1] - 1}"
+        )
     log_w = np.log(weights)
-    out = np.empty((len(components), pts.shape[0]))
-    for j, c in enumerate(components):
-        np.add(fam.log_density(c, pts), log_w[j], out=out[j])
+    out = np.empty((len(vecs), carrier.size))
+    term = np.empty_like(carrier)
+    for j, v in enumerate(vecs):
+        # Row by row with scalar coefficients: numpy's (k, 1) x (n,)
+        # broadcast took 2.6 times as long as k scalar passes.
+        row = out[j]
+        np.add(carrier, log_w[j] - expfam.cumulant(fam, v), out=row)
+        for coef, col in zip(paired[j].tolist(), cols):
+            row += np.multiply(col, coef, out=term)
     return out
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    # log sum_j exp(a[j]) per column of a (k, n) array, in SciPy's
-    # arithmetic: the terms equal to the column max are taken out of the sum
-    # and counted, and the result is log1p(rest / ties) + log(ties) + max;
-    # +-inf and nan columns come out as the direct formula gives them.  The
-    # rows are added in order, as SciPy's reduction adds a point's k < 8
-    # terms in its (n, k) layout, so the two agree bit for bit; for k >= 8
-    # that reduction sums pairwise and the last bit can differ.
+def _normalize(a: np.ndarray) -> np.ndarray:
+    # Overwrites the (k, n) log-joint a with the responsibilities and returns
+    # the per-point log-sum-exp in SciPy's arithmetic: the terms equal to the
+    # column max are taken out of the sum and counted, and the result is
+    # log1p(rest / ties) + log(ties) + max; +-inf and nan columns come out as
+    # the direct formula gives them.  The rows are added in order, as SciPy's
+    # reduction adds a point's k < 8 terms in its (n, k) layout, so the two
+    # agree bit for bit; for k >= 8 that reduction sums pairwise and the last
+    # bit can differ.
     top = a.max(axis=0)
     is_top = a == top
     if np.isfinite(top).all() and np.count_nonzero(is_top) == a.shape[1]:
         # Every max is finite, so each column holds at least one term equal
-        # to it, and a count of n means exactly one.  Every exp(a - top) is
-        # then finite and in [0, 1], so multiplying by ~is_top zeroes the max
-        # term and keeps the others exactly, as the select below does; with
-        # ties = 1, log1p(rest / 1) + log(1) is log1p(rest) to the bit.
-        rest = np.exp(a - top)
-        rest *= ~is_top
-        return np.log1p(rest.sum(axis=0)) + top
+        # to it, and a count of n means exactly one.  Every e = exp(a - top)
+        # is then finite and in [0, 1], and 1 exactly at the max, so zeroing
+        # the max terms leaves rest, and adding them back restores e; with
+        # ties = 1, log1p(rest / 1) + log(1) is log1p(rest) to the bit.  The
+        # responsibilities e / (1 + rest) take the one exponential.
+        a -= top
+        np.exp(a, out=a)
+        a *= ~is_top
+        rest = a.sum(axis=0)
+        a += is_top
+        a /= 1.0 + rest
+        return np.log1p(rest) + top
     with np.errstate(divide="ignore", invalid="ignore"):
         rest = np.where(is_top, 0.0, np.exp(a - top)).sum(axis=0)
         ties = is_top.sum(axis=0)
-        return np.log1p(rest / ties) + np.log(ties) + top
+        lse = np.log1p(rest / ties) + np.log(ties) + top
+        a -= lse
+        np.exp(a, out=a)
+    return lse
 
 
 def mixture_sample(
@@ -184,20 +235,29 @@ def mixture_sample(
 
 
 def _kmeanspp_responsibilities(
-    stats: np.ndarray, k: int, gen: np.random.Generator
+    cols: np.ndarray, k: int, gen: np.random.Generator
 ) -> np.ndarray:
-    n = stats.shape[0]
-    centers = [stats[gen.integers(n)]]
-    d2 = np.sum((stats - centers[0]) ** 2, axis=1)
-    for _ in range(1, k):
+    # k-means++ seeds among the (d + 1, n) statistic columns' points, and the
+    # nearest-seed assignment as hard (k, n) responsibilities.  A squared
+    # distance is summed column by column, which adds a row's terms in the
+    # order np.sum(..., axis=1) adds them on the (n, d + 1) rows.
+    n = cols.shape[1]
+    dists = np.empty((k, n))
+
+    def dist_to(i, out):
+        np.square(cols[0] - cols[0, i], out=out)
+        for col in cols[1:]:
+            out += np.square(col - col[i])
+
+    dist_to(gen.integers(n), dists[0])
+    d2 = dists[0].copy()
+    for j in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
-            centers.append(stats[gen.integers(n)])
+            dist_to(gen.integers(n), dists[j])
             continue
-        pick = gen.choice(n, p=d2 / total)
-        centers.append(stats[pick])
-        d2 = np.minimum(d2, np.sum((stats - centers[-1]) ** 2, axis=1))
-    dists = np.stack([np.sum((stats - c) ** 2, axis=1) for c in centers])
+        dist_to(gen.choice(n, p=d2 / total), dists[j])
+        np.minimum(d2, dists[j], out=d2)
     resp = np.zeros((k, n))
     resp[np.argmin(dists, axis=0), np.arange(n)] = 1.0
     return resp
@@ -223,17 +283,15 @@ def _m_step(fam: expfam.Family, counts: np.ndarray, sums: np.ndarray):
     return weights, tuple(fam.from_moment(etas[j]) for j in range(counts.size))
 
 
-def _squarem(fam: expfam.Family, stats: np.ndarray, pts: np.ndarray, resp: np.ndarray, trace: EmTrace):
+def _squarem(fam: expfam.Family, stats: np.ndarray, basis: tuple, resp: np.ndarray, trace: EmTrace):
     # EM from the starting (k, n) responsibilities in SQUAREM cycles; returns
     # the last accepted point (weights, components) and its effective counts.
     def e_step(x):
         # The average log-likelihood at x and the (k, n) responsibilities,
         # computed in place in the log-joint's array.
         trace.iterations += 1
-        logs = _log_joint(fam, *x, pts)
-        per_point = _logsumexp(logs)
-        logs -= per_point
-        return float(np.mean(per_point)), np.exp(logs, out=logs)
+        logs = _log_joint(fam, *basis, *x)
+        return float(np.mean(_normalize(logs))), logs
 
     def em_map(mom):
         x = _m_step(fam, *mom)
@@ -315,6 +373,7 @@ def em_fit(
     n = pts.shape[0]
     if n < 2 * k:
         raise FitError(f"EM failed: need at least 2k={2 * k} points, got {n}")
+    basis = _linear_basis(fam, pts, stats)
 
     attempts = 1 if init_resp is not None else _RETRIES
     last_err: Optional[Exception] = None
@@ -327,10 +386,10 @@ def em_fit(
             resp = np.ascontiguousarray(resp.T)
         else:
             resp = _kmeanspp_responsibilities(
-                stats, k, rng.derive(1000 + attempt).generator()
+                basis[0], k, rng.derive(1000 + attempt).generator()
             )
         try:
-            (weights, components), trace.effective_counts = _squarem(fam, stats, pts, resp, trace)
+            (weights, components), trace.effective_counts = _squarem(fam, stats, basis, resp, trace)
             mixture = Mixture(
                 family=family, weights=tuple(weights), components=components
             )

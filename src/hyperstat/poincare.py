@@ -140,6 +140,7 @@ def conjugate(eta: Moment2) -> float:
 
 # Q, the Hessian of u(a,b,c) = ac - b^2: u = v^T Q v / 2.
 _HESS_U = np.array([[0.0, 0.0, 1.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]])
+_PAIRING = np.array([1.0, 2.0, 1.0])
 
 
 def _radial(u: float, d: int, first: int, last: int) -> tuple:
@@ -164,6 +165,10 @@ _FAMILY = expfam.Family(
     stats=lambda pts: suff_stats_xy(pts),
     from_moment=lambda eta: grad_conjugate(Moment2(*eta)),
     sample=lambda theta, n, rng: poincare_sample(theta, n, rng),
+    vector=lambda theta: theta.as_vector(),
+    # The density's a(x^2+y^2) + 2bx + c counts the middle entry m12 twice.
+    paired=lambda v: v * _PAIRING,
+    reference=lambda d: SpdParam2(1.0, 0.0, 1.0),
 )
 
 

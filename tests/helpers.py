@@ -236,6 +236,29 @@ def plain_em(pts: np.ndarray, family: str, init_resp: np.ndarray, tol: float = 1
     return mix, loglik
 
 
+def ref_kmeanspp_responsibilities(stats: np.ndarray, k: int, gen: np.random.Generator) -> np.ndarray:
+    """k-means++ hard responsibilities on the (n, d + 1) statistic rows, whole-array.
+
+    Every squared distance is an np.sum over a row; the k distance arrays are
+    computed afresh for the nearest-seed assignment.
+    """
+    n = stats.shape[0]
+    centers = [stats[gen.integers(n)]]
+    d2 = np.sum((stats - centers[0]) ** 2, axis=1)
+    for _ in range(1, k):
+        total = float(d2.sum())
+        if total <= 0.0:
+            centers.append(stats[gen.integers(n)])
+            continue
+        pick = gen.choice(n, p=d2 / total)
+        centers.append(stats[pick])
+        d2 = np.minimum(d2, np.sum((stats - centers[-1]) ** 2, axis=1))
+    dists = np.stack([np.sum((stats - c) ** 2, axis=1) for c in centers])
+    resp = np.zeros((k, n))
+    resp[np.argmin(dists, axis=0), np.arange(n)] = 1.0
+    return resp
+
+
 # ---------------------------------------------------------------------------
 # Whole-array Monte Carlo weights (the formulas the block kernels replaced)
 # ---------------------------------------------------------------------------

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import hyperboloid_integral, plain_em
+import os
+import subprocess
+import sys
+
+from helpers import hyperboloid_integral, plain_em, ref_kmeanspp_responsibilities
 from hyperstat import hyperboloid as hb
 from hyperstat import mixtures
 from hyperstat import poincare as pc
@@ -266,6 +270,20 @@ class TestEmFit:
             with pytest.raises(ValueError, match="points need"):
                 call()
 
+    @pytest.mark.parametrize(
+        "family, bad",
+        [("poincare", (0.5, -1.0)), ("poincare", (0.5, 0.0)), ("poincare", (math.nan, 1.0)),
+         ("poincare", (0.5, math.inf)), ("hyperboloid", (math.nan, 0.3)), ("hyperboloid", (0.3, -math.inf))],
+    )
+    def test_density_rejects_points_outside_the_sample_space(self, family, bad):
+        # The densities read the statistics as em_fit does: the same
+        # ValueError, not nan with a RuntimeWarning.
+        m = _truth_mixture(*next(t for t in _SQUAREM_TRUTHS if t[0] == family))
+        pts = np.vstack((np.column_stack((np.linspace(-1.0, 1.0, 20), np.linspace(0.5, 2.0, 20))), bad))
+        for call in (lambda: mixture_log_density_array(m, pts), lambda: mixture_log_density(m, bad)):
+            with pytest.raises(ValueError, match="points need"):
+                call()
+
     def test_fit_determinism(self):
         truth = two_component_mixture()
         pts = mixture_sample(truth, 1000, RngStream(78))
@@ -313,30 +331,35 @@ def _lse_single_max_input(k: int) -> np.ndarray:
     return a
 
 
+def _lse(a: np.ndarray) -> np.ndarray:
+    # The per-point log-sum-exp the E-step normalizer returns, on a copy.
+    return mixtures._normalize(np.array(a, dtype=float))
+
+
 def _logsumexp_counting_selects(monkeypatch, a: np.ndarray):
-    # mixtures._logsumexp(a) and how many times it called np.where.
+    # The normalizer's log-sum-exp of a and how many times it called np.where.
     calls = []
     where = np.where
     monkeypatch.setattr(np, "where", lambda *args: calls.append(args) or where(*args))
     try:
-        return mixtures._logsumexp(a), len(calls)
+        return _lse(a), len(calls)
     finally:
         monkeypatch.undo()
 
 
 class TestLogSumExp:
-    """The E-step's own log-sum-exp against scipy's, bit for bit."""
+    """The E-step normalizer's log-sum-exp against scipy's, bit for bit."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_matches_scipy_bitwise(self, k):
         a = _lse_input(k)
-        assert np.array_equal(mixtures._logsumexp(a), _scipy_logsumexp(a), equal_nan=True)
+        assert np.array_equal(_lse(a), _scipy_logsumexp(a), equal_nan=True)
 
     @pytest.mark.parametrize("k", [8, 12])
     def test_many_components_match_scipy_to_rounding(self, k):
         # From 8 terms on numpy sums scipy's layout pairwise, not in order.
         a = _lse_input(k)
-        np.testing.assert_allclose(mixtures._logsumexp(a), _scipy_logsumexp(a), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(_lse(a), _scipy_logsumexp(a), rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize(
         "column",
@@ -344,7 +367,7 @@ class TestLogSumExp:
     )
     def test_edge_columns(self, column):
         a = np.array(column)[:, None]
-        assert np.array_equal(mixtures._logsumexp(a), _scipy_logsumexp(a), equal_nan=True)
+        assert np.array_equal(_lse(a), _scipy_logsumexp(a), equal_nan=True)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_single_finite_max_matches_scipy_bitwise(self, monkeypatch, k):
@@ -369,43 +392,44 @@ class TestLogSumExp:
         assert selects == 1
         assert np.array_equal(got, _scipy_logsumexp(a), equal_nan=True)
 
-    @pytest.mark.parametrize(
-        "family, truth",
-        [
-            ("hyperboloid", ((0.35, 0.65), [(6.0, 0.0, 0.0), (4.0, 2.0, -2.0)])),
-            ("hyperboloid", ((0.3, 0.3, 0.4), [(6.0, 0.0, 0.0), (5.0, 3.0, -3.0), (5.0, -3.0, 3.0)])),
-            ("poincare", ((0.35, 0.65), [(3.0, 0.0, 3.0), (3.0, -1.0, 1.0)])),
-            ("poincare", ((0.3, 0.3, 0.4), [(3.0, 0.0, 3.0), (4.0, -1.5, 1.0), (1.0, 1.5, 4.0)])),
-        ],
-    )
-    def test_fit_unchanged_under_scipy(self, monkeypatch, family, truth):
-        # Swapping in scipy's logsumexp must not move a single bit of the fit.
-        weights, comps = truth
-        cls = LorentzParam if family == "hyperboloid" else (lambda v: SpdParam2(*v))
-        m = Mixture(family, weights, tuple(cls(c) for c in comps))
-        k = m.k
-        pts = mixture_sample(m, 3000, RngStream(80 + k))
-        resp = np.zeros((pts.shape[0], k))
-        resp[np.arange(pts.shape[0]), np.random.default_rng(9).integers(0, k, size=pts.shape[0])] = 1.0
 
-        def run():
-            fits = [
-                em_fit(pts, k, family, RngStream(81)),
-                em_fit(pts, k, family, RngStream(81), init_resp=resp),
-            ]
-            return fits, mixture_log_density_array(m, pts)
+class TestNormalizer:
+    """The E-step normalizer: SciPy's log-sum-exp and responsibilities from one exponential."""
 
-        own_fits, own_density = run()
-        monkeypatch.setattr(mixtures, "_logsumexp", _scipy_logsumexp)
-        ref_fits, ref_density = run()
-        assert np.array_equal(own_density, ref_density)
-        for (mix_a, tr_a), (mix_b, tr_b) in zip(own_fits, ref_fits):
-            assert mix_a.weights == mix_b.weights
-            for ca, cb in zip(mix_a.components, mix_b.components):
-                assert np.array_equal(_component_vec(ca), _component_vec(cb))
-            assert tr_a.loglik == tr_b.loglik
-            assert tr_a.iterations == tr_b.iterations
-            assert np.array_equal(tr_a.effective_counts, tr_b.effective_counts)
+    @staticmethod
+    def _posterior(a: np.ndarray) -> np.ndarray:
+        # exp(a - lse) in extended precision: each term against the column sum.
+        e = np.exp(a.astype(np.longdouble) - a.max(axis=0))
+        return e / e.sum(axis=0)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_single_max_columns(self, k):
+        # Random log-joints at magnitudes 1e-3 to 1e5, with -inf terms and
+        # [800, -800] columns: the one-exponential path.
+        a = _lse_single_max_input(k)
+        resp = a.copy()
+        lse = mixtures._normalize(resp)
+        assert np.array_equal(lse, _scipy_logsumexp(a))
+        # Within 4 ulp of the column total 1 of the exact posterior.  The
+        # double formula exp(a - lse) rounds a - lse at the scale of lse, so
+        # at |lse| ~ 1e3 it is itself off by hundreds of such ulp.
+        assert np.max(np.abs(resp - self._posterior(a))) <= 4 * np.spacing(1.0)
+        np.testing.assert_allclose(resp.sum(axis=0), 1.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_tied_and_non_finite_columns(self, k):
+        # Ties, +-inf, nan and empty columns keep the two-exponential formula.
+        a = _lse_input(k)
+        resp = a.copy()
+        lse = mixtures._normalize(resp)
+        assert np.array_equal(lse, _scipy_logsumexp(a), equal_nan=True)
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(resp, np.exp(a - lse), equal_nan=True)
+        # exp(a - lse) rounds a - lse at the scale of lse, so these column
+        # sums miss 1 by up to ~2 ulp of |lse| (1.8e-13 here), not 1e-15.
+        finite = np.isfinite(lse)
+        miss = np.abs(resp[:, finite].sum(axis=0) - 1.0)
+        assert np.all(miss <= 4 * np.spacing(1.0) * np.maximum(1.0, np.abs(lse[finite])))
 
 
 _SQUAREM_TRUTHS = [
@@ -460,8 +484,9 @@ class TestSquarem:
         pts = mixture_sample(truth, 2000, RngStream(90 + truth.k))
         mix, trace = em_fit(pts, truth.k, family, RngStream(91))
         assert np.mean(mixture_log_density_array(mix, pts)) == trace.loglik[-1]
-        logs = mixtures._log_joint(mixtures._FAMILIES[family], mix.weights, mix.components, pts)
-        resp = np.exp(logs - mixtures._logsumexp(logs))
+        fam = mixtures._FAMILIES[family]
+        resp = mixtures._log_joint(fam, *mixtures._linear_basis(fam, pts, fam.stats(pts)), mix.weights, mix.components)
+        mixtures._normalize(resp)
         np.testing.assert_allclose(trace.effective_counts, resp.sum(axis=1), rtol=1e-12)
 
     def test_lorentz_equivariance_same_iterations(self):
@@ -584,3 +609,86 @@ def test_bad_point_rejected_before_the_size_check(family):
     pts = np.array([[0.0, 1.0], [1.0, -1.0 if family == "poincare" else math.nan], [2.0, 1.0]])
     with pytest.raises(ValueError, match="points need"):
         em_fit(pts, 2, family, RngStream(0))
+
+
+class TestLinearForm:
+    """The E-step's log-joint rows against the density calls they replace."""
+
+    @staticmethod
+    def _points(family, comps, k):
+        sample = mixtures._FAMILIES[family].sample
+        pts = np.vstack([sample(c, 2000, RngStream(120 + k).derive(j)) for j, c in enumerate(comps)])
+        gen = np.random.default_rng(121 + k)
+        if family == "hyperboloid":
+            # Tail points out to chart norm 1e6.
+            extra = gen.normal(size=(300, 2)) * np.logspace(0, 6, 300)[:, None]
+        else:
+            # Points near the boundary, y from 1e-8 to 1e-3, and far ones.
+            extra = np.vstack((
+                np.column_stack((3.0 * gen.normal(size=300), np.logspace(-8, -3, 300))),
+                np.column_stack((1e4 * gen.normal(size=300), np.logspace(-3, 5, 300))),
+            ))
+        return np.vstack((pts, extra))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("family, comps", [
+        ("hyperboloid", [(6.0, 0.0, 0.0), (4.0, 2.0, -2.0), (50.0 * math.cosh(3.0), 50.0 * math.sinh(3.0), 0.0)]),
+        ("poincare", [(3.0, 0.0, 3.0), (3.0, -1.0, 1.0), (1.0, 1.5, 4.0)]),
+    ])
+    def test_rows_match_the_densities(self, family, comps, k):
+        weights = tuple(np.arange(1.0, k + 1.0) / (k * (k + 1) / 2))
+        m = _truth_mixture(family, weights, comps[:k])
+        pts = self._points(family, m.components, k)
+        fam = mixtures._FAMILIES[family]
+        logs = mixtures._log_joint(fam, *mixtures._linear_basis(fam, pts, fam.stats(pts)), m.weights, m.components)
+        want = np.array([fam.log_density(c, pts) + math.log(w) for c, w in zip(m.components, m.weights)])
+        # Relative, and absolute where a log density crosses 0.
+        np.testing.assert_allclose(logs, want, rtol=1e-12, atol=1e-12)
+
+    def test_dimension_mismatch_rejected(self):
+        m = Mixture("hyperboloid", (1.0,), (LorentzParam((2.0, 0.5, 0.0, 0.0)),))
+        with pytest.raises(ValueError, match="dimension"):
+            mixture_log_density_array(m, np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize("family", ["hyperboloid", "poincare"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_kmeanspp_matches_the_whole_array_form(family, k):
+    # The seeding keeps its k distance arrays for the assignment; the draws
+    # and the hard responsibilities are those of the whole-array form.
+    truth = _truth_mixture(*next(t for t in _SQUAREM_TRUTHS[1::2] if t[0] == family))
+    pts = mixture_sample(truth, 2000, RngStream(130 + k))
+    stats = mixtures._FAMILIES[family].stats(pts)
+    cols = np.ascontiguousarray(stats.T)
+    for seed in range(16):
+        gen_a, gen_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = mixtures._kmeanspp_responsibilities(cols, k, gen_a)
+        assert np.array_equal(got, ref_kmeanspp_responsibilities(stats, k, gen_b))
+        assert gen_a.bit_generator.state == gen_b.bit_generator.state
+    # Coincident points: every distance is 0 and later seeds are drawn uniformly.
+    same = np.tile(stats[:1], (50, 1))
+    got = mixtures._kmeanspp_responsibilities(np.ascontiguousarray(same.T), k, np.random.default_rng(1))
+    assert np.array_equal(got, ref_kmeanspp_responsibilities(same, k, np.random.default_rng(1)))
+
+
+def test_hyperboloid_fit_independent_of_blas_threads():
+    # The same fit in processes with one and with two BLAS threads.
+    script = (
+        "import numpy as np\n"
+        "from hyperstat.geometry import LorentzParam\n"
+        "from hyperstat.mixtures import Mixture, em_fit, mixture_sample\n"
+        "from hyperstat.sampling import RngStream\n"
+        "m = Mixture('hyperboloid', (0.3, 0.3, 0.4), tuple(LorentzParam(c) for c in"
+        " [(6.0, 0.0, 0.0), (5.0, 3.0, -3.0), (5.0, -3.0, 3.0)]))\n"
+        "mix, trace = em_fit(mixture_sample(m, 10000, RngStream(140)), 3, 'hyperboloid', RngStream(141))\n"
+        "print([float(w).hex() for w in mix.weights], [[float(x).hex() for x in c.vec] for c in mix.components],"
+        " [float(x).hex() for x in trace.loglik], trace.iterations)\n"
+    )
+
+    def run(threads):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert run(1) == run(2)
