@@ -38,7 +38,7 @@ import numpy as np
 from . import hyperboloid as hb
 from .expfam import brent_min
 from .geometry import DimensionError, LorentzParam, SpdParam2, param_h_to_l
-from .sampling import RngStream, hyperboloid_sample
+from .sampling import _BLOCK, RngStream, _by_block, hyperboloid_sample
 
 __all__ = [
     "FGenerator",
@@ -147,8 +147,8 @@ class Proposal:
         return z
 
 
-def _pass_terms(kind: str, z: np.ndarray, w: np.ndarray) -> tuple:
-    """(arrays, terms): ``terms(sigma)`` is a kernel(out, root_a, *blocks of arrays).
+def _pass_terms(kind: str, z: np.ndarray, w: np.ndarray) -> Callable[[float], Callable[..., None]]:
+    """``terms(sigma)``, a kernel(out, root_a, z, w) over blocks of the pilot arrays.
 
     The kernel writes (root_a / sqrt(p_sigma(z) p_sigma(w)))^2 into ``out``,
     a closed form in sigma over the arrays built here once.  The log-densities
@@ -156,16 +156,16 @@ def _pass_terms(kind: str, z: np.ndarray, w: np.ndarray) -> tuple:
     student_t7: 1 / (p_sigma(z) p_sigma(w)) = sigma^2 e^{-2C} Q^4 with
     Q = (1 + s z^2)(1 + s w^2) = 1 + s (z^2 + w^2) + s^2 z^2 w^2, s = 1/(7 sigma^2);
     logistic: 1 / p_sigma(x) = 4 sigma cosh^2(x / (2 sigma)).
+    For student_t7, z^2 + w^2 and z^2 w^2 are written over z and w here.
     """
     if kind == "student_t7":
-        u, v = np.empty(z.size), np.empty(z.size)
 
-        def sums(u: np.ndarray, v: np.ndarray, z: np.ndarray, w: np.ndarray) -> None:
+        def sums(z: np.ndarray, w: np.ndarray) -> None:
             zz, ww = z * z, w * w
-            np.add(zz, ww, out=u)
-            np.multiply(zz, ww, out=v)
+            np.add(zz, ww, out=z)
+            np.multiply(zz, ww, out=w)
 
-        _by_block(sums, u, v, z, w)
+        _by_block(sums, z, w)
 
         def terms(sigma: float) -> Callable[..., None]:
             s = 1.0 / (7.0 * sigma * sigma)
@@ -183,7 +183,7 @@ def _pass_terms(kind: str, z: np.ndarray, w: np.ndarray) -> tuple:
 
             return kernel
 
-        return (u, v), terms
+        return terms
 
     def terms(sigma: float) -> Callable[..., None]:
         h = 0.5 / sigma
@@ -199,7 +199,7 @@ def _pass_terms(kind: str, z: np.ndarray, w: np.ndarray) -> tuple:
 
         return kernel
 
-    return (z, w), terms
+    return terms
 
 
 @dataclass(frozen=True)
@@ -290,16 +290,6 @@ def _sharded(draw: Callable[[int, RngStream], np.ndarray], n: int, shards: int, 
     return acc, weights
 
 
-_BLOCK = 16_384  # draws per weight-kernel block: a few block temporaries stay in a 2 MB L2 cache
-
-
-def _by_block(kernel: Callable[..., None], *arrays: np.ndarray) -> None:
-    """``kernel(*(a[rows] for a in arrays))`` over consecutive row blocks of ``_BLOCK``."""
-    for start in range(0, len(arrays[0]), _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        kernel(*(a[rows] for a in arrays))
-
-
 def _f_and_logp(f: FGenerator, theta: LorentzParam, theta2: LorentzParam, pts: np.ndarray) -> tuple:
     """(f(log p'/p), log p) at the chart points ``pts``; every estimator evaluates densities here."""
     logp = hb.log_density_chart(theta, pts)
@@ -360,7 +350,8 @@ def estimate_plugin(
         return weights
 
     acc, weights = _sharded(draw, n, shards, rng)
-    return _finalize(acc, rng, tail_index=_hill_tail_index(np.concatenate(weights)))
+    pooled = weights[0] if len(weights) == 1 else np.concatenate(weights)
+    return _finalize(acc, rng, tail_index=_hill_tail_index(pooled))
 
 
 def _hill_tail_index(w: np.ndarray) -> Optional[float]:
@@ -450,31 +441,33 @@ def _pilot_objective(
     sqrt(a) / sqrt(p_sigma(z) p_sigma(w)), so it overflows where
     exp(log a - log p_sigma(z) - log p_sigma(w)) does, not where only a
     factor would; the mask drops the terms with a = 0, so none is 0 * inf.
+
+    The four arrays are the objective's working set: sqrt(a) is written over
+    ``fv``, each pass's terms over ``logp``, and :func:`_pass_terms` may
+    overwrite ``z`` and ``w``.  A pilot with a term a = 0 works on masked
+    copies instead and leaves the arrays as they were.
     """
     n_pilot = z.size
-    mask = fv != 0.0
-    if not mask.all():  # most pilots have no term with a = 0, and then need no copies
+    if not fv.all():  # most pilots have no term with a = 0, and then need neither mask nor copies
+        mask = fv != 0.0
         z, w, fv, logp = z[mask], w[mask], fv[mask], logp[mask]
 
-    def root_a_kernel(
-        out: np.ndarray, fv: np.ndarray, logp: np.ndarray, z: np.ndarray, w: np.ndarray
-    ) -> None:
+    def root_a_kernel(fv: np.ndarray, logp: np.ndarray, z: np.ndarray, w: np.ndarray) -> None:
         # exp(log a / 2), log a = 2 log|f| + 2 log p - log p_1(z) - log p_1(w)
-        np.log(np.abs(fv, out=out), out=out)
-        out *= 2.0
-        out += np.multiply(logp, 2.0)
-        out -= base.logpdf(z)
-        out -= base.logpdf(w)
-        out *= 0.5
-        np.exp(out, out=out)
+        np.log(np.abs(fv, out=fv), out=fv)
+        fv *= 2.0
+        fv += np.multiply(logp, 2.0)
+        fv -= base.logpdf(z)
+        fv -= base.logpdf(w)
+        fv *= 0.5
+        np.exp(fv, out=fv)
 
-    root_a = np.empty(z.size)
-    _by_block(root_a_kernel, root_a, fv, logp, z, w)
-    arrays, terms = _pass_terms(base.kind, z, w)
-    t = np.empty(z.size)
+    _by_block(root_a_kernel, fv, logp, z, w)
+    root_a, t = fv, logp
+    terms = _pass_terms(base.kind, z, w)
 
     def objective(log_sigma: float) -> float:
-        _by_block(terms(math.exp(log_sigma)), t, root_a, *arrays)
+        _by_block(terms(math.exp(log_sigma)), t, root_a, z, w)
         # NumPy's pairwise sum: BLAS's dot splits its sum by thread count.
         return float(np.sum(t)) / n_pilot
 

@@ -11,6 +11,7 @@ the cumulant algebra they are used to verify.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 from scipy import integrate
@@ -257,6 +258,27 @@ def ref_kmeanspp_responsibilities(stats: np.ndarray, k: int, gen: np.random.Gene
     resp = np.zeros((k, n))
     resp[np.argmin(dists, axis=0), np.arange(n)] = 1.0
     return resp
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes allocated while ``fn()`` runs, as tracemalloc counts them.
+
+    NumPy reports its array buffers to tracemalloc, so this is the call's
+    working set of arrays.  ``fn`` runs once untraced first, so one-time
+    allocations (imports, caches) are not counted.
+    """
+    fn()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from helpers import (
     ref_pilot,
     ref_pilot_objective,
     ref_plugin_weights,
+    traced_peak,
 )
 from test_acceptance import PAIRS as PANEL_PAIRS
 
@@ -277,8 +278,8 @@ class TestOptimizeSigma:
         z, w = base.sample(20_000, gen), base.sample(20_000, gen)
         z[0] = 40.0
         fv, logp = _f_and_logp(f, ta, tb, np.column_stack((z, w)))
-        closed = _pilot_objective(base, z, w, fv, logp)
         logged = _log_form_objective(kind, z, w, fv, logp)
+        closed = _pilot_objective(base, z, w, fv, logp)  # overwrites z, w, fv and logp
         finite = 0
         with np.errstate(over="ignore"):
             for s in np.linspace(math.log(0.05), math.log(50.0), 41):
@@ -588,3 +589,16 @@ class TestKernelInputs:
             # |x|^2 is summed column by column, the einsum by row: the sums may
             # differ in the last bit at d = 3
             np.testing.assert_allclose(hb.log_density_chart(theta, pts), want, rtol=1e-14, atol=1e-14)
+
+
+class TestWorkingSet:
+    """Peak array memory of a stage, in doubles per draw (8 bytes x n)."""
+
+    @pytest.mark.parametrize("kind", ["logistic", "student_t7"])
+    def test_sigma_search_holds_four_pilot_arrays(self, kind):
+        # z and w, sqrt(a) over the f values, the pass terms over log p, plus
+        # block temporaries
+        n_pilot, (ta, tb) = 200_000, KERNEL_PAIRS[1]
+        f = FGenerator.total_variation()
+        peak = traced_peak(lambda: optimize_sigma(f, ta, tb, kind, n_pilot, RngStream(66)))
+        assert peak <= 5 * 8 * n_pilot

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from helpers import traced_peak
+
 from hyperstat import hyperboloid as hb
 from hyperstat import poincare as pc
 from hyperstat.geometry import LorentzParam, SpdParam2
@@ -206,6 +208,13 @@ class TestHyperboloidSampler:
         a = hyperboloid_sample(theta, 500, RngStream(44))
         b = hyperboloid_sample(theta, 500, RngStream(44))
         assert np.array_equal(a, b)
+
+
+class TestSamplerWorkingSet:
+    def test_hyperboloid_sample_holds_its_output_and_mixing_draws(self):
+        # the (n, 2) output and s; sqrt(s) and s theta_s exist per row block only
+        n, theta = 200_000, LorentzParam((4.0, 3.0, 2.0))
+        assert traced_peak(lambda: hyperboloid_sample(theta, n, RngStream(52))) <= 3.5 * 8 * n
 
 
 class TestPoincareSampler:
