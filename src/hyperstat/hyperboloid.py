@@ -33,6 +33,7 @@ __all__ = [
     "log_normalizer_c",
     "log_density",
     "log_density_chart",
+    "log_ratio_chart",
     "cumulant",
     "grad_cumulant",
     "kld",
@@ -84,29 +85,46 @@ def grad_cumulant(theta: LorentzParam) -> np.ndarray:
     return expfam.grad(_FAMILY, theta.vec)
 
 
-def log_density_chart(theta: LorentzParam, points) -> np.ndarray:
-    """Log density at chart coordinates; ``points`` is an (n, d) array (or a single row)."""
+def _lift_pairing(vec: np.ndarray, points) -> tuple:
+    # (x0, [vec, lift(x)]) at chart points, x0 = sqrt(1 + |x|^2).  Both sums
+    # run column by column in NumPy, so no value depends on the memory layout
+    # of the points; at d = 2, |x|^2 has the bits of a row-wise einsum.
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != theta.d:
-        raise ValueError(
-            f"points have dimension {pts.shape[1]}, parameter has d={theta.d}"
-        )
-    if not pts.flags.c_contiguous:
-        # BLAS rounds the row products of a column-major operand differently
-        # (with or without a fused multiply-add); column_stack copies by column.
-        pts = np.column_stack(pts.T)
-    # |x|^2 summed column by column, at d = 2 the bits of a row-wise einsum.
-    sq = pts * pts
-    x0 = sq[:, 0] + sq[:, 1]
-    for j in range(2, theta.d):
-        x0 += sq[:, j]
+    if pts.shape[1] != vec.size - 1:
+        raise ValueError(f"points have dimension {pts.shape[1]}, parameter has d={vec.size - 1}")
+    cols = pts.T
+    x0 = cols[0] * cols[0]
+    spatial = cols[0] * vec[1]
+    term = np.empty_like(x0)
+    for col, coef in zip(cols[1:], vec[2:]):
+        x0 += np.multiply(col, col, out=term)
+        spatial += np.multiply(col, coef, out=term)
     x0 += 1.0
     np.sqrt(x0, out=x0)
-    tv = theta.vec
-    out = x0 * tv[0]
-    out -= pts @ tv[1:]
+    pairing = x0 * vec[0]
+    pairing -= spatial
+    return x0, pairing
+
+
+def log_density_chart(theta: LorentzParam, points) -> np.ndarray:
+    """Log density at chart coordinates; ``points`` is an (n, d) array (or a single row)."""
+    x0, out = _lift_pairing(theta.vec, points)
     np.subtract(log_normalizer_c(theta.d, theta.minkowski_norm()), out, out=out)
     out -= np.log(x0, out=x0)
+    return out
+
+
+def log_ratio_chart(theta: LorentzParam, theta2: LorentzParam, points) -> np.ndarray:
+    """log p_theta2 - log p_theta at chart coordinates, as kappa - [theta2 - theta, lift(x)].
+
+    kappa = log c_d(|theta2|) - log c_d(|theta|).  The log x0 terms of the two
+    densities cancel, so a point costs one sqrt and no log.
+    """
+    _, out = _lift_pairing(theta2.vec - theta.vec, points)
+    kappa = log_normalizer_c(theta2.d, theta2.minkowski_norm()) - log_normalizer_c(
+        theta.d, theta.minkowski_norm()
+    )
+    np.subtract(kappa, out, out=out)
     return out
 
 

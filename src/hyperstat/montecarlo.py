@@ -292,10 +292,7 @@ def _sharded(draw: Callable[[int, RngStream], np.ndarray], n: int, shards: int, 
 
 def _f_and_logp(f: FGenerator, theta: LorentzParam, theta2: LorentzParam, pts: np.ndarray) -> tuple:
     """(f(log p'/p), log p) at the chart points ``pts``; every estimator evaluates densities here."""
-    logp = hb.log_density_chart(theta, pts)
-    log_ratio = hb.log_density_chart(theta2, pts)
-    log_ratio -= logp
-    return f.of_log_ratio(log_ratio), logp
+    return f.of_log_ratio(hb.log_ratio_chart(theta, theta2, pts)), hb.log_density_chart(theta, pts)
 
 
 def _finalize(
@@ -341,7 +338,7 @@ def estimate_plugin(
     _check_pair(theta, theta2)
 
     def kernel(out: np.ndarray, pts: np.ndarray) -> None:
-        out[:] = _f_and_logp(f, theta, theta2, pts)[0]
+        out[:] = f.of_log_ratio(hb.log_ratio_chart(theta, theta2, pts))
 
     def draw(size: int, stream: RngStream) -> np.ndarray:
         pts = hyperboloid_sample(theta, size, stream)

@@ -288,10 +288,35 @@ def traced_peak(fn) -> int:
 # Each function evaluates one shard's weights over the whole array at once,
 # making the same generator calls and the same IEEE operations in the same
 # order as the library's block kernels, so the tests compare them with ==.
+# The weight functions take ``f_and_logp``: with ``einsum_f_and_logp`` they
+# give the two-density form of the log ratio, which the tests hold within
+# rounding of the fused one.
+
+
+def _ref_lift_pairing(vec: np.ndarray, pts: np.ndarray) -> tuple:
+    # (x0, [vec, lift(x)]): |x|^2 and the spatial product summed column by column.
+    cols = np.atleast_2d(np.asarray(pts, dtype=float)).T
+    x0 = np.sqrt(1.0 + sum(c * c for c in cols))
+    return x0, vec[0] * x0 - sum(c * v for c, v in zip(cols, vec[1:]))
 
 
 def ref_log_density_chart(theta: LorentzParam, pts: np.ndarray) -> np.ndarray:
-    """The row-wise einsum form; the product with the spatial parameter on C-ordered rows."""
+    x0, pairing = _ref_lift_pairing(theta.vec, pts)
+    return hb.log_normalizer_c(theta.d, theta.minkowski_norm()) - pairing - np.log(x0)
+
+
+def ref_log_ratio_chart(theta: LorentzParam, theta2: LorentzParam, pts: np.ndarray) -> np.ndarray:
+    """kappa - [theta2 - theta, lift(x)]: the log ratio without either density."""
+    kappa = hb.log_normalizer_c(theta2.d, theta2.minkowski_norm()) - hb.log_normalizer_c(
+        theta.d, theta.minkowski_norm()
+    )
+    return kappa - _ref_lift_pairing(theta2.vec - theta.vec, pts)[1]
+
+
+def einsum_log_density_chart(theta: LorentzParam, pts: np.ndarray) -> np.ndarray:
+    """The density with |x|^2 as a row-wise einsum and the spatial product as a matrix product.
+
+    An oracle for the column-by-column forms (equal to rounding, not to the bit)."""
     pts = np.ascontiguousarray(np.atleast_2d(np.asarray(pts, dtype=float)))
     x0 = np.sqrt(1.0 + np.einsum("ij,ij->i", pts, pts))
     tv = theta.vec
@@ -311,18 +336,25 @@ def ref_logpdf(kind: str, sigma: float, x: np.ndarray) -> np.ndarray:
 
 
 def ref_f_and_logp(f, theta: LorentzParam, theta2: LorentzParam, pts: np.ndarray) -> tuple:
-    logp = ref_log_density_chart(theta, pts)
-    return f.of_log_ratio(ref_log_density_chart(theta2, pts) - logp), logp
+    return f.of_log_ratio(ref_log_ratio_chart(theta, theta2, pts)), ref_log_density_chart(theta, pts)
 
 
-def ref_plugin_weights(f, theta: LorentzParam, theta2: LorentzParam, size: int, stream) -> np.ndarray:
+def einsum_f_and_logp(f, theta: LorentzParam, theta2: LorentzParam, pts: np.ndarray) -> tuple:
+    """The log ratio as the difference of two einsum-form densities: an oracle for ref_f_and_logp."""
+    logp = einsum_log_density_chart(theta, pts)
+    return f.of_log_ratio(einsum_log_density_chart(theta2, pts) - logp), logp
+
+
+def ref_plugin_weights(
+    f, theta: LorentzParam, theta2: LorentzParam, size: int, stream, f_and_logp=ref_f_and_logp
+) -> np.ndarray:
     # hyperboloid_sample: s ~ GIG(1/2, 1, t^2) as 1 / wald, then s theta_1: + sqrt(s) z
     gen = stream.generator()
     t = theta.minkowski_norm()
     s = 1.0 / gen.wald(math.sqrt(t * t), t * t, size=size)
     z = gen.standard_normal((size, 2))
     pts = s[:, None] * theta.vec[1:][None, :] + np.sqrt(s)[:, None] * z
-    return ref_f_and_logp(f, theta, theta2, pts)[0]
+    return f_and_logp(f, theta, theta2, pts)[0]
 
 
 def ref_proposal_sample(kind: str, sigma: float, n: int, gen: np.random.Generator) -> np.ndarray:
@@ -331,21 +363,25 @@ def ref_proposal_sample(kind: str, sigma: float, n: int, gen: np.random.Generato
     return sigma * gen.standard_t(7, size=n)
 
 
-def ref_mc1_weights(f, theta, theta2, kind: str, sigma: float, size: int, stream) -> np.ndarray:
+def ref_mc1_weights(
+    f, theta, theta2, kind: str, sigma: float, size: int, stream, f_and_logp=ref_f_and_logp
+) -> np.ndarray:
     gen = stream.generator()
     x = ref_proposal_sample(kind, sigma, size, gen)
     y = ref_proposal_sample(kind, sigma, size, gen)
-    fv, logp = ref_f_and_logp(f, theta, theta2, np.column_stack((x, y)))
+    fv, logp = f_and_logp(f, theta, theta2, np.column_stack((x, y)))
     return fv * np.exp(logp - ref_logpdf(kind, sigma, x) - ref_logpdf(kind, sigma, y))
 
 
-def ref_mc2_weights(f, theta, theta2, size: int, stream, eps: float = 1e-4) -> np.ndarray:
+def ref_mc2_weights(
+    f, theta, theta2, size: int, stream, eps: float = 1e-4, f_and_logp=ref_f_and_logp
+) -> np.ndarray:
     gen = stream.generator()
     r = gen.uniform(0.0, 1.0 - eps, size=size)
     zeta = gen.uniform(0.0, 2.0 * math.pi, size=size)
     denom = np.sqrt(1.0 - r * r)
     pts = np.column_stack((r * np.cos(zeta) / denom, r * np.sin(zeta) / denom))
-    fv, logp = ref_f_and_logp(f, theta, theta2, pts)
+    fv, logp = f_and_logp(f, theta, theta2, pts)
     log_jac = math.log(2.0 * math.pi) + np.log(r) - 2.0 * np.log1p(-(r * r))
     return fv * np.exp(logp + log_jac)
 

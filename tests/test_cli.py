@@ -444,6 +444,15 @@ class TestBlasThreadCount:
         ]
         assert self._run(args, 1) == self._run(args, 2)
 
+    @pytest.mark.parametrize("method", ["plugin", "mc2"])
+    def test_estimate_without_blas(self, method):
+        # No estimator calls BLAS: the chart sums run column by column.
+        args = [
+            "estimate", "--family", "hyperboloid", "--measure", "hellinger", "--method", method,
+            "--theta", "[1,0,0]", "--theta2", "[4,3,2]", "--n", "40000", "--seed", "3",
+        ]
+        assert self._run(args, 1) == self._run(args, 2)
+
     def test_fit(self, tmp_path):
         from hyperstat.sampling import RngStream, poincare_sample
 

@@ -5,7 +5,11 @@ import pytest
 from scipy import stats
 
 from helpers import (
+    einsum_f_and_logp,
+    einsum_log_density_chart,
+    ref_f_and_logp,
     ref_log_density_chart,
+    ref_log_ratio_chart,
     ref_logpdf,
     ref_mc1_weights,
     ref_mc2_weights,
@@ -496,6 +500,19 @@ def shard_weights(monkeypatch):
     return seen
 
 
+def _estimate_and_reference(method, f, ta, tb, n, rng, shards, f_and_logp):
+    """``method``'s estimate, and its whole-array shard weights as ref(size, stream)."""
+    if method == "plugin":
+        est = estimate_plugin(f, ta, tb, n, rng, shards=shards)
+        return est, lambda size, stream: ref_plugin_weights(f, ta, tb, size, stream, f_and_logp)
+    if method == "mc2":
+        est = estimate_mc2(f, ta, tb, n, rng, shards=shards)
+        return est, lambda size, stream: ref_mc2_weights(f, ta, tb, size, stream, f_and_logp=f_and_logp)
+    kind = "logistic" if method == "mc1-logistic" else "student_t7"
+    est = estimate_mc1(f, ta, tb, Proposal(kind, 1.7), n, rng, shards=shards)
+    return est, lambda size, stream: ref_mc1_weights(f, ta, tb, kind, 1.7, size, stream, f_and_logp)
+
+
 class TestBlockKernels:
     """The block kernels against the whole-array reference of tests/helpers.py, bit for bit."""
 
@@ -507,16 +524,7 @@ class TestBlockKernels:
         f = FGenerator.squared_hellinger() if pair else FGenerator.total_variation()
         ta, tb = KERNEL_PAIRS[pair]
         rng = RngStream(61).derive(pair, n, shards)
-        if method == "plugin":
-            est = estimate_plugin(f, ta, tb, n, rng, shards=shards)
-            ref = lambda size, stream: ref_plugin_weights(f, ta, tb, size, stream)
-        elif method == "mc2":
-            est = estimate_mc2(f, ta, tb, n, rng, shards=shards)
-            ref = lambda size, stream: ref_mc2_weights(f, ta, tb, size, stream)
-        else:
-            kind = "logistic" if method == "mc1-logistic" else "student_t7"
-            est = estimate_mc1(f, ta, tb, Proposal(kind, 1.7), n, rng, shards=shards)
-            ref = lambda size, stream: ref_mc1_weights(f, ta, tb, kind, 1.7, size, stream)
+        est, ref = _estimate_and_reference(method, f, ta, tb, n, rng, shards, ref_f_and_logp)
         sizes = montecarlo._shard_sizes(n, shards)
         want = [ref(size, rng.derive(i)) for i, size in enumerate(sizes)]
         (got,) = shard_weights
@@ -526,6 +534,22 @@ class TestBlockKernels:
         assert (est.estimate, est.sample_variance) == ref_moments(want)
         if method == "plugin":
             assert est.tail_index == montecarlo._hill_tail_index(np.concatenate(want))
+
+    @pytest.mark.parametrize("method", ["plugin", "mc1-logistic", "mc1-t7", "mc2"])
+    @pytest.mark.parametrize("pair", [0, 1])
+    def test_weights_match_the_two_density_form(self, method, pair, shard_weights):
+        # The fused log ratio against log p' - log p from two einsum-form
+        # densities.  That difference cancels, so where p' ~ p a small weight
+        # can differ by more than 1e-12 of itself (1e-11 seen); the weights
+        # are held to 1e-12 of the largest one, and the estimate to 1e-12.
+        f = FGenerator.squared_hellinger() if pair else FGenerator.total_variation()
+        ta, tb = KERNEL_PAIRS[pair]
+        n, rng = 3 * BLOCK + 7, RngStream(67).derive(pair)
+        est, ref = _estimate_and_reference(method, f, ta, tb, n, rng, 1, einsum_f_and_logp)
+        want = ref(n, rng.derive(0))
+        ((got,),) = shard_weights
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        assert est.estimate == pytest.approx(float(np.mean(want)), rel=1e-12)
 
     @pytest.mark.parametrize("n_pilot", BLOCK_SIZES)
     @pytest.mark.parametrize("kind", ["logistic", "student_t7"])
@@ -581,13 +605,28 @@ class TestKernelInputs:
         assert np.array_equal(prop.logpdf(pts), ref_logpdf(kind, 1.7, self.ROWS))
         assert np.array_equal(pts, before)
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_log_ratio_chart_is_layout_free_and_leaves_input(self, layout):
+        pts = _layouts(self.ROWS)[layout]
+        before = pts.copy()
+        tb = LorentzParam(PANEL_PAIRS[3][1])
+        assert np.array_equal(hb.log_ratio_chart(T211, tb, pts), ref_log_ratio_chart(T211, tb, self.ROWS))
+        assert np.array_equal(pts, before)
+
+    def test_log_ratio_chart_is_the_density_difference(self):
+        # The einsum-form densities are O(10) here and their difference
+        # cancels, so the fused ratio is held to 1e-12 absolute.
+        tb = LorentzParam(PANEL_PAIRS[3][1])
+        want = einsum_log_density_chart(tb, self.ROWS) - einsum_log_density_chart(T211, self.ROWS)
+        np.testing.assert_allclose(hb.log_ratio_chart(T211, tb, self.ROWS), want, rtol=0, atol=1e-12)
+
     def test_log_density_chart_d3_matches_einsum_form(self):
         theta = LorentzParam((3.0, 1.0, -0.5, 0.7))
         rows = np.random.default_rng(65).standard_normal((BLOCK + 1, 3)) * 3.0
-        want = ref_log_density_chart(theta, rows)
+        want = einsum_log_density_chart(theta, rows)
         for pts in _layouts(rows).values():
-            # |x|^2 is summed column by column, the einsum by row: the sums may
-            # differ in the last bit at d = 3
+            # |x|^2 and the spatial product are summed column by column, the
+            # einsum and the matrix product by row: they may differ in the last bit
             np.testing.assert_allclose(hb.log_density_chart(theta, pts), want, rtol=1e-14, atol=1e-14)
 
 
