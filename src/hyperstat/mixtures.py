@@ -192,10 +192,12 @@ def _normalize(a: np.ndarray) -> np.ndarray:
     # the direct formula gives them.  The rows are added in order, as SciPy's
     # reduction adds a point's k < 8 terms in its (n, k) layout, so the two
     # agree bit for bit; for k >= 8 that reduction sums pairwise and the last
-    # bit can differ.
+    # bit can differ.  Responsibilities are e / (ties + rest) in every column
+    # with a finite max, and exp(a - lse) only where the max is +-inf or nan.
     top = a.max(axis=0)
     is_top = a == top
-    if np.isfinite(top).all() and np.count_nonzero(is_top) == a.shape[1]:
+    finite = np.isfinite(top)
+    if finite.all() and np.count_nonzero(is_top) == a.shape[1]:
         # Every max is finite, so each column holds at least one term equal
         # to it, and a count of n means exactly one.  Every e = exp(a - top)
         # is then finite and in [0, 1], and 1 exactly at the max, so zeroing
@@ -210,11 +212,15 @@ def _normalize(a: np.ndarray) -> np.ndarray:
         a /= 1.0 + rest
         return np.log1p(rest) + top
     with np.errstate(divide="ignore", invalid="ignore"):
-        rest = np.where(is_top, 0.0, np.exp(a - top)).sum(axis=0)
+        e = np.where(is_top, 0.0, np.exp(a - top))
+        rest = e.sum(axis=0)
         ties = is_top.sum(axis=0)
         lse = np.log1p(rest / ties) + np.log(ties) + top
+        e += is_top
+        e /= ties + rest
         a -= lse
         np.exp(a, out=a)
+    a[:, finite] = e[:, finite]
     return lse
 
 

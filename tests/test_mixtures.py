@@ -418,18 +418,19 @@ class TestNormalizer:
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_tied_and_non_finite_columns(self, k):
-        # Ties, +-inf, nan and empty columns keep the two-exponential formula.
+        # Ties, +-inf, nan and empty columns.  Where the max is finite, tied or
+        # not, the responsibilities are e / (ties + rest); only a +-inf or nan
+        # max takes exp(a - lse), which rounds a - lse at the scale of lse and
+        # would miss a column sum of 1 by up to ~2 ulp of |lse| (1.8e-13 here).
         a = _lse_input(k)
         resp = a.copy()
         lse = mixtures._normalize(resp)
         assert np.array_equal(lse, _scipy_logsumexp(a), equal_nan=True)
+        finite = np.isfinite(a.max(axis=0))
         with np.errstate(invalid="ignore"):
-            assert np.array_equal(resp, np.exp(a - lse), equal_nan=True)
-        # exp(a - lse) rounds a - lse at the scale of lse, so these column
-        # sums miss 1 by up to ~2 ulp of |lse| (1.8e-13 here), not 1e-15.
-        finite = np.isfinite(lse)
-        miss = np.abs(resp[:, finite].sum(axis=0) - 1.0)
-        assert np.all(miss <= 4 * np.spacing(1.0) * np.maximum(1.0, np.abs(lse[finite])))
+            assert np.array_equal(resp[:, ~finite], np.exp(a - lse)[:, ~finite], equal_nan=True)
+        assert np.max(np.abs(resp[:, finite] - self._posterior(a[:, finite]))) <= 4 * np.spacing(1.0)
+        np.testing.assert_allclose(resp[:, finite].sum(axis=0), 1.0, rtol=0, atol=1e-15)
 
 
 _SQUAREM_TRUTHS = [
