@@ -18,10 +18,10 @@ the combined moments do not depend on combination order.
 
 Each estimator is a sampler and a weight kernel.  The sampler makes every
 generator call of a shard up front; the kernel is elementwise and runs over
-row blocks of ``_BLOCK`` draws, writing each block's weights into one array
-that is then reduced whole (moments, tail index, the sigma search's pilot
-mean).  The block size therefore changes wall time only, never a bit of a
-result.
+row blocks of ``sampling._BLOCK`` draws, writing each block's weights into
+one array that is then reduced whole (moments, tail index, the sigma search's
+pilot mean).  The block size therefore changes wall time only, never a bit of
+a result.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from . import hyperboloid as hb
 from .expfam import brent_min
 from .geometry import DimensionError, LorentzParam, SpdParam2, param_h_to_l
-from .sampling import _BLOCK, RngStream, _by_block, hyperboloid_sample
+from .sampling import RngStream, _by_block, hyperboloid_sample
 
 __all__ = [
     "FGenerator",
@@ -291,7 +291,7 @@ def _sharded(draw: Callable[[int, RngStream], np.ndarray], n: int, shards: int, 
 
 
 def _f_and_logp(f: FGenerator, theta: LorentzParam, theta2: LorentzParam, pts: np.ndarray) -> tuple:
-    """(f(log p'/p), log p) at the chart points ``pts``; every estimator evaluates densities here."""
+    """(f(log p'/p), log p) at the chart points ``pts``; the plug-in weight needs only the ratio."""
     return f.of_log_ratio(hb.log_ratio_chart(theta, theta2, pts)), hb.log_density_chart(theta, pts)
 
 

@@ -24,6 +24,7 @@ from test_acceptance import PAIRS as PANEL_PAIRS
 from hyperstat import hyperboloid as hb
 from hyperstat import montecarlo
 from hyperstat import poincare as pc
+from hyperstat import sampling
 from hyperstat.expfam import brent_min
 from hyperstat.geometry import LorentzParam, SpdParam2
 from hyperstat.montecarlo import (
@@ -480,7 +481,7 @@ class TestShardMachinery:
         assert acc.variance() == pytest.approx(pooled.var(ddof=1), rel=1e-12)
 
 
-BLOCK = montecarlo._BLOCK
+BLOCK = sampling._BLOCK
 BLOCK_SIZES = [2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
 KERNEL_PAIRS = [(APEX, T211), tuple(LorentzParam(t) for t in PANEL_PAIRS[3])]
 
