@@ -20,8 +20,10 @@ Each estimator is a sampler and a weight kernel.  The sampler makes every
 generator call of a shard up front; the kernel is elementwise and runs over
 row blocks of ``sampling._BLOCK`` draws, writing each block's weights into
 one array that is then reduced whole (moments, tail index, the sigma search's
-pilot mean).  The block size therefore changes wall time only, never a bit of
-a result.
+pilot sums).  The block size therefore changes wall time only, never a bit of
+a result.  No kernel calls cos or sin: MC2 takes both from one tangent of
+its half angle.  The sigma search's t7 objective is a polynomial in the scale
+over pilot moments built once, so each of its Brent evaluations is O(1).
 """
 
 from __future__ import annotations
@@ -147,16 +149,26 @@ class Proposal:
         return z
 
 
-def _pass_terms(kind: str, z: np.ndarray, w: np.ndarray) -> Callable[[float], Callable[..., None]]:
-    """``terms(sigma)``, a kernel(out, root_a, z, w) over blocks of the pilot arrays.
+def _pass_terms(
+    kind: str, root_a: np.ndarray, t: np.ndarray, z: np.ndarray, w: np.ndarray
+) -> Callable[[float], float]:
+    """``total(sigma)``, the pilot sum of (root_a / sqrt(p_sigma(z) p_sigma(w)))^2.
 
-    The kernel writes (root_a / sqrt(p_sigma(z) p_sigma(w)))^2 into ``out``,
-    a closed form in sigma over the arrays built here once.  The log-densities
-    of :meth:`Proposal.logpdf` give, exactly,
+    The log-densities of :meth:`Proposal.logpdf` give, exactly,
     student_t7: 1 / (p_sigma(z) p_sigma(w)) = sigma^2 e^{-2C} Q^4 with
-    Q = (1 + s z^2)(1 + s w^2) = 1 + s (z^2 + w^2) + s^2 z^2 w^2, s = 1/(7 sigma^2);
+    Q = (1 + s z^2)(1 + s w^2) = 1 + s A + s^2 B, s = 1/(7 sigma^2),
+    A = z^2 + w^2 and B = z^2 w^2;
     logistic: 1 / p_sigma(x) = 4 sigma cosh^2(x / (2 sigma)).
-    For student_t7, z^2 + w^2 and z^2 w^2 are written over z and w here.
+
+    For student_t7 the sum is the degree-8 polynomial sigma^2 e^{-2C} sum_j M_j s^j.
+    Expanding Q^4 gives M_j = sum_{b + 2g = j} 4! / ((4 - b - g)! b! g!) S_{b,g}
+    over the 15 sums S_{b,g} = sum a A^b B^g, b + g <= 4, with a = root_a^2.
+    They are built here once, A and B over ``z`` and ``w`` and the products
+    over ``root_a`` and ``t``, each reduced whole by NumPy's pairwise sum;
+    every term is >= 0, so nothing cancels, and each ``total`` is then a
+    Horner form in s with no pass over the pilot.  For logistic, each
+    ``total`` writes (root_a cosh cosh)^2 over ``t`` block by block and
+    multiplies the sum by the constant (4 sigma)^2 once.
     """
     if kind == "student_t7":
 
@@ -166,40 +178,42 @@ def _pass_terms(kind: str, z: np.ndarray, w: np.ndarray) -> Callable[[float], Ca
             np.multiply(zz, ww, out=w)
 
         _by_block(sums, z, w)
+        moments = [0.0] * 9  # M_0 .. M_8
+        np.multiply(root_a, root_a, out=root_a)
+        for g in range(5):
+            if g:
+                root_a *= w  # a B^g
+            term = root_a
+            for b in range(5 - g):
+                if b:
+                    term = np.multiply(term, z, out=t)  # a A^b B^g
+                moments[b + 2 * g] += math.comb(4, g) * math.comb(4 - g, b) * float(np.sum(term))
+        scale = math.exp(-2.0 * _T7_LOGNORM)
 
-        def terms(sigma: float) -> Callable[..., None]:
+        def total(sigma: float) -> float:
             s = 1.0 / (7.0 * sigma * sigma)
-            k = math.sqrt(sigma * math.exp(-_T7_LOGNORM))
-            sk = s * k
+            poly = 0.0
+            for m in reversed(moments):
+                poly = poly * s + m
+            return scale * sigma * sigma * poly
 
-            def kernel(out: np.ndarray, root_a: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
-                np.multiply(v, s, out=out)
-                out += u
-                out *= sk
-                out += k  # sqrt(sigma e^{-C}) Q
-                np.multiply(out, out, out=out)
-                out *= root_a
-                np.multiply(out, out, out=out)
+        return total
 
-            return kernel
-
-        return terms
-
-    def terms(sigma: float) -> Callable[..., None]:
+    def total(sigma: float) -> float:
         h = 0.5 / sigma
-        scale = 4.0 * sigma
 
         def kernel(out: np.ndarray, root_a: np.ndarray, z: np.ndarray, w: np.ndarray) -> None:
             np.cosh(np.multiply(z, h, out=out), out=out)
             c = np.multiply(w, h)
             out *= np.cosh(c, out=c)
-            out *= scale
             out *= root_a
             np.multiply(out, out, out=out)
 
-        return kernel
+        _by_block(kernel, t, root_a, z, w)
+        # NumPy's pairwise sum: BLAS's dot splits its sum by thread count.
+        return float(np.sum(t)) * (16.0 * sigma * sigma)
 
-    return terms
+    return total
 
 
 @dataclass(frozen=True)
@@ -409,10 +423,11 @@ def optimize_sigma(
     A single pilot sample is drawn at scale 1 and reused for every candidate
     sigma (common random numbers), so the objective is deterministic and
     Brent's bounded method applies; it searches log sigma on ``_SIGMA_BRACKET``,
-    where the objective is close to a parabola near its minimum.  A pass is a
-    closed form in sigma over pilot arrays computed once (see
-    :func:`_pilot_objective`), with no transcendental per point for the t7
-    proposal and two cosh per point for the logistic one.
+    where the objective is close to a parabola near its minimum.  An
+    evaluation is a closed form in sigma over pilot values computed once (see
+    :func:`_pilot_objective`): for the t7 proposal a degree-8 polynomial over
+    15 pilot moments, O(1) per evaluation after one moment pass, and for the
+    logistic one a pass over the pilot with two cosh per point.
     """
     _check_pair(theta, theta2)
     base = Proposal(proposal_kind, 1.0)
@@ -438,11 +453,14 @@ def _pilot_objective(
     sqrt(a) / sqrt(p_sigma(z) p_sigma(w)), so it overflows where
     exp(log a - log p_sigma(z) - log p_sigma(w)) does, not where only a
     factor would; the mask drops the terms with a = 0, so none is 0 * inf.
+    For the t7 proposal :func:`_pass_terms` sums the terms' polynomial
+    coefficients over the pilot once, and an evaluation is then O(1).
 
     The four arrays are the objective's working set: sqrt(a) is written over
-    ``fv``, each pass's terms over ``logp``, and :func:`_pass_terms` may
-    overwrite ``z`` and ``w``.  A pilot with a term a = 0 works on masked
-    copies instead and leaves the arrays as they were.
+    ``fv``, and :func:`_pass_terms` writes its products or each pass's terms
+    over ``fv`` and ``logp`` and may overwrite ``z`` and ``w``.  A pilot with
+    a term a = 0 works on masked copies instead and leaves the arrays as they
+    were.
     """
     n_pilot = z.size
     if not fv.all():  # most pilots have no term with a = 0, and then need neither mask nor copies
@@ -460,15 +478,30 @@ def _pilot_objective(
         np.exp(fv, out=fv)
 
     _by_block(root_a_kernel, fv, logp, z, w)
-    root_a, t = fv, logp
-    terms = _pass_terms(base.kind, z, w)
+    total = _pass_terms(base.kind, fv, logp, z, w)
 
     def objective(log_sigma: float) -> float:
-        _by_block(terms(math.exp(log_sigma)), t, root_a, z, w)
-        # NumPy's pairwise sum: BLAS's dot splits its sum by thread count.
-        return float(np.sum(t)) / n_pilot
+        return total(math.exp(log_sigma)) / n_pilot
 
     return objective
+
+
+def _cos_sin(zeta: np.ndarray, out: np.ndarray) -> None:
+    """Write cos(zeta) and sin(zeta) into the two rows of ``out`` from one tangent.
+
+    With t = tan(zeta / 2) (zeta / 2 is exact) and q = 2 / (1 + t^2),
+    cos zeta = q - 1 and sin zeta = t q.  NumPy's tan is vectorized where its
+    cos and sin run in scalar libm on some builds, at ~10x the cost per value.
+    Both values are within a few ulp(1) of the libm ones.
+    """
+    cos, sin = out
+    np.multiply(zeta, 0.5, out=sin)
+    np.tan(sin, out=sin)
+    np.multiply(sin, sin, out=cos)
+    cos += 1.0
+    np.divide(2.0, cos, out=cos)
+    sin *= cos
+    cos -= 1.0
 
 
 def estimate_mc2(
@@ -496,8 +529,8 @@ def estimate_mc2(
         denom = np.subtract(1.0, rr)
         np.sqrt(denom, out=denom)
         xy = np.empty((2, r.size))
-        for row, trig in zip(xy, (np.cos, np.sin)):
-            trig(zeta, out=row)
+        _cos_sin(zeta, xy)
+        for row in xy:
             row *= r
             row /= denom  # r (cos, sin)(zeta) / sqrt(1 - r^2)
         fv, logp = _f_and_logp(f, theta, theta2, xy.T)

@@ -373,17 +373,39 @@ def ref_mc1_weights(
     return fv * np.exp(logp - ref_logpdf(kind, sigma, x) - ref_logpdf(kind, sigma, y))
 
 
-def ref_mc2_weights(
-    f, theta, theta2, size: int, stream, eps: float = 1e-4, f_and_logp=ref_f_and_logp
-) -> np.ndarray:
+def _mc2_weights(f, theta, theta2, size: int, stream, eps, f_and_logp, cos_sin) -> np.ndarray:
     gen = stream.generator()
     r = gen.uniform(0.0, 1.0 - eps, size=size)
     zeta = gen.uniform(0.0, 2.0 * math.pi, size=size)
     denom = np.sqrt(1.0 - r * r)
-    pts = np.column_stack((r * np.cos(zeta) / denom, r * np.sin(zeta) / denom))
+    cos, sin = cos_sin(zeta)
+    pts = np.column_stack((r * cos / denom, r * sin / denom))
     fv, logp = f_and_logp(f, theta, theta2, pts)
     log_jac = math.log(2.0 * math.pi) + np.log(r) - 2.0 * np.log1p(-(r * r))
     return fv * np.exp(logp + log_jac)
+
+
+def ref_cos_sin(zeta: np.ndarray) -> tuple:
+    """(cos, sin)(zeta) from t = tan(zeta / 2): (q - 1, t q) with q = 2 / (1 + t^2)."""
+    t = np.tan(zeta * 0.5)
+    q = 2.0 / (t * t + 1.0)
+    return q - 1.0, t * q
+
+
+def ref_mc2_weights(
+    f, theta, theta2, size: int, stream, eps: float = 1e-4, f_and_logp=ref_f_and_logp
+) -> np.ndarray:
+    return _mc2_weights(f, theta, theta2, size, stream, eps, f_and_logp, ref_cos_sin)
+
+
+def libm_mc2_weights(
+    f, theta, theta2, size: int, stream, eps: float = 1e-4, f_and_logp=ref_f_and_logp
+) -> np.ndarray:
+    """The MC2 weights with the angle from np.cos and np.sin: an oracle for ref_mc2_weights."""
+    def libm_cos_sin(zeta: np.ndarray) -> tuple:
+        return np.cos(zeta), np.sin(zeta)
+
+    return _mc2_weights(f, theta, theta2, size, stream, eps, f_and_logp, libm_cos_sin)
 
 
 def ref_moments(weights: list) -> tuple:
@@ -409,17 +431,63 @@ def ref_pilot(kind: str, f, theta, theta2, n_pilot: int, stream) -> tuple:
     return (z, w, *ref_f_and_logp(f, theta, theta2, np.column_stack((z, w))))
 
 
-def ref_pilot_objective(kind: str, z, w, fv, logp):
-    """log sigma -> the pilot mean of (sqrt(a) / sqrt(p_sigma(z) p_sigma(w)))^2, whole-array.
-
-    Reduced by NumPy's pairwise sum, as the library reduces it."""
+def _pilot_root_a(kind: str, z, w, fv, logp) -> tuple:
+    # the unmasked (z, w) and sqrt(a), a = (f p)^2 / (p_1(z) p_1(w))
     mask = fv != 0.0
     zm, wm = z[mask], w[mask]
     log_a = (
         2.0 * np.log(np.abs(fv[mask])) + 2.0 * logp[mask]
         - ref_logpdf(kind, 1.0, zm) - ref_logpdf(kind, 1.0, wm)
     )
-    root_a = np.exp(0.5 * log_a)
+    return zm, wm, np.exp(0.5 * log_a)
+
+
+def ref_pilot_objective(kind: str, z, w, fv, logp):
+    """log sigma -> the pilot mean of a / (p_sigma(z) p_sigma(w)), whole-array.
+
+    student_t7: sigma^2 e^{-2C} times a Horner form in s = 1/(7 sigma^2) over
+    the moments M_j of Q^4, each sum S_{b,g} = sum a A^b B^g reduced by
+    NumPy's pairwise sum; logistic: (4 sigma)^2 times the pairwise sum of
+    (sqrt(a) cosh cosh)^2."""
+    zm, wm, root_a = _pilot_root_a(kind, z, w, fv, logp)
+    if kind == "student_t7":
+        zz, ww = zm * zm, wm * wm
+        u, v = zz + ww, zz * ww
+        moments = [0.0] * 9
+        a_bg = root_a * root_a
+        for g in range(5):
+            if g:
+                a_bg = a_bg * v
+            term = a_bg
+            for b in range(5 - g):
+                if b:
+                    term = term * u
+                moments[b + 2 * g] += math.comb(4, g) * math.comb(4 - g, b) * float(np.sum(term))
+
+    def objective(log_sigma: float) -> float:
+        sigma = math.exp(log_sigma)
+        if kind == "student_t7":
+            s = 1.0 / (7.0 * sigma * sigma)
+            poly = 0.0
+            for m in reversed(moments):
+                poly = poly * s + m
+            return math.exp(-2.0 * _T7_LOGNORM) * sigma * sigma * poly / z.size
+        h = 0.5 / sigma
+        t = np.cosh(zm * h)
+        t *= np.cosh(wm * h)
+        t *= root_a
+        return float(np.sum(t * t)) * (16.0 * sigma * sigma) / z.size
+
+    return objective
+
+
+def per_point_pilot_objective(kind: str, z, w, fv, logp):
+    """The pilot mean as one pass over the pilot per sigma: an oracle for ref_pilot_objective.
+
+    Each term is (sqrt(a) / sqrt(p_sigma(z) p_sigma(w)))^2, with
+    1 / sqrt(p_sigma(z) p_sigma(w)) = sqrt(sigma e^{-C}) Q (student_t7) or
+    4 sigma cosh cosh (logistic), reduced by NumPy's pairwise sum."""
+    zm, wm, root_a = _pilot_root_a(kind, z, w, fv, logp)
     zz, ww = zm * zm, wm * wm
     u, v = zz + ww, zz * ww
 

@@ -171,6 +171,22 @@ class TestSample:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    @pytest.mark.parametrize("family", ["poincare", "hyperboloid"])
+    def test_rows_match_the_per_value_format(self, family, n, monkeypatch, capsys):
+        # Signed zero, the smallest subnormal and a large value in both columns.
+        values = [-0.0, 5e-324, 1e20, 0.1, -2.5e-300, 1.0 / 3.0, 7.0]
+        pts = np.array([(values[i], values[-1 - i]) for i in range(n)], dtype=float).reshape(n, 2)
+        sampler = "poincare_sample" if family == "poincare" else "hyperboloid_sample"
+        monkeypatch.setattr(f"hyperstat.cli.{sampler}", lambda theta, size, stream: pts)
+        theta = "[[1,0],[0,1]]" if family == "poincare" else "[2,1,1]"
+        code, out, _ = run_cli(
+            ["sample", "--family", family, "--theta", theta, "--n", str(n), "--seed", "0"], capsys
+        )
+        assert code == 0
+        rows = out.split("\n", 2)[2]
+        assert rows == "".join(f"{format(row[0], '.17g')},{format(row[1], '.17g')}\n" for row in pts)
+
     def test_file_output(self, tmp_path, capsys):
         out_file = tmp_path / "pts.csv"
         code, out, _ = run_cli(

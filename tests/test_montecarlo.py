@@ -7,6 +7,9 @@ from scipy import stats
 from helpers import (
     einsum_f_and_logp,
     einsum_log_density_chart,
+    libm_mc2_weights,
+    per_point_pilot_objective,
+    ref_cos_sin,
     ref_f_and_logp,
     ref_log_density_chart,
     ref_log_ratio_chart,
@@ -31,6 +34,7 @@ from hyperstat.montecarlo import (
     FGenerator,
     McEstimate,
     Proposal,
+    _cos_sin,
     _f_and_logp,
     _pilot_objective,
     estimate,
@@ -573,6 +577,54 @@ class TestBlockKernels:
         with np.errstate(over="ignore"):
             want = math.exp(brent_min(objective, math.log(0.05), math.log(50.0), 1e-7)[0])
             assert optimize_sigma(f, ta, tb, kind, n_pilot, rng) == want
+
+
+class TestOldForms:
+    """The tangent half-angle and the moment-form sigma search against the forms they replaced."""
+
+    ULP1 = np.spacing(1.0)
+
+    def test_half_angle_matches_libm(self):
+        zeta = np.concatenate((
+            [1e-300, 0.5 * math.pi, math.pi, 1.5 * math.pi, np.nextafter(2.0 * math.pi, 0.0)],
+            RngStream(68).generator().uniform(0.0, 2.0 * math.pi, size=100_000),
+        ))
+        got = np.empty((2, zeta.size))
+        _cos_sin(zeta, got)
+        assert np.array_equal(got, np.array(ref_cos_sin(zeta)))
+        for row, trig in zip(got, (np.cos, np.sin)):
+            assert np.max(np.abs(row - trig(zeta))) <= 4 * self.ULP1
+
+    @pytest.mark.parametrize("pair", [0, 1])
+    def test_mc2_weights_match_libm_angle(self, pair, shard_weights):
+        f = FGenerator.squared_hellinger() if pair else FGenerator.total_variation()
+        ta, tb = KERNEL_PAIRS[pair]
+        n, rng = 3 * BLOCK + 7, RngStream(69).derive(pair)
+        estimate_mc2(f, ta, tb, n, rng)
+        want = libm_mc2_weights(f, ta, tb, n, rng.derive(0))
+        ((got,),) = shard_weights
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("n_pilot", BLOCK_SIZES)
+    @pytest.mark.parametrize("kind", ["logistic", "student_t7"])
+    def test_pilot_objective_matches_per_point_pass(self, kind, n_pilot):
+        f, (ta, tb) = FGenerator.total_variation(), KERNEL_PAIRS[1]
+        z, w, fv, logp = ref_pilot(kind, f, ta, tb, n_pilot, RngStream(70).derive(n_pilot))
+        fv[n_pilot // 2] = 0.0  # a term with a = 0, which the mask drops
+        want = per_point_pilot_objective(kind, z, w, fv, logp)
+        got = _pilot_objective(Proposal(kind, 1.0), z, w, fv, logp)
+        for s in np.linspace(math.log(0.05), math.log(50.0), 9):
+            assert got(s) == pytest.approx(want(s), rel=1e-13), math.exp(s)
+
+    @pytest.mark.parametrize("kind", ["logistic", "student_t7"])
+    def test_sigma_star_matches_per_point_search(self, kind):
+        f = FGenerator.kl()
+        for i, (a, b) in enumerate(PANEL_PAIRS):
+            ta, tb = LorentzParam(a), LorentzParam(b)
+            rng = RngStream(71).derive(i)
+            objective = per_point_pilot_objective(kind, *ref_pilot(kind, f, ta, tb, 20_000, rng))
+            want = math.exp(brent_min(objective, math.log(0.05), math.log(50.0), 1e-7)[0])
+            assert optimize_sigma(f, ta, tb, kind, 20_000, rng) == pytest.approx(want, rel=1e-7), (a, b)
 
 
 def _layouts(rows: np.ndarray) -> dict:
