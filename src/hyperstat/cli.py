@@ -18,6 +18,9 @@ more than 4 standard errors from the closed form.  All randomness
 derives from ``--seed``; results are reproducible for a fixed flag set.  The
 environment variable HYPERSTAT_THREADS caps the worker count used to evaluate
 shards; neither it nor the BLAS thread count changes any result.
+
+A command imports ``sampling``, ``montecarlo`` or ``mixtures`` when it runs
+and only if it calls them, so the closed-form commands never load them.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from . import poincare as pc
 from .geometry import (
     ConeError,
     DimensionError,
+    FitError,
     HyperboloidPoint,
     LorentzParam,
     SpdParam2,
@@ -48,9 +52,6 @@ from .geometry import (
     point_l_to_h,
     poincare_invariant,
 )
-from .mixtures import FitError, em_fit
-from .montecarlo import FGenerator, estimate, estimate_for_poincare
-from .sampling import RngStream, hyperboloid_sample, poincare_sample
 
 EXIT_OK = 0
 EXIT_BAD_PARAMS = 2
@@ -226,14 +227,16 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from . import sampling
+
     theta = _parse_param(args.theta, args.family)
-    stream = RngStream(args.seed, _STREAM_SAMPLING)
+    stream = sampling.RngStream(args.seed, _STREAM_SAMPLING)
     if args.family == "poincare":
-        pts = poincare_sample(theta, args.n, stream)
+        pts = sampling.poincare_sample(theta, args.n, stream)
         header = "x,y"
         theta_repr = [theta.a, theta.b, theta.c]
     else:
-        pts = hyperboloid_sample(theta, args.n, stream)
+        pts = sampling.hyperboloid_sample(theta, args.n, stream)
         header = "x1,x2"
         theta_repr = list(theta.theta)
     head = "# family=%s theta=%s n=%d seed=%d\n%s\n" % (
@@ -246,14 +249,17 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    from . import montecarlo as mc
+    from .sampling import RngStream
+
     theta = _parse_param(args.theta, args.family)
     theta2 = _parse_param(args.theta2, args.family)
-    f = FGenerator.by_name(args.measure)
+    f = mc.FGenerator.by_name(args.measure)
     stream = RngStream(args.seed, _STREAM_ESTIMATE)
     closed = _DIVERGENCES[args.family].get(args.measure)
     if args.verify and closed is None:
         raise CliError(EXIT_BAD_PARAMS, f"--verify has no closed form for {args.measure}")
-    run = estimate_for_poincare if args.family == "poincare" else estimate
+    run = mc.estimate_for_poincare if args.family == "poincare" else mc.estimate
     est = run(
         f, theta, theta2, args.method, args.n, stream,
         sigma=args.sigma, eps=args.eps, shards=args.shards,
@@ -304,6 +310,9 @@ def _read_points_csv(path: str) -> np.ndarray:
 
 
 def _cmd_fit(args) -> int:
+    from .mixtures import em_fit
+    from .sampling import RngStream
+
     try:
         pts = _read_points_csv(args.input)
     except (OSError, ValueError) as err:

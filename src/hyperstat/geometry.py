@@ -24,6 +24,7 @@ __all__ = [
     "ConeError",
     "DimensionError",
     "DualDomainError",
+    "FitError",
     "SpdParam2",
     "UpperHalfPoint",
     "Moment2",
@@ -65,6 +66,14 @@ class DimensionError(ValueError):
 
 class DualDomainError(ValueError):
     """A moment parameter is not realizable by any cone parameter."""
+
+
+class FitError(RuntimeError):
+    """EM failed to produce a non-degenerate mixture within the retry budget.
+
+    Raised by :func:`hyperstat.mixtures.em_fit`; it lives here so that the
+    command line maps it to exit 5 without importing the EM module.
+    """
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import expfam
 from .geometry import DimensionError, DualDomainError, HyperboloidPoint, LorentzParam
-from .sampling import hyperboloid_sample
 from .specfun import bessel_k, bessel_k_logderiv
 
 __all__ = [
@@ -137,6 +136,13 @@ def log_density(theta: LorentzParam, p: HyperboloidPoint) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _sample(theta: LorentzParam, n: int, rng) -> np.ndarray:
+    # The sampler module is loaded by the first draw, not with the closed forms.
+    from .sampling import hyperboloid_sample
+
+    return hyperboloid_sample(theta, n, rng)
+
+
 _FAMILY = expfam.Family(
     radial=lambda u, d, first, last: _radial(u, d, first, last),
     metric=lambda size: np.diag([2.0] + [-2.0] * (size - 1)),
@@ -145,7 +151,7 @@ _FAMILY = expfam.Family(
     log_density=lambda theta, pts: log_density_chart(theta, pts),
     stats=lambda pts: suff_stats_chart(pts),
     from_moment=lambda eta: mle_from_moment(eta, eta.size - 1),
-    sample=lambda theta, n, rng: hyperboloid_sample(theta, n, rng),
+    sample=_sample,
     vector=lambda theta: theta.vec,
     paired=lambda v: v,
     reference=lambda d: LorentzParam((1.0,) + (0.0,) * d),  # the apex

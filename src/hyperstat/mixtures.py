@@ -67,14 +67,10 @@ import numpy as np
 from . import expfam
 from . import hyperboloid as hb
 from . import poincare as pc
-from .geometry import ConeError, DualDomainError
+from .geometry import ConeError, DualDomainError, FitError
 from .sampling import RngStream
 
 __all__ = ["Mixture", "EmTrace", "FitError", "mixture_log_density", "mixture_sample", "em_fit"]
-
-
-class FitError(RuntimeError):
-    """EM failed to produce a non-degenerate mixture within the retry budget."""
 
 
 _FAMILIES = {"poincare": pc._FAMILY, "hyperboloid": hb._FAMILY}
@@ -367,7 +363,9 @@ def em_fit(
     """Fit a k-component mixture by EM; returns (Mixture, EmTrace).
 
     Raises :class:`FitError` when every restart collapses a component (an
-    effective count below 2 or a degenerate moment average).
+    effective count below 2 or a degenerate moment average).  A k = 1 fit
+    makes one attempt: it always starts from all-ones responsibilities, so
+    a restart would repeat the same computation.
     """
     if k < 1:
         raise ValueError(f"a mixture needs k >= 1 components, got {k}")
@@ -381,7 +379,7 @@ def em_fit(
         raise FitError(f"EM failed: need at least 2k={2 * k} points, got {n}")
     basis = _linear_basis(fam, pts, stats)
 
-    attempts = 1 if init_resp is not None else _RETRIES
+    attempts = 1 if init_resp is not None or k == 1 else _RETRIES
     last_err: Optional[Exception] = None
     for attempt in range(attempts):
         trace = EmTrace(restarts=attempt)
@@ -404,6 +402,5 @@ def em_fit(
             last_err = err
             if init_resp is not None:
                 raise FitError(str(err)) from err
-    raise FitError(
-        f"EM failed after {attempts} initializations: {last_err}"
-    ) from last_err
+    tries = "1 initialization" if attempts == 1 else f"{attempts} initializations"
+    raise FitError(f"EM failed after {tries}: {last_err}") from last_err

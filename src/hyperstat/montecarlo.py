@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -289,6 +288,8 @@ def _run_shards(jobs: list) -> list:
     workers = _worker_count(len(jobs))
     if workers == 1:
         return [job() for job in jobs]
+    from concurrent.futures import ThreadPoolExecutor  # loaded only when a pool starts
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(job) for job in jobs]
         return [f.result() for f in futures]

@@ -31,7 +31,6 @@ import numpy as np
 
 from . import expfam
 from .geometry import DualDomainError, Moment2, SpdParam2, UpperHalfPoint
-from .sampling import poincare_sample
 from .specfun import exp_gamma0
 
 __all__ = [
@@ -154,6 +153,13 @@ def _radial(u: float, d: int, first: int, last: int) -> tuple:
     )[first : last + 1]
 
 
+def _sample(theta: SpdParam2, n: int, rng) -> np.ndarray:
+    # The sampler module is loaded by the first draw, not with the closed forms.
+    from .sampling import poincare_sample
+
+    return poincare_sample(theta, n, rng)
+
+
 _FAMILY = expfam.Family(
     radial=lambda u, d, first, last: _radial(u, d, first, last),
     metric=lambda size: _HESS_U,
@@ -164,7 +170,7 @@ _FAMILY = expfam.Family(
     # between these rows, so this choice fixes every fit.
     stats=lambda pts: suff_stats_xy(pts),
     from_moment=lambda eta: grad_conjugate(Moment2(*eta)),
-    sample=lambda theta, n, rng: poincare_sample(theta, n, rng),
+    sample=_sample,
     vector=lambda theta: theta.as_vector(),
     # The density's a(x^2+y^2) + 2bx + c counts the middle entry m12 twice.
     paired=lambda v: v * _PAIRING,

@@ -12,7 +12,6 @@ Samplers are pure functions of (parameters, n, stream).
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -30,8 +29,6 @@ __all__ = [
     "poincare_sample",
     "concentration_probe",
 ]
-
-logger = logging.getLogger(__name__)
 
 _BLOCK = 16_384  # rows per elementwise block: a few block temporaries stay in a 2 MB L2 cache
 
@@ -144,7 +141,11 @@ def _gig_ratio_of_uniforms(p: GigParams, n: int, gen: np.random.Generator) -> np
         out[filled : filled + take.size] = take
         filled += take.size
         proposed += m
-    logger.debug(
+    # logging is imported here, at the module's one record, so that a process
+    # that never takes this path does not load it.
+    import logging
+
+    logging.getLogger(__name__).debug(
         "GIG ratio-of-uniforms: lam=%g chi=%g psi=%g acceptance=%.3f",
         p.lam,
         p.chi,

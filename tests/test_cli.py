@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -178,7 +179,7 @@ class TestSample:
         values = [-0.0, 5e-324, 1e20, 0.1, -2.5e-300, 1.0 / 3.0, 7.0]
         pts = np.array([(values[i], values[-1 - i]) for i in range(n)], dtype=float).reshape(n, 2)
         sampler = "poincare_sample" if family == "poincare" else "hyperboloid_sample"
-        monkeypatch.setattr(f"hyperstat.cli.{sampler}", lambda theta, size, stream: pts)
+        monkeypatch.setattr(f"hyperstat.sampling.{sampler}", lambda theta, size, stream: pts)
         theta = "[[1,0],[0,1]]" if family == "poincare" else "[2,1,1]"
         code, out, _ = run_cli(
             ["sample", "--family", family, "--theta", theta, "--n", str(n), "--seed", "0"], capsys
@@ -289,8 +290,9 @@ class TestFitAndConvert:
         # identical points collapse every 2-component fit
         csv = tmp_path / "flat.csv"
         csv.write_text("x,y\n" + "0.5,1.5\n" * 40)
-        code, _, _ = run_cli(["fit", "--input", str(csv), "--k", "2", "--seed", "0"], capsys)
-        assert code == 5
+        code, out, err = run_cli(["fit", "--input", str(csv), "--k", "2", "--seed", "0"], capsys)
+        assert (code, out) == (5, "")
+        assert err == "hyperstat: EM failed after 5 initializations: component collapse: effective counts [40.  0.]\n"
 
     def test_convert_param(self, capsys):
         code, out, _ = run_cli(
@@ -584,3 +586,86 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "True True"
+
+
+# Modules that the closed-form commands never call.
+_DEFERRED = {
+    "hyperstat.sampling", "hyperstat.montecarlo", "hyperstat.mixtures", "concurrent.futures", "logging",
+}
+
+
+def _run_fresh(argv, threads=None):
+    """(exit code, stdout, loaded modules of _DEFERRED) of ``cli.main(argv)`` in a new interpreter."""
+    env = {k: v for k, v in os.environ.items() if k != "HYPERSTAT_THREADS"}
+    if threads is not None:
+        env["HYPERSTAT_THREADS"] = str(threads)
+    code = (
+        "import sys\n"
+        "from hyperstat.cli import main\n"
+        f"code = main({argv!r})\n"
+        f"sys.stderr.write(repr((code, sorted(set(sys.modules) & {_DEFERRED!r}))))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    rc, loaded = ast.literal_eval(proc.stderr.splitlines()[-1])
+    return rc, proc.stdout, set(loaded)
+
+
+_SHEET, _SHEET2 = "[1,0,0]", "[2,1,1]"
+
+
+class TestCommandImports:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *[
+                [cmd, "--family", family, *args]
+                for family, t, t2 in (("poincare", EX_THETA, EX_THETA2), ("hyperboloid", _SHEET, _SHEET2))
+                for cmd, args in (
+                    ("divergence", ["--measure", "kl", "--theta", t, "--theta2", t2]),
+                    ("entropy", ["--theta", t2]),
+                    ("fim", ["--theta", t2]),
+                    ("invariant", ["--theta", t, "--theta2", t2]),
+                )
+            ],
+            ["convert", "--what", "param", "--from", "upper-half", "--to", "hyperboloid", "--value", EX_THETA],
+            ["convert", "--what", "param", "--from", "hyperboloid", "--to", "upper-half", "--value", _SHEET2],
+            ["convert", "--what", "point", "--from", "hyperboloid", "--to", "disk", "--value", "[0.5,-1]"],
+        ],
+        ids=lambda argv: "-".join(a for a in argv if a[0].isalpha() and "[" not in a),
+    )
+    def test_closed_forms_load_no_sampler_estimator_or_em(self, argv):
+        rc, out, loaded = _run_fresh(argv)
+        assert rc == 0 and out
+        assert loaded == set()
+
+    def test_sample_loads_the_sampler_only(self):
+        rc, out, loaded = _run_fresh(["sample", "--theta", EX_THETA, "--n", "50", "--seed", "1"])
+        assert rc == 0 and out.count("\n") == 52
+        assert loaded == {"hyperstat.sampling"}
+
+    def test_fit_loads_em_but_no_estimator(self, tmp_path, capsys):
+        pts = str(tmp_path / "pts.csv")
+        assert run_cli(["sample", "--theta", EX_THETA, "--n", "300", "--seed", "1", "--out", pts], capsys)[0] == 0
+        rc, out, loaded = _run_fresh(["fit", "--input", pts, "--k", "2", "--seed", "2"])
+        assert rc == 0 and json.loads(out)["iterations"] >= 1
+        assert "hyperstat.mixtures" in loaded
+        assert "hyperstat.montecarlo" not in loaded
+
+    def test_single_worker_estimate_starts_no_pool(self):
+        argv = ["estimate", "--family", "hyperboloid", "--measure", "kl", "--method", "plugin",
+                "--theta", _SHEET, "--theta2", _SHEET2, "--n", "2000", "--seed", "5"]
+        rc, _, loaded = _run_fresh(argv)
+        assert rc == 0
+        assert "hyperstat.montecarlo" in loaded
+        assert "concurrent.futures" not in loaded
+
+    def test_threaded_shards_load_the_pool_and_keep_the_bytes(self):
+        argv = ["estimate", "--family", "hyperboloid", "--measure", "tv", "--method", "mc1-t7",
+                "--theta", _SHEET, "--theta2", _SHEET2, "--n", "4000", "--seed", "5", "--shards", "2"]
+        rc1, out1, loaded1 = _run_fresh(argv, threads=1)
+        rc2, out2, loaded2 = _run_fresh(argv, threads=2)
+        assert rc1 == rc2 == 0
+        assert out1 == out2
+        assert "concurrent.futures" not in loaded1
+        assert "concurrent.futures" in loaded2

@@ -256,6 +256,18 @@ class TestEmFit:
         with pytest.raises(FitError):
             em_fit(pts, 2, "hyperboloid", RngStream(77))
 
+    @pytest.mark.parametrize("family", ["poincare", "hyperboloid"])
+    def test_one_component_failure_makes_one_attempt(self, family, monkeypatch):
+        # k = 1 always starts from all-ones responsibilities, so a restart
+        # would repeat the failing computation.
+        calls = []
+        squarem = mixtures._squarem
+        monkeypatch.setattr(mixtures, "_squarem", lambda *a: calls.append(1) or squarem(*a))
+        pts = np.tile(np.array([[0.5, 1.5]]), (50, 1))
+        with pytest.raises(FitError, match=r"^EM failed after 1 initialization: "):
+            em_fit(pts, 1, family, RngStream(0))
+        assert len(calls) == 1
+
     @pytest.mark.parametrize(
         "family, bad",
         [("poincare", (0.5, -1.0)), ("poincare", (0.5, 0.0)), ("poincare", (math.nan, 1.0)),

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -122,6 +123,15 @@ class TestGig:
         b = gig_sample(p, 1000, RngStream(37))
         assert np.array_equal(a, b)
         assert np.all(a > 0)
+
+    def test_rejection_draw_logs_its_acceptance(self, caplog):
+        # The module's one debug record; sampling imports logging only here.
+        with caplog.at_level(logging.DEBUG, logger="hyperstat.sampling"):
+            gig_sample(GigParams(1.7, 0.8, 1.3), 1000, RngStream(38), method="rejection")
+        records = [r for r in caplog.records if r.name == "hyperstat.sampling"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.DEBUG
+        assert records[0].getMessage().startswith("GIG ratio-of-uniforms: lam=1.7 chi=0.8 psi=1.3 ")
 
     def test_transform_requires_half_order(self):
         with pytest.raises(ValueError):
