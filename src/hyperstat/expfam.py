@@ -30,6 +30,7 @@ __all__ = [
     "grad",
     "fim",
     "mle",
+    "finite_stats",
     "kld",
     "skew_jensen",
     "hellinger_sq",
@@ -108,6 +109,15 @@ def mle(fam: Family, pts: np.ndarray):
         raise DualDomainError(f"MLE needs at least 2 points, got {n}")
     stats = fam.stats(pts)
     return fam.from_moment(np.array([math.fsum(col) / n for col in stats.T.tolist()]))
+
+
+def finite_stats(stats: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """``stats`` if every row is finite; else ValueError naming the first point whose row overflowed."""
+    finite = np.isfinite(stats)
+    if not finite.all():
+        i = int(np.argmin(finite.all(axis=1)))
+        raise ValueError(f"sufficient statistics of point {i} {tuple(pts[i].tolist())} overflow float64")
+    return stats
 
 
 def kld(fam: Family, v: np.ndarray, v2: np.ndarray) -> float:

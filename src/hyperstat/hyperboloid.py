@@ -227,13 +227,15 @@ def _as_chart_array(points) -> np.ndarray:
 def suff_stats_chart(points) -> np.ndarray:
     """Sufficient-statistic vectors (-x0~, x1..xd), one row per chart point.
 
-    Raises ValueError for a non-finite chart coordinate.
+    Raises ValueError for a non-finite chart coordinate or a point whose
+    statistics overflow.
     """
     pts = _as_chart_array(points)
     if not np.isfinite(pts).all():
         raise ValueError("chart points need finite coordinates")
-    x0 = np.sqrt(1.0 + np.einsum("ij,ij->i", pts, pts))
-    return np.column_stack((-x0, pts))
+    with np.errstate(over="ignore"):
+        x0 = np.sqrt(1.0 + np.einsum("ij,ij->i", pts, pts))
+    return expfam.finite_stats(np.column_stack((-x0, pts)), pts)
 
 
 def mle_from_moment(eta: np.ndarray, d: int) -> LorentzParam:

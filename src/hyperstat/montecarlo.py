@@ -16,14 +16,15 @@ d = 2 correspondence first.  Estimates are deterministic given the stream and
 the shard count; shards are combined with Chan's parallel moment update, so
 the combined moments do not depend on combination order.
 
-Each estimator is a sampler and a weight kernel.  The sampler makes every
-generator call of a shard up front; the kernel is elementwise and runs over
-row blocks of ``sampling._BLOCK`` draws, writing each block's weights into
-one array that is then reduced whole (moments, tail index, the sigma search's
-pilot sums).  The block size therefore changes wall time only, never a bit of
-a result.  No kernel calls cos or sin: MC2 takes both from one tangent of
-its half angle.  The sigma search's t7 objective is a polynomial in the scale
-over pilot moments built once, so each of its Brent evaluations is O(1).
+Each estimator is a sampler and a weight kernel, run by one driver,
+:func:`_sharded`: per shard the sampler makes every generator call up front
+and returns the kernel's inputs, and the elementwise kernel runs over row
+blocks of ``sampling._BLOCK`` draws into one weight array, which is then
+reduced whole (moments, tail index).  The block size therefore changes wall
+time only, never a bit of a result.  No kernel calls cos or sin: MC2 takes
+both from one tangent of its half angle.  The sigma search's t7 objective is
+a polynomial in the scale over pilot moments built once, so each of its Brent
+evaluations is O(1).
 """
 
 from __future__ import annotations
@@ -295,8 +296,16 @@ def _run_shards(jobs: list) -> list:
         return [f.result() for f in futures]
 
 
-def _sharded(draw: Callable[[int, RngStream], np.ndarray], n: int, shards: int, rng: RngStream) -> tuple:
-    """(moments, per-shard weights) of ``draw(size, rng.derive(i))`` over the shards of n."""
+def _sharded(sample: Callable[[int, RngStream], tuple], kernel: Callable[..., None], n: int, shards: int,
+             rng: RngStream) -> tuple:
+    """(moments, per-shard weights) of ``kernel(out, *sample(size, rng.derive(i)))`` by blocks, per shard."""
+
+    def draw(size: int, stream: RngStream) -> np.ndarray:
+        inputs = sample(size, stream)
+        weights = np.empty(size)
+        _by_block(kernel, weights, *inputs)
+        return weights
+
     sizes = _shard_sizes(n, shards)
     weights = _run_shards([partial(draw, size, rng.derive(i)) for i, size in enumerate(sizes)])
     acc = _Moments()
@@ -355,13 +364,10 @@ def estimate_plugin(
     def kernel(out: np.ndarray, pts: np.ndarray) -> None:
         out[:] = f.of_log_ratio(hb.log_ratio_chart(theta, theta2, pts))
 
-    def draw(size: int, stream: RngStream) -> np.ndarray:
-        pts = hyperboloid_sample(theta, size, stream)
-        weights = np.empty(size)
-        _by_block(kernel, weights, pts)
-        return weights
+    def sample(size: int, stream: RngStream) -> tuple:
+        return (hyperboloid_sample(theta, size, stream),)
 
-    acc, weights = _sharded(draw, n, shards, rng)
+    acc, weights = _sharded(sample, kernel, n, shards, rng)
     pooled = weights[0] if len(weights) == 1 else np.concatenate(weights)
     return _finalize(acc, rng, tail_index=_hill_tail_index(pooled))
 
@@ -398,14 +404,11 @@ def estimate_mc1(
         logp -= proposal.logpdf(xy[:, 1])
         np.multiply(fv, np.exp(logp, out=logp), out=out)
 
-    def draw(size: int, stream: RngStream) -> np.ndarray:
+    def sample(size: int, stream: RngStream) -> tuple:
         # One call for x then y: the stream of two calls of ``size`` draws each.
-        xy = proposal.sample(2 * size, stream.generator()).reshape(2, size).T
-        weights = np.empty(size)
-        _by_block(kernel, weights, xy)
-        return weights
+        return (proposal.sample(2 * size, stream.generator()).reshape(2, size).T,)
 
-    return _finalize(_sharded(draw, n, shards, rng)[0], rng, sigma=proposal.sigma)
+    return _finalize(_sharded(sample, kernel, n, shards, rng)[0], rng, sigma=proposal.sigma)
 
 
 _SIGMA_BRACKET = (0.05, 50.0)  # proposal scales the search considers
@@ -544,15 +547,11 @@ def estimate_mc2(
         logp += log_jac
         np.multiply(fv, np.exp(logp, out=logp), out=out)
 
-    def draw(size: int, stream: RngStream) -> np.ndarray:
+    def sample(size: int, stream: RngStream) -> tuple:
         gen = stream.generator()
-        r = gen.uniform(0.0, 1.0 - eps, size=size)
-        zeta = gen.uniform(0.0, 2.0 * math.pi, size=size)
-        weights = np.empty(size)
-        _by_block(kernel, weights, r, zeta)
-        return weights
+        return gen.uniform(0.0, 1.0 - eps, size=size), gen.uniform(0.0, 2.0 * math.pi, size=size)
 
-    return _finalize(_sharded(draw, n, shards, rng)[0], rng)
+    return _finalize(_sharded(sample, kernel, n, shards, rng)[0], rng)
 
 
 _METHOD_KEYS = {"plugin": 11, "mc1-logistic": 12, "mc1-t7": 13, "mc2": 14}

@@ -286,8 +286,7 @@ def cubic_tensor(theta: SpdParam2) -> np.ndarray:
 
 def sufficient_stat(z: UpperHalfPoint) -> SufficientStat:
     """Sufficient statistic in vector and matrix form; the matrix has det 1."""
-    r2 = z.x * z.x + z.y * z.y
-    vec = -np.array([r2 / z.y, z.x / z.y, 1.0 / z.y])
+    vec = suff_stats_xy([z])[0]
     mat = np.array([[vec[0], vec[1]], [vec[1], vec[2]]])
     return SufficientStat(vector=vec, matrix=mat)
 
@@ -306,13 +305,15 @@ def suff_stats_xy(points) -> np.ndarray:
     """Sufficient-statistic vectors, one row per point: -((x^2+y^2)/y, x/y, 1/y).
 
     Raises ValueError for a point outside the half-plane (y <= 0 or a
-    non-finite coordinate).
+    non-finite coordinate) or one whose statistics overflow.
     """
     pts = _as_xy_array(points)
     x, y = pts[:, 0], pts[:, 1]
     if not (np.isfinite(pts).all() and (y > 0.0).all()):
         raise ValueError("half-plane points need finite x and y > 0")
-    return -np.column_stack(((x * x + y * y) / y, x / y, 1.0 / y))
+    with np.errstate(over="ignore"):
+        stats = -np.column_stack(((x * x + y * y) / y, x / y, 1.0 / y))
+    return expfam.finite_stats(stats, pts)
 
 
 def mle(points) -> SpdParam2:

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .expfam import brent_min
-from .geometry import DimensionError, LorentzParam, SpdParam2
+from .geometry import DimensionError, HyperboloidPoint, LorentzParam, SpdParam2
 
 __all__ = [
     "GigParams",
@@ -155,24 +155,10 @@ def _gig_ratio_of_uniforms(p: GigParams, n: int, gen: np.random.Generator) -> np
     return out
 
 
-def gig_sample(
-    p: GigParams, n: int, rng: RngStream, method: str = "auto"
-) -> np.ndarray:
-    """n i.i.d. draws from the GIG law.
-
-    ``method``: "auto" uses the inverse-Gaussian transform for lam = +-1/2 and
-    rejection otherwise; "transform" and "rejection" force one path (the
-    transform path only exists for half-integer lam of magnitude 1/2).
-    """
-    gen = rng.generator()
-    if method not in ("auto", "transform", "rejection"):
-        raise ValueError(f"unknown method {method!r}")
-    half = p.lam in (0.5, -0.5)
-    if method == "transform" and not half:
-        raise ValueError("transform sampling only applies to lam = +-1/2")
-    if method == "rejection" or (method == "auto" and not half):
-        return _gig_ratio_of_uniforms(p, n, gen)
-    return _gig_half_order(p, n, gen)
+def gig_sample(p: GigParams, n: int, rng: RngStream) -> np.ndarray:
+    """n i.i.d. GIG draws: the inverse-Gaussian transform at lam = +-1/2, ratio-of-uniforms otherwise."""
+    draw = _gig_half_order if p.lam in (0.5, -0.5) else _gig_ratio_of_uniforms
+    return draw(p, n, rng.generator())
 
 
 def hyperboloid_sample(theta: LorentzParam, n: int, rng: RngStream) -> np.ndarray:
@@ -238,7 +224,4 @@ def concentration_probe(
     """
     if not t > 0.0:
         raise ValueError(f"need t > 0, got {t}")
-    x = np.asarray(chart_point, dtype=float)
-    lift = np.concatenate(([math.sqrt(1.0 + float(x @ x))], x))
-    samples = hyperboloid_sample(LorentzParam(t * lift), n, rng)
-    return samples.mean(axis=0)
+    return hyperboloid_sample(LorentzParam(t * HyperboloidPoint(chart_point).lift()), n, rng).mean(axis=0)

@@ -445,3 +445,9 @@ class TestMle:
     def test_single_point_rejected(self):
         with pytest.raises(DualDomainError):
             hb.mle(np.array([[0.0, 0.0]]))
+
+    def test_overflowing_statistics_rejected(self):
+        pts = np.array([[0.0, 0.0], [0.3, -0.2], [1e200, 0.0]])
+        with pytest.raises(ValueError, match=r"point 2 \(1e\+200, 0.0\) overflow") as err:
+            hb.mle(pts)
+        assert not isinstance(err.value, DualDomainError)

@@ -473,6 +473,16 @@ class TestMle:
         with pytest.raises(DualDomainError):
             pc.mle(np.array([[0.0, 1.0], [0.0, 1.0]]))
 
+    def test_overflowing_statistics_rejected(self):
+        # x^2 overflows: a ValueError naming the point, not a DualDomainError
+        # about the moment average.
+        pts = np.array([[0.0, 1.0], [0.5, 2.0], [1e200, 1.0]])
+        with pytest.raises(ValueError, match=r"point 2 \(1e\+200, 1.0\) overflow") as err:
+            pc.mle(pts)
+        assert not isinstance(err.value, DualDomainError)
+        with pytest.raises(ValueError, match="overflow"):
+            pc.sufficient_stat(UpperHalfPoint(1e200, 1.0))
+
     def test_local_optimality(self):
         rng = np.random.default_rng(40)
         pts = np.column_stack((rng.normal(0, 1, 60), np.exp(rng.normal(0, 0.5, 60))))

@@ -9,6 +9,7 @@ from helpers import traced_peak
 
 from hyperstat import hyperboloid as hb
 from hyperstat import poincare as pc
+from hyperstat import sampling
 from hyperstat.geometry import LorentzParam, SpdParam2
 from hyperstat.sampling import (
     GigParams,
@@ -91,8 +92,8 @@ class TestGig:
 
     def test_transform_and_rejection_agree(self):
         p = GigParams(0.5, 1.0, 4.0)
-        a = gig_sample(p, 100_000, RngStream(33), method="transform")
-        b = gig_sample(p, 100_000, RngStream(34), method="rejection")
+        a = gig_sample(p, 100_000, RngStream(33))
+        b = sampling._gig_ratio_of_uniforms(p, 100_000, RngStream(34).generator())
         res = stats.ks_2samp(a, b)
         assert res.pvalue > 0.01
 
@@ -113,7 +114,7 @@ class TestGig:
         # For small psi the sup of the ratio-of-uniforms envelope lies far
         # beyond the mode; an envelope cut short truncates the right tail.
         p = GigParams(lam, chi, psi)
-        draws = gig_sample(p, 200_000, RngStream(3), method="rejection")
+        draws = gig_sample(p, 200_000, RngStream(3))
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - gig_mean(p)) < 4.0 * se
 
@@ -127,15 +128,20 @@ class TestGig:
     def test_rejection_draw_logs_its_acceptance(self, caplog):
         # The module's one debug record; sampling imports logging only here.
         with caplog.at_level(logging.DEBUG, logger="hyperstat.sampling"):
-            gig_sample(GigParams(1.7, 0.8, 1.3), 1000, RngStream(38), method="rejection")
+            gig_sample(GigParams(1.7, 0.8, 1.3), 1000, RngStream(38))
         records = [r for r in caplog.records if r.name == "hyperstat.sampling"]
         assert len(records) == 1
         assert records[0].levelno == logging.DEBUG
         assert records[0].getMessage().startswith("GIG ratio-of-uniforms: lam=1.7 chi=0.8 psi=1.3 ")
 
-    def test_transform_requires_half_order(self):
-        with pytest.raises(ValueError):
-            gig_sample(GigParams(1.0, 1.0, 1.0), 10, RngStream(0), method="transform")
+    @pytest.mark.parametrize("lam, path", [
+        (-0.5, sampling._gig_half_order), (0.5, sampling._gig_half_order), (1.7, sampling._gig_ratio_of_uniforms),
+    ])
+    def test_order_chooses_the_algorithm(self, lam, path):
+        # lam = +-1/2 takes the inverse-Gaussian transform, any other order
+        # ratio-of-uniforms, each on the stream's generator.
+        p = GigParams(lam, 0.8, 1.3)
+        assert np.array_equal(gig_sample(p, 5000, RngStream(39)), path(p, 5000, RngStream(39).generator()))
 
 
 class TestHyperboloidSampler:
