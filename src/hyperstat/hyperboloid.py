@@ -233,8 +233,7 @@ def suff_stats_chart(points) -> np.ndarray:
     pts = _as_chart_array(points)
     if not np.isfinite(pts).all():
         raise ValueError("chart points need finite coordinates")
-    with np.errstate(over="ignore"):
-        x0 = np.sqrt(1.0 + np.einsum("ij,ij->i", pts, pts))
+    x0 = np.sqrt(1.0 + np.einsum("ij,ij->i", pts, pts))  # einsum sets no overflow flag, so this warns of none
     return expfam.finite_stats(np.column_stack((-x0, pts)), pts)
 
 

@@ -374,7 +374,8 @@ def em_fit(
         raise ValueError(f"unknown family {family!r}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     stats = fam.stats(pts)  # rejects points outside the sample space first
-    top = float(np.max(np.abs(stats), initial=0.0))  # k-means++ sums n squared distances <= 4 (d + 1) top^2
+    # k-means++ sums n squared distances, each <= 4 (d + 1) max|t|^2.
+    top = max(float(np.max(stats, initial=0.0)), -float(np.min(stats, initial=0.0)))
     if not 4.0 * stats.size * top * top < math.inf:
         raise ValueError(f"squared distances between sufficient statistics overflow float64 (max |t| {top:.3g})")
     n = pts.shape[0]

@@ -16,15 +16,14 @@ d = 2 correspondence first.  Estimates are deterministic given the stream and
 the shard count; shards are combined with Chan's parallel moment update, so
 the combined moments do not depend on combination order.
 
-Each estimator is a sampler and a weight kernel, run by one driver,
-:func:`_sharded`: per shard the sampler makes every generator call up front
-and returns the kernel's inputs, and the elementwise kernel runs over row
-blocks of ``sampling._BLOCK`` draws into one weight array, which is then
-reduced whole (moments, tail index).  The block size therefore changes wall
-time only, never a bit of a result.  No kernel calls cos or sin: MC2 takes
-both from one tangent of its half angle.  The sigma search's t7 objective is
-a polynomial in the scale over pilot moments built once, so each of its Brent
-evaluations is O(1).
+Each estimator is a sampler and a weight kernel, which one driver,
+:func:`_sharded`, runs: per shard the sampler makes every generator call up
+front, and the elementwise kernel runs over row blocks of ``sampling._BLOCK``
+draws, writing each block's weights into one array that is then reduced whole
+(moments, tail index).  The block size therefore changes wall time only,
+never a bit of a result.  No kernel calls cos or sin: MC2 takes both from one
+tangent of its half angle.  The sigma search's t7 objective is a polynomial
+in the scale over pilot moments built once, so each Brent evaluation is O(1).
 """
 
 from __future__ import annotations
@@ -296,8 +295,7 @@ def _run_shards(jobs: list) -> list:
         return [f.result() for f in futures]
 
 
-def _sharded(sample: Callable[[int, RngStream], tuple], kernel: Callable[..., None], n: int, shards: int,
-             rng: RngStream) -> tuple:
+def _sharded(sample: Callable, kernel: Callable, n: int, shards: int, rng: RngStream) -> tuple:
     """(moments, per-shard weights) of ``kernel(out, *sample(size, rng.derive(i)))`` by blocks, per shard."""
 
     def draw(size: int, stream: RngStream) -> np.ndarray:
