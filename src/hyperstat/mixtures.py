@@ -377,7 +377,7 @@ def em_fit(
     # k-means++ sums n squared distances, each <= 4 (d + 1) max|t|^2.
     top = max(float(np.max(stats, initial=0.0)), -float(np.min(stats, initial=0.0)))
     if not 4.0 * stats.size * top * top < math.inf:
-        raise ValueError(f"squared distances between sufficient statistics overflow float64 (max |t| {top:.3g})")
+        raise ValueError(f"squared distances of sufficient statistics overflow float64 (max |t| {top:.3g})")
     n = pts.shape[0]
     if n < 2 * k:
         raise FitError(f"EM failed: need at least 2k={2 * k} points, got {n}")

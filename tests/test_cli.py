@@ -297,22 +297,23 @@ class TestFitAndConvert:
     @pytest.mark.parametrize("family, row, says", [
         ("hyperboloid", [1e200, 0.0], "sufficient statistics of point 17 (1e+200, 0.0) overflow"),
         ("poincare", [1e200, 1.0], "sufficient statistics of point 17 (1e+200, 1.0) overflow"),
-        ("poincare", [0.0, 1e-300], "squared distances between sufficient statistics overflow"),
+        ("poincare", [0.0, 1e-300], "squared distances of sufficient statistics overflow"),
     ])
     def test_fit_overflowing_statistics_exit_2(self, tmp_path, capsys, family, row, says):
         # One point whose statistics (or their squared distances) leave the
-        # float range is named before any RuntimeWarning or seeding NaN.
+        # float range ends the fit with one message, before any RuntimeWarning
+        # or a NaN in the k-means++ seeding.
         csv = tmp_path / "pts.csv"
         theta = "[2, 0.5, 0.3]" if family == "hyperboloid" else "[[1, 0.2], [0.2, 2]]"
-        run_cli(["sample", "--family", family, "--theta", theta, "--n", "200", "--seed", "5", "--out", str(csv)],
-                capsys)
+        run_cli(["sample", "--family", family, "--theta", theta, "--n", "200", "--seed", "5",
+                 "--out", str(csv)], capsys)
         pts = np.loadtxt(str(csv), delimiter=",", skiprows=2)
         pts[17] = row
         np.savetxt(str(csv), pts, delimiter=",", header="x,y", comments="")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run_cli(["fit", "--family", family, "--input", str(csv), "--k", "2", "--seed", "1"],
-                                     capsys)
+            code, out, err = run_cli(["fit", "--family", family, "--input", str(csv), "--k", "2",
+                                      "--seed", "1"], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("hyperstat: ") and err.count("\n") == 1
         assert says in err

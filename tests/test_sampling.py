@@ -135,7 +135,9 @@ class TestGig:
         assert records[0].getMessage().startswith("GIG ratio-of-uniforms: lam=1.7 chi=0.8 psi=1.3 ")
 
     @pytest.mark.parametrize("lam, path", [
-        (-0.5, sampling._gig_half_order), (0.5, sampling._gig_half_order), (1.7, sampling._gig_ratio_of_uniforms),
+        (-0.5, sampling._gig_half_order),
+        (0.5, sampling._gig_half_order),
+        (1.7, sampling._gig_ratio_of_uniforms),
     ])
     def test_order_chooses_the_algorithm(self, lam, path):
         # lam = +-1/2 takes the inverse-Gaussian transform, any other order
