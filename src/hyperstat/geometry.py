@@ -15,6 +15,7 @@ helpers take an explicit ``numpy.random.Generator``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,6 +55,15 @@ __all__ = [
 # Relative tolerance for cone membership: determinants this close to the
 # boundary would poison every divergence formula that divides by them.
 _CONE_RTOL = 1e-12
+_TINY = sys.float_info.min
+_RANGE = f"its squares leave the float64 normal range [{_TINY:.4g}, {sys.float_info.max:.4g}]"
+
+
+def _outside_float_range(square: float, value: float) -> bool:
+    # The cone tests square the components: value (the determinant or the
+    # Minkowski square) does not decide membership once the largest square
+    # leaves the normal float64 range or value is positive but subnormal.
+    return value > -_TINY and (not _TINY <= square < math.inf or 0.0 < value < _TINY)
 
 
 class ConeError(ValueError):
@@ -93,6 +103,8 @@ class SpdParam2:
         a, b, c = float(self.a), float(self.b), float(self.c)
         scale = max(abs(a), abs(b), abs(c))
         det = a * c - b * b
+        if a > 0.0 and c > 0.0 and _outside_float_range(scale * scale, det):
+            raise ConeError(f"(a={a}, b={b}, c={c}) has det={det:.3e}: {_RANGE}")
         if not (a > 0.0 and c > 0.0 and det > _CONE_RTOL * scale * scale):
             raise ConeError(
                 f"(a={a}, b={b}, c={c}) violates a>0, c>0, ac-b^2>0 "
@@ -178,6 +190,8 @@ class LorentzParam:
             raise ConeError(f"hyperboloid parameters need d >= 2, got {len(t) - 1}")
         scale = max(abs(v) for v in t)
         mink_sq = t[0] * t[0] - sum(v * v for v in t[1:])
+        if t[0] > 0.0 and _outside_float_range(scale * scale, mink_sq):
+            raise ConeError(f"{t} has Minkowski square {mink_sq:.3e}: {_RANGE}")
         if not (t[0] > 0.0 and mink_sq > _CONE_RTOL * scale * scale):
             raise ConeError(
                 f"{t} is outside the forward cone "

@@ -42,6 +42,8 @@ __all__ = [
     "skew_jensen",
     "fim2",
     "modified_entropy2",
+    "suff_stats_chart",
+    "mle_from_moment",
     "mle",
 ]
 

@@ -24,8 +24,8 @@ log-sum-exp log1p(rest) + max, in the arithmetic of SciPy's ``logsumexp``
 (for fewer than 8 components the two agree bit for bit), and the
 responsibilities e / (1 + rest).  A log-joint with a tied, infinite or nan
 column max takes SciPy's general formula and exp(a - lse) throughout.
-``mixture_log_density`` and ``mixture_log_density_array`` evaluate the same
-form, so a fit's reported log-likelihood is the returned mixture's to the bit.
+``mixture_log_density_array`` evaluates the same form, so a fit's reported
+log-likelihood is the returned mixture's to the bit.
 
 The EM map is accelerated by SQUAREM (Varadhan & Roland 2008), which keeps
 its fixed points.  A cycle starts from an evaluated point x0 with
@@ -70,7 +70,7 @@ from . import poincare as pc
 from .geometry import ConeError, DualDomainError, FitError
 from .sampling import RngStream
 
-__all__ = ["Mixture", "EmTrace", "FitError", "mixture_log_density", "mixture_sample", "em_fit"]
+__all__ = ["Mixture", "EmTrace", "mixture_log_density_array", "mixture_sample", "em_fit"]
 
 
 _FAMILIES = {"poincare": pc._FAMILY, "hyperboloid": hb._FAMILY}
@@ -122,17 +122,6 @@ class EmTrace:
     restarts: int = 0
     rejected_jumps: int = 0
     converged: bool = False
-
-
-def mixture_log_density(m: Mixture, point) -> float:
-    """Log of the mixture density at one point (log-sum-exp over components)."""
-    if hasattr(point, "as_complex"):
-        row = (point.x, point.y)
-    elif hasattr(point, "coords"):
-        row = point.coords
-    else:
-        row = point
-    return float(mixture_log_density_array(m, np.atleast_2d(np.asarray(row, float)))[0])
 
 
 def mixture_log_density_array(m: Mixture, pts: np.ndarray) -> np.ndarray:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .specfun import exp_gamma0
 
 __all__ = [
     "CumulantPair",
-    "SufficientStat",
     "log_density",
     "log_density_xy",
     "cumulant",
@@ -47,14 +45,14 @@ __all__ = [
     "neyman_chi2",
     "jeffreys",
     "skew_jensen",
-    "kld_via_skew_limit",
     "chernoff",
     "entropy",
     "expected_log_y",
     "modified_entropy",
     "fim",
+    "fim_dual",
     "cubic_tensor",
-    "sufficient_stat",
+    "suff_stats_xy",
     "mle",
 ]
 
@@ -67,11 +65,6 @@ class CumulantPair:
 
     full: float
     reduced: float
-
-
-class SufficientStat(NamedTuple):
-    vector: np.ndarray  # -( (x^2+y^2)/y, x/y, 1/y )
-    matrix: np.ndarray  # -(1/y) [[x^2+y^2, x], [x, 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +200,6 @@ def skew_jensen(theta: SpdParam2, theta2: SpdParam2, alpha: float) -> float:
     return expfam.skew_jensen(_FAMILY, theta.as_vector(), theta2.as_vector(), alpha)
 
 
-def kld_via_skew_limit(theta: SpdParam2, theta2: SpdParam2, eps: float = 0.01) -> float:
-    """First-order KL approximation (1/(eps(1-eps))) * skew_jensen; error O(eps)."""
-    return skew_jensen(theta, theta2, eps) / (eps * (1.0 - eps))
-
-
 def chernoff(theta: SpdParam2, theta2: SpdParam2) -> tuple:
     """Chernoff information: maximize the skew Jensen value over alpha in (0, 1).
 
@@ -282,13 +270,6 @@ def cubic_tensor(theta: SpdParam2) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Sufficient statistics and MLE
 # ---------------------------------------------------------------------------
-
-
-def sufficient_stat(z: UpperHalfPoint) -> SufficientStat:
-    """Sufficient statistic in vector and matrix form; the matrix has det 1."""
-    vec = suff_stats_xy([z])[0]
-    mat = np.array([[vec[0], vec[1]], [vec[1], vec[2]]])
-    return SufficientStat(vector=vec, matrix=mat)
 
 
 def _as_xy_array(points) -> np.ndarray:

@@ -18,7 +18,6 @@ from typing import Callable
 
 import numpy as np
 
-from .expfam import brent_min
 from .geometry import DimensionError, HyperboloidPoint, LorentzParam, SpdParam2
 
 __all__ = [
@@ -101,64 +100,11 @@ def _gig_half_order(p: GigParams, n: int, gen: np.random.Generator) -> np.ndarra
     return np.divide(1.0, x, out=x)
 
 
-def _gig_ratio_of_uniforms(p: GigParams, n: int, gen: np.random.Generator) -> np.ndarray:
-    # Mode-shifted ratio-of-uniforms rejection for arbitrary order.
-    mode = ((p.lam - 1.0) + math.sqrt((p.lam - 1.0) ** 2 + p.chi * p.psi)) / p.psi
-    log_hm = float(p.log_kernel(mode))
-
-    def neg_v(x: float) -> float:
-        # -(x - mode) * sqrt(h(x)/h(mode)); minimized to find the v-bounds.
-        if x <= 0.0:
-            return 0.0
-        return -(x - mode) * math.exp(0.5 * (float(p.log_kernel(x)) - log_hm))
-
-    def dlog_v(x: float) -> float:
-        # d/dx log((x - mode) sqrt(h(x)/h(mode))); negative past the sup.
-        return 1.0 / (x - mode) + (p.lam - 1.0) / (2.0 * x) + p.chi / (4.0 * x * x) - p.psi / 4.0
-
-    # For small psi the sup lies far beyond the mode: widen the bracket until
-    # its upper end is past the sup, or the envelope would cut the tail off.
-    hi = mode + 200.0 * (1.0 + mode)
-    while dlog_v(hi) >= 0.0:
-        hi = mode + 2.0 * (hi - mode)
-    x_hi, _ = brent_min(neg_v, mode, hi, 1e-5)
-    x_lo, _ = brent_min(lambda x: -neg_v(x), 1e-12 * mode, mode, 1e-5)
-    v_hi = -neg_v(x_hi)  # sup of (x - mode) sqrt(h/h(mode)), positive
-    v_lo = -neg_v(x_lo)  # inf of the same, negative
-    out = np.empty(n)
-    filled = 0
-    proposed = 0
-    while filled < n:
-        m = max(int((n - filled) * 1.5) + 16, 64)
-        u = gen.uniform(0.0, 1.0, size=m)
-        v = gen.uniform(v_lo, v_hi, size=m)
-        x = mode + v / u
-        ok = x > 0.0
-        logh = np.full(m, -np.inf)
-        logh[ok] = p.log_kernel(x[ok]) - log_hm
-        accept = 2.0 * np.log(u) <= logh
-        take = x[accept][: n - filled]
-        out[filled : filled + take.size] = take
-        filled += take.size
-        proposed += m
-    # logging is imported here, at the module's one record, so that a process
-    # that never takes this path does not load it.
-    import logging
-
-    logging.getLogger(__name__).debug(
-        "GIG ratio-of-uniforms: lam=%g chi=%g psi=%g acceptance=%.3f",
-        p.lam,
-        p.chi,
-        p.psi,
-        n / proposed,
-    )
-    return out
-
-
 def gig_sample(p: GigParams, n: int, rng: RngStream) -> np.ndarray:
-    """n i.i.d. GIG draws: the inverse-Gaussian transform at lam = +-1/2, ratio-of-uniforms otherwise."""
-    draw = _gig_half_order if p.lam in (0.5, -0.5) else _gig_ratio_of_uniforms
-    return draw(p, n, rng.generator())
+    """n i.i.d. GIG draws by the inverse-Gaussian transform; orders lam = +-1/2 only, else ValueError."""
+    if p.lam not in (0.5, -0.5):
+        raise ValueError(f"GIG draws cover orders lam = 0.5 and -0.5 only, got lam={p.lam}")
+    return _gig_half_order(p, n, rng.generator())
 
 
 def hyperboloid_sample(theta: LorentzParam, n: int, rng: RngStream) -> np.ndarray:

@@ -286,3 +286,14 @@ def test_fit_failure_says_em_failed_once(tmp_path, rows):
     assert code == 5
     assert out == ""
     assert err.startswith("hyperstat: ") and err.count("EM failed") == 1
+
+
+def test_subnormal_minkowski_square_exits_2():
+    # (1e-160)^2 is subnormal: the parameter is rejected with the float64
+    # range, where the divergence was once nan and exit 3.
+    code, out, err = run_captured(["divergence", "--family", "hyperboloid", "--measure", "kl",
+                                   "--theta", "[1e-160,0,0]", "--theta2", "[2,1,1]"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("hyperstat:") and "float64 normal range" in err
+    assert "Traceback" not in err

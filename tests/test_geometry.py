@@ -76,6 +76,28 @@ class TestContainers:
         p = LorentzParam((2.0, 1.0, 1.0))
         assert p.minkowski_norm() == pytest.approx(math.sqrt(2.0))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: LorentzParam((1e200, 0.0, 0.0)), id="lorentz_overflow"),
+            pytest.param(lambda: LorentzParam((1e-160, 0.0, 0.0)), id="lorentz_subnormal"),
+            pytest.param(lambda: SpdParam2(1e200, 0.0, 1e200), id="spd_overflow"),
+            pytest.param(lambda: SpdParam2(1e-160, 0.0, 1e-160), id="spd_subnormal"),
+            pytest.param(lambda: SpdParam2(1e-160, 0.0, 1e160), id="spd_det_one_overflowing_square"),
+        ],
+    )
+    def test_squares_outside_the_float_range(self, make):
+        # The cone tests square the components; past the float64 normal range
+        # the message says so, not that the parameter left its cone.
+        with pytest.raises(ConeError, match="float64 normal range") as err:
+            make()
+        assert "forward cone" not in str(err.value) and "violates" not in str(err.value)
+
+    def test_range_check_keeps_the_cone_messages(self):
+        with pytest.raises(ConeError, match="violates"):
+            SpdParam2(1e-160, 1e-150, 1e-160)  # det = -1e-300 still decides
+        assert LorentzParam((1e-150, 0.0, 0.0)).minkowski_sq() == pytest.approx(1e-300, rel=1e-12, abs=0.0)
+
     def test_hyperboloid_point_lift(self):
         p = HyperboloidPoint((3.0, 4.0))
         lift = p.lift()

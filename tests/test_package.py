@@ -1,6 +1,8 @@
 """The ``hyperstat`` namespace: eager closed-form modules, the rest on first access."""
 
 import importlib
+import inspect
+import pkgutil
 import subprocess
 import sys
 
@@ -35,6 +37,25 @@ def test_all_is_the_submodules_and_their_names():
 @pytest.mark.parametrize("name", sorted(_SUBMODULES | set(_HOME)))
 def test_each_name_is_the_defining_module_object(name):
     assert getattr(hyperstat, name) is _expected(name)
+
+
+# Every submodule but __main__, which runs the command line on import.
+_MODULES = [importlib.import_module(f"hyperstat.{m.name}") for m in pkgutil.iter_modules(hyperstat.__path__)
+            if not m.name.startswith("_")]
+
+
+@pytest.mark.parametrize("module", [m for m in _MODULES if hasattr(m, "__all__")], ids=lambda m: m.__name__)
+def test_module_all_is_its_public_surface(module):
+    # Each listed name resolves, and the list is exactly the module's own
+    # public functions and classes: none missing, none deleted but still listed.
+    for name in module.__all__:
+        assert hasattr(module, name), name
+    own = {
+        name for name, obj in vars(module).items()
+        if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
+    }
+    assert sorted(module.__all__) == sorted(own)
 
 
 def test_star_import_binds_every_name():

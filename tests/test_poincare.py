@@ -245,19 +245,11 @@ class TestSkewJensen:
             th, th2 = random_spd(rng), random_spd(rng)
             assert pc.skew_jensen(th, th2, rng.uniform(0.01, 0.99)) >= -1e-12
 
-
-class TestKldViaSkewLimit:
-    def test_worked_example(self):
-        approx = pc.kld_via_skew_limit(EX_THETA, EX_THETA2, 1e-3)
-        assert approx == pytest.approx(5.3604, abs=0.02)
-
-    def test_zero_at_equal(self):
-        assert pc.kld_via_skew_limit(EX_THETA, EX_THETA) == pytest.approx(0.0, abs=1e-12)
-
-    def test_first_order_convergence(self):
+    def test_first_order_limit_is_kl(self):
+        # J_eps / (eps (1 - eps)) -> KL with error O(eps): halving eps halves the error.
         exact = pc.kld(EX_THETA, EX_THETA2)
-        err1 = abs(pc.kld_via_skew_limit(EX_THETA, EX_THETA2, 2e-3) - exact)
-        err2 = abs(pc.kld_via_skew_limit(EX_THETA, EX_THETA2, 1e-3) - exact)
+        err1 = abs(pc.skew_jensen(EX_THETA, EX_THETA2, 2e-3) / (2e-3 * (1.0 - 2e-3)) - exact)
+        err2 = abs(pc.skew_jensen(EX_THETA, EX_THETA2, 1e-3) / (1e-3 * (1.0 - 1e-3)) - exact)
         assert err2 == pytest.approx(err1 / 2.0, rel=0.15)
 
 
@@ -418,31 +410,32 @@ class TestInformationGeometry:
         assert fd[0, 0, 0] == pytest.approx(-1.75, abs=1e-5)
 
 
+def _stat_matrix(row: np.ndarray) -> np.ndarray:
+    # -(1/y) [[x^2+y^2, x], [x, 1]] from one suff_stats_xy row
+    return np.array([[row[0], row[1]], [row[1], row[2]]])
+
+
 class TestSufficientStat:
     def test_center_point(self):
-        stat = pc.sufficient_stat(UpperHalfPoint(0, 1))
-        assert stat.vector == pytest.approx(np.array([-1.0, 0.0, -1.0]))
+        row = pc.suff_stats_xy([UpperHalfPoint(0, 1)])[0]
+        assert row == pytest.approx(np.array([-1.0, 0.0, -1.0]))
 
     def test_matrix_determinant_one(self):
         # the identity ((x^2+y^2) - x^2)/y^2 = 1 is exact; the numeric check
         # keeps y moderate so the determinant's cancellation stays benign
         rng = np.random.default_rng(37)
-        for _ in range(10_000):
-            z = UpperHalfPoint(rng.normal(0, 2), math.exp(rng.normal(0, 1)))
-            stat = pc.sufficient_stat(z)
-            assert np.linalg.det(stat.matrix) == pytest.approx(1.0, rel=1e-8)
+        zs = [UpperHalfPoint(rng.normal(0, 2), math.exp(rng.normal(0, 1))) for _ in range(10_000)]
+        for row in pc.suff_stats_xy(zs):
+            assert np.linalg.det(_stat_matrix(row)) == pytest.approx(1.0, rel=1e-8)
 
     def test_pairing_consistency(self):
         # doubled-b vector pairing equals the matrix trace pairing
         rng = np.random.default_rng(38)
         for _ in range(100):
             th = random_spd(rng)
-            z = UpperHalfPoint(rng.normal(), math.exp(rng.normal()))
-            stat = pc.sufficient_stat(z)
-            vec_pairing = (
-                th.a * stat.vector[0] + 2 * th.b * stat.vector[1] + th.c * stat.vector[2]
-            )
-            trace_pairing = float(np.trace(th.as_matrix() @ stat.matrix))
+            row = pc.suff_stats_xy([UpperHalfPoint(rng.normal(), math.exp(rng.normal()))])[0]
+            vec_pairing = th.a * row[0] + 2 * th.b * row[1] + th.c * row[2]
+            trace_pairing = float(np.trace(th.as_matrix() @ _stat_matrix(row)))
             assert vec_pairing == pytest.approx(trace_pairing, rel=1e-12)
 
 
@@ -481,7 +474,7 @@ class TestMle:
             pc.mle(pts)
         assert not isinstance(err.value, DualDomainError)
         with pytest.raises(ValueError, match="overflow"):
-            pc.sufficient_stat(UpperHalfPoint(1e200, 1.0))
+            pc.suff_stats_xy([UpperHalfPoint(1e200, 1.0)])
 
     def test_local_optimality(self):
         rng = np.random.default_rng(40)
