@@ -36,7 +36,6 @@ import numpy as np
 from . import hyperboloid as hb
 from . import poincare as pc
 from .geometry import (
-    ConeError,
     DimensionError,
     FitError,
     HyperboloidPoint,
@@ -491,8 +490,6 @@ def main(argv=None) -> int:
         code, message = EXIT_BAD_DIMENSION, str(err)
     except FitError as err:
         code, message = EXIT_FIT_FAILURE, str(err)
-    except ConeError as err:
-        code, message = EXIT_BAD_PARAMS, f"parameter outside its cone: {err}"
     except ValueError as err:
         code, message = EXIT_BAD_PARAMS, str(err)
     sys.stderr.write(f"hyperstat: {message}\n")

@@ -44,9 +44,9 @@ __all__ = [
 class Family(NamedTuple):
     """One exponential family.
 
-    ``radial(u, d, first, last)`` returns the derivatives of g of orders
-    ``first`` to ``last`` at u (order 0 is g itself), evaluating no other,
-    for parameters of dimension d (vectors of size d + 1); ``metric(size)``
+    ``radial(u, d, order)`` returns the derivative of g of that order at u
+    (order 0 is g itself) for parameters of dimension d (vectors of size
+    d + 1), evaluating no other order; ``metric(size)``
     the constant matrix Q, and ``quad(v)`` the invariant u.  The rest act on
     cone parameters and (n, d) point arrays: ``log_density(theta, pts)``,
     ``stats(pts)`` (one row per point), ``from_moment(eta)`` (the parameter
@@ -64,7 +64,7 @@ class Family(NamedTuple):
     writes a formula for it.
     """
 
-    radial: Callable[[float, int, int, int], tuple]
+    radial: Callable[[float, int, int], float]
     metric: Callable[[int], np.ndarray]
     quad: Callable[[np.ndarray], float]
     log_density: Callable[[Any, np.ndarray], np.ndarray]
@@ -76,23 +76,24 @@ class Family(NamedTuple):
     reference: Callable[[int], Any]
 
 
-def _radial(fam: Family, v: np.ndarray, first: int, last: int) -> tuple:
-    return fam.radial(fam.quad(v), v.size - 1, first, last)
+def _radial(fam: Family, v: np.ndarray, order: int) -> float:
+    return fam.radial(fam.quad(v), v.size - 1, order)
 
 
 def cumulant(fam: Family, v: np.ndarray) -> float:
     """F(v) = g(q(v))."""
-    return _radial(fam, v, 0, 0)[0]
+    return _radial(fam, v, 0)
 
 
 def grad(fam: Family, v: np.ndarray) -> np.ndarray:
     """grad F(v) = g'(u) Q v, the mean of the sufficient statistic."""
-    return _radial(fam, v, 1, 1)[0] * (fam.metric(v.size) @ v)
+    return _radial(fam, v, 1) * (fam.metric(v.size) @ v)
 
 
 def fim(fam: Family, v: np.ndarray) -> np.ndarray:
     """Fisher information, the Hessian of F: g''(u) (Qv)(Qv)^T + g'(u) Q."""
-    g1, g2 = _radial(fam, v, 1, 2)
+    # g'' first: a family that has none raises before g' is evaluated.
+    g2, g1 = _radial(fam, v, 2), _radial(fam, v, 1)
     q = fam.metric(v.size)
     qv = q @ v
     return g2 * np.outer(qv, qv) + g1 * q

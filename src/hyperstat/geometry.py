@@ -107,7 +107,7 @@ class SpdParam2:
             raise ConeError(f"(a={a}, b={b}, c={c}) has det={det:.3e}: {_RANGE}")
         if not (a > 0.0 and c > 0.0 and det > _CONE_RTOL * scale * scale):
             raise ConeError(
-                f"(a={a}, b={b}, c={c}) violates a>0, c>0, ac-b^2>0 "
+                f"(a={a}, b={b}, c={c}) violates the cone a>0, c>0, ac-b^2>0 "
                 f"(det={det:.3e})"
             )
 

@@ -64,16 +64,16 @@ def _fprime(d: int, t: float) -> float:
     return bessel_k_logderiv(nu, t) - nu / t
 
 
-def _radial(u: float, d: int, first: int, last: int) -> tuple:
-    # g(u) = -log c_d(sqrt(u)) and its derivatives, orders first..last; g' = F'(t) / (2t).
+def _radial(u: float, d: int, order: int) -> float:
+    # g(u) = -log c_d(sqrt(u)) or its derivative of the given order; g' = F'(t) / (2t).
     t = math.sqrt(u)
-    if d == 2:
-        derivs = (-log_normalizer_c(d, t), -0.5 / u - 0.5 / t, 0.5 / (u * u) + 0.25 / (u * t))
-        return derivs[first : last + 1]
-    # Orders 0 and 1 only (g'', the FIM, is offered at d = 2 alone), and each
-    # only when asked for: both cost Bessel function evaluations.
-    g = (-log_normalizer_c(d, t),) if first == 0 else ()
-    return g + ((_fprime(d, t) / (2.0 * t),) if last >= 1 else ())
+    if order == 0:
+        return -log_normalizer_c(d, t)
+    if order == 1:
+        return -0.5 / u - 0.5 / t if d == 2 else _fprime(d, t) / (2.0 * t)
+    if d != 2:
+        raise DimensionError(f"closed-form FIM needs d=2, got d={d}")
+    return 0.5 / (u * u) + 0.25 / (u * t)
 
 
 def cumulant(theta: LorentzParam) -> float:
@@ -146,7 +146,7 @@ def _sample(theta: LorentzParam, n: int, rng) -> np.ndarray:
 
 
 _FAMILY = expfam.Family(
-    radial=lambda u, d, first, last: _radial(u, d, first, last),
+    radial=lambda u, d, order: _radial(u, d, order),
     metric=lambda size: np.diag([2.0] + [-2.0] * (size - 1)),
     # Summed as LorentzParam sums it, so a vector passing the cone test is a parameter.
     quad=lambda v: v[0] * v[0] - sum(x * x for x in v[1:]),
@@ -199,8 +199,6 @@ def fim2(theta: LorentzParam) -> np.ndarray:
     Equals (1/t^4) [ (2+t) (G theta)(G theta)^T - t^2 (1+t) G ] with
     G = diag(1,-1,-1); this is the Hessian of the cumulant.
     """
-    if theta.d != 2:
-        raise DimensionError(f"closed-form FIM needs d=2, got d={theta.d}")
     return expfam.fim(_FAMILY, theta.vec)
 
 

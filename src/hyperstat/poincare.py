@@ -77,7 +77,9 @@ def log_density_xy(theta: SpdParam2, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     d = theta.sqrt_det()
-    quad = (theta.a * (x * x + y * y) + 2.0 * theta.b * x + theta.c) / y
+    # A far point's quadratic form overflows to +inf, its log density to -inf.
+    with np.errstate(over="ignore"):
+        quad = (theta.a * (x * x + y * y) + 2.0 * theta.b * x + theta.c) / y
     return math.log(d) + 2.0 * d - _LOG_PI - quad - 2.0 * np.log(y)
 
 
@@ -135,15 +137,16 @@ _HESS_U = np.array([[0.0, 0.0, 1.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]])
 _PAIRING = np.array([1.0, 2.0, 1.0])
 
 
-def _radial(u: float, d: int, first: int, last: int) -> tuple:
-    # phi(u) = -log(u)/2 - 2 sqrt(u), phi', phi'', phi''': orders first..last.
+def _radial(u: float, d: int, order: int) -> float:
+    # phi(u) = -log(u)/2 - 2 sqrt(u) or its derivative of the given order, up to phi'''.
     su = math.sqrt(u)
-    return (
-        -math.log(su) - 2.0 * su,
-        -0.5 / u - 1.0 / su,
-        0.5 / (u * u) + 0.5 / (u * su),
-        -1.0 / (u * u * u) - 0.75 / (u * u * su),
-    )[first : last + 1]
+    if order == 0:
+        return -math.log(su) - 2.0 * su
+    if order == 1:
+        return -0.5 / u - 1.0 / su
+    if order == 2:
+        return 0.5 / (u * u) + 0.5 / (u * su)
+    return -1.0 / (u * u * u) - 0.75 / (u * u * su)
 
 
 def _sample(theta: SpdParam2, n: int, rng) -> np.ndarray:
@@ -154,7 +157,7 @@ def _sample(theta: SpdParam2, n: int, rng) -> np.ndarray:
 
 
 _FAMILY = expfam.Family(
-    radial=lambda u, d, first, last: _radial(u, d, first, last),
+    radial=lambda u, d, order: _radial(u, d, order),
     metric=lambda size: _HESS_U,
     quad=lambda v: v[0] * v[2] - v[1] * v[1],
     log_density=lambda theta, pts: log_density_xy(theta, pts[:, 0], pts[:, 1]),
@@ -256,7 +259,8 @@ def fim_dual(eta: Moment2) -> np.ndarray:
 
 def cubic_tensor(theta: SpdParam2) -> np.ndarray:
     """Totally symmetric third-derivative tensor of the cumulant in (a, b, c)."""
-    p2, p3 = _radial(theta.det(), 2, 2, 3)
+    u = theta.det()
+    p2, p3 = _radial(u, 2, 2), _radial(u, 2, 3)
     g = _HESS_U @ theta.as_vector()
     t = p3 * np.einsum("i,j,k->ijk", g, g, g)
     t += p2 * (

@@ -80,7 +80,7 @@ class TestDivergence:
             capsys,
         )
         assert code == 2
-        assert "cone" in err
+        assert "cone" in err and "ac-b^2>0" in err
 
     def test_asymmetric_matrix_rejected(self, capsys):
         code, _, err = run_cli(
@@ -509,6 +509,24 @@ class TestBlasThreadCount:
 
 
 class TestEntryPoint:
+    @pytest.mark.parametrize(
+        "args, value",
+        [
+            (["--family", "hyperboloid", "--measure", "kl", "--theta", "[1e-100,0,0]", "--theta2", "[2,1,1]"],
+             2e100),
+            (["--measure", "jeffreys", "--theta", "[1e80,0,1e80]", "--theta2", "[1,0,1]"], 1e80),
+        ],
+        ids=["hyperboloid_kl", "poincare_jeffreys"],
+    )
+    def test_far_scale_divergence_writes_no_warning(self, args, value):
+        # A fresh process, so no earlier call has used up a warning's first showing.
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyperstat", "divergence", *args], capture_output=True, text=True
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["value"] == pytest.approx(value, rel=1e-12)
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [

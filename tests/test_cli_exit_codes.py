@@ -297,3 +297,5 @@ def test_subnormal_minkowski_square_exits_2():
     assert out == ""
     assert err.startswith("hyperstat:") and "float64 normal range" in err
     assert "Traceback" not in err
+    # The library's message alone: a parameter out of range may lie inside the cone.
+    assert "outside its cone" not in err

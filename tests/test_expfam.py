@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from hyperstat import expfam
+from hyperstat import hyperboloid as hb
 from hyperstat import poincare as pc
-from hyperstat.geometry import SpdParam2, random_spd
+from hyperstat.geometry import LorentzParam, SpdParam2, random_spd
 
 REL_TOL = 1e-11
 MIN_VALUE = 1e-3
@@ -170,3 +171,48 @@ def test_chernoff_is_the_max_of_skew_jensen():
     assert value == pc.skew_jensen(theta, theta2, alpha)
     for a in np.linspace(0.01, 0.99, 25):
         assert pc.skew_jensen(theta, theta2, a) <= value * (1.0 + 1e-14)
+
+
+# Parameters at scales 1e+-100 (hyperboloid) and 1e+-80 (half-plane) against
+# unit-scale ones: each closed form asks only for the derivatives of g that it
+# reads, whose powers of u stay inside float64 where g'' and g''' would not.
+FAR_PAIRS = [
+    (hb, LorentzParam((1e-100, 0.0, 0.0)), LorentzParam((2.0, 1.0, 1.0))),
+    (hb, LorentzParam((1e100, 0.0, 0.0)), LorentzParam((2.0, 1.0, 1.0))),
+    (pc, SpdParam2(1e-80, 0.0, 1e-80), SpdParam2(1.0, 0.0, 1.0)),
+    (pc, SpdParam2(1e80, 0.0, 1e80), SpdParam2(1.0, 0.0, 1.0)),
+]
+FAR_CALLS = {
+    "kld": lambda mod, a, b: mod.kld(a, b),
+    "hellinger_sq": lambda mod, a, b: mod.hellinger_sq(a, b),
+    "neyman_chi2": lambda mod, a, b: mod.neyman_chi2(a, b),
+    "jeffreys": lambda mod, a, b: mod.jeffreys(a, b),
+    "skew_jensen": lambda mod, a, b: mod.skew_jensen(a, b, 0.3),
+    "cumulant": lambda mod, a, b: mod.cumulant(a),
+    "grad_cumulant": lambda mod, a, b: mod.grad_cumulant(a),
+    "chernoff": lambda mod, a, b: mod.chernoff(a, b),
+}
+
+
+def _far_cases():
+    for i, (mod, theta, theta2) in enumerate(FAR_PAIRS):
+        for swap in (False, True):
+            a, b = (theta2, theta) if swap else (theta, theta2)
+            for name in FAR_CALLS:
+                # cumulant and gradient at the far parameter; Chernoff on the half-plane
+                if not (swap and "cumulant" in name) and (name != "chernoff" or mod is pc):
+                    family = mod.__name__.rpartition(".")[2]
+                    yield pytest.param(mod, name, a, b, id=f"{family}{i}-{name}-{'ba' if swap else 'ab'}")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mod, name, theta, theta2", _far_cases())
+def test_far_scale_closed_forms_do_not_warn(mod, name, theta, theta2):
+    FAR_CALLS[name](mod, theta, theta2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_far_scale_values():
+    assert hb.kld(*FAR_PAIRS[0][1:]) == pytest.approx(2e100, rel=1e-12)
+    assert pc.kld(*FAR_PAIRS[2][1:]) == pytest.approx(1e80, rel=1e-12)
+    assert pc.jeffreys(*FAR_PAIRS[3][1:]) == pytest.approx(1e80, rel=1e-12)

@@ -10,9 +10,11 @@ from helpers import (
     hyperboloid_divergence_quad,
     hyperboloid_integral,
 )
+from hyperstat import expfam
 from hyperstat import hyperboloid as hb
 from hyperstat import poincare as pc
 from hyperstat.geometry import (
+    DimensionError,
     DualDomainError,
     HyperboloidPoint,
     LorentzParam,
@@ -367,8 +369,11 @@ class TestFim2:
             assert np.all(np.linalg.eigvalsh(hb.fim2(theta)) > 0.0)
 
     def test_dimension_guard(self):
-        with pytest.raises(ValueError):
-            hb.fim2(LorentzParam((2, 0, 0, 0)))
+        # g'' exists at d = 2 only, so the family record itself refuses the generic FIM.
+        theta = LorentzParam((2, 0, 0, 0))
+        for fim in (hb.fim2, lambda th: expfam.fim(hb._FAMILY, th.vec)):
+            with pytest.raises(DimensionError, match="closed-form FIM needs d=2, got d=3"):
+                fim(theta)
 
 
 class TestModifiedEntropy:

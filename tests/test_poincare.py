@@ -43,6 +43,10 @@ class TestDensity:
         )
         assert mass == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.filterwarnings("error")
+    def test_far_point_has_log_density_minus_inf_without_warning(self):
+        assert pc.log_density_xy(I2, 1e200, 1.0) == -math.inf
+
     def test_group_invariance(self):
         # the density against the invariant measure dx dy / y^2 is pointwise
         # invariant under the simultaneous action on points and parameters
