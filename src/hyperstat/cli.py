@@ -20,7 +20,11 @@ environment variable HYPERSTAT_THREADS caps the worker count used to evaluate
 shards; neither it nor the BLAS thread count changes any result.
 
 A command imports ``sampling``, ``montecarlo`` or ``mixtures`` when it runs
-and only if it calls them, so the closed-form commands never load them.
+and only if it calls them, so the closed-form commands never load them.  Nor
+do they load NumPy: literals are parsed into Python floats and the closed
+forms are evaluated with ``math``; only ``fim`` and the array commands
+(``sample``, ``estimate``, ``fit``) import it, and those check the sizes,
+component count and ``--verify`` choice that need no array before they do.
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ import math
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import hyperboloid as hb
 from . import poincare as pc
 from .geometry import (
@@ -42,6 +44,11 @@ from .geometry import (
     LorentzParam,
     SpdParam2,
     UpperHalfPoint,
+    _check_components,
+    _check_draws,
+    _check_estimator_pair,
+    _check_estimator_sizes,
+    _float_array,
     lorentz_invariant,
     param_h_to_l,
     param_l_to_h,
@@ -74,16 +81,16 @@ def _json_dumps(obj) -> str:
             return "true" if o else "false"
         if o is None:
             return "null"
-        if isinstance(o, (int, np.integer)):
+        if isinstance(o, int):
             return str(int(o))
-        if isinstance(o, (float, np.floating)):
+        if isinstance(o, float):
             v = float(o)
             if not math.isfinite(v):
                 raise ValueError("non-finite floats must not reach JSON output")
             return format(v, ".17g")
         if isinstance(o, str):
             return json.dumps(o)
-        if isinstance(o, (list, tuple, np.ndarray)):
+        if isinstance(o, (list, tuple)):
             return "[" + ", ".join(render(v) for v in o) + "]"
         if isinstance(o, dict):
             return (
@@ -128,17 +135,17 @@ def _parse_param(text: str, family: str):
         if family == "poincare":
             if isinstance(raw, dict):
                 return SpdParam2(float(raw["a"]), float(raw["b"]), float(raw["c"]))
-            arr = np.asarray(raw, dtype=float)
-            if arr.shape == (3,):
-                return SpdParam2(arr[0], arr[1], arr[2])
-            return SpdParam2.from_matrix(arr)
-        arr = np.asarray(raw, dtype=float)
-        if arr.ndim != 1 or arr.size < 3:
+            shape, values = _float_array(raw)
+            if shape == (3,):
+                return SpdParam2(*values)
+            return SpdParam2.from_matrix(raw)
+        shape, values = _float_array(raw)
+        if len(shape) != 1 or len(values) < 3:
             raise CliError(
                 EXIT_BAD_PARAMS, f"hyperboloid parameter must be a (d+1)-vector, got {text!r}"
             )
-        return LorentzParam(arr)
-    except (KeyError, TypeError) as err:
+        return LorentzParam(values)
+    except (KeyError, TypeError, OverflowError) as err:
         raise CliError(EXIT_BAD_PARAMS, f"malformed parameter {text!r}: {err}")
 
 
@@ -214,7 +221,7 @@ def _cmd_fim(args) -> int:
         matrix = pc.fim(theta)
     else:
         matrix = hb.fim2(theta)
-    _emit({"fim": [list(row) for row in matrix]}, args.out)
+    _emit({"fim": matrix.tolist()}, args.out)
     return EXIT_OK
 
 
@@ -226,9 +233,10 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    theta = _parse_param(args.theta, args.family)
+    _check_draws(2 if args.family == "poincare" else theta.d, args.n)
     from . import sampling
 
-    theta = _parse_param(args.theta, args.family)
     stream = sampling.RngStream(args.seed, _STREAM_SAMPLING)
     if args.family == "poincare":
         pts = sampling.poincare_sample(theta, args.n, stream)
@@ -248,20 +256,21 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    from . import montecarlo as mc
-    from .sampling import RngStream
-
     theta = _parse_param(args.theta, args.family)
     theta2 = _parse_param(args.theta2, args.family)
-    f = mc.FGenerator.by_name(args.measure)
-    stream = RngStream(args.seed, _STREAM_ESTIMATE)
     closed = _DIVERGENCES[args.family].get(args.measure)
     if args.verify and closed is None:
         raise CliError(EXIT_BAD_PARAMS, f"--verify has no closed form for {args.measure}")
-    run = mc.estimate_for_poincare if args.family == "poincare" else mc.estimate
-    est = run(
-        f, theta, theta2, args.method, args.n, stream,
-        sigma=args.sigma, eps=args.eps, shards=args.shards,
+    # The estimators' own checks, in their order, before they are imported.
+    pair = (theta, theta2) if args.family == "hyperboloid" else (param_h_to_l(theta), param_h_to_l(theta2))
+    _check_estimator_pair(*pair)
+    _check_estimator_sizes(args.n, args.shards)
+    from . import montecarlo as mc
+    from .sampling import RngStream
+
+    est = mc.estimate(
+        mc.FGenerator.by_name(args.measure), *pair, args.method, args.n,
+        RngStream(args.seed, _STREAM_ESTIMATE), sigma=args.sigma, eps=args.eps, shards=args.shards,
     )
     payload = {
         "measure": args.measure,
@@ -298,7 +307,9 @@ def _is_number(field: str) -> bool:
     return True
 
 
-def _read_points_csv(path: str) -> np.ndarray:
+def _read_points_csv(path: str):
+    import numpy as np
+
     with open(path, "r", encoding="utf-8") as fh:
         rows = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
     if rows and not all(_is_number(field) for field in rows[0].split(",")):
@@ -309,6 +320,7 @@ def _read_points_csv(path: str) -> np.ndarray:
 
 
 def _cmd_fit(args) -> int:
+    _check_components(args.k)
     from .mixtures import em_fit
     from .sampling import RngStream
 
@@ -359,12 +371,12 @@ def _cmd_convert(args) -> int:
             out = [[s.a, s.b], [s.b, s.c]]
     else:
         try:
-            arr = np.asarray(value, dtype=float)
-        except TypeError as err:
+            shape, arr = _float_array(value)
+        except (TypeError, OverflowError) as err:
             raise CliError(EXIT_BAD_PARAMS, f"malformed point {args.value!r}: {err}")
-        if arr.shape != (2,):
+        if shape != (2,):
             raise CliError(EXIT_BAD_PARAMS, f"points are 2-vectors, got {args.value!r}")
-        if not np.all(np.isfinite(arr)):
+        if not all(map(math.isfinite, arr)):
             raise CliError(EXIT_BAD_PARAMS, f"point coordinates must be finite, got {args.value!r}")
         if src == "upper-half":
             z = UpperHalfPoint(arr[0], arr[1])
@@ -373,7 +385,7 @@ def _cmd_convert(args) -> int:
         else:
             z = point_disk_to_h(arr[0], arr[1])
         if src == dst:
-            out = list(arr)
+            out = arr
         else:
             if src == "hyperboloid":
                 z = point_l_to_h(z)

@@ -13,16 +13,22 @@ is the maximum of the skew Jensen divergence (Nielsen 2013); the MLE is the
 inverse moment map at the mean statistic, and EM is Bregman soft clustering
 (Banerjee et al. 2005).  The module also holds the library's one 1-D
 minimizer, Brent's bounded method.
+
+Parameter vectors are tuples of floats, and the closed forms evaluate them
+with ``math`` and sums taken left to right, so the module imports no NumPy;
+the functions that return or read arrays (:func:`grad`, :func:`fim`,
+:func:`mle`, :func:`finite_stats`) import it when called.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from .geometry import _CONE_RTOL, DualDomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Family",
@@ -46,8 +52,9 @@ class Family(NamedTuple):
 
     ``radial(u, d, order)`` returns the derivative of g of that order at u
     (order 0 is g itself) for parameters of dimension d (vectors of size
-    d + 1), evaluating no other order; ``metric(size)``
-    the constant matrix Q, and ``quad(v)`` the invariant u.  The rest act on
+    d + 1), evaluating no other order; ``metric(size)`` the constant matrix
+    Q as a tuple of rows, and ``quad(v)`` the invariant u.  Vectors are
+    tuples of floats (an array works too).  The rest act on
     cone parameters and (n, d) point arrays: ``log_density(theta, pts)``,
     ``stats(pts)`` (one row per point), ``from_moment(eta)`` (the parameter
     whose mean statistic is eta) and ``sample(theta, n, rng)``.  The fields
@@ -65,36 +72,57 @@ class Family(NamedTuple):
     """
 
     radial: Callable[[float, int, int], float]
-    metric: Callable[[int], np.ndarray]
-    quad: Callable[[np.ndarray], float]
+    metric: Callable[[int], tuple]
+    quad: Callable[[tuple], float]
     log_density: Callable[[Any, np.ndarray], np.ndarray]
     stats: Callable[[np.ndarray], np.ndarray]
     from_moment: Callable[[np.ndarray], Any]
     sample: Callable[[Any, int, Any], np.ndarray]
-    vector: Callable[[Any], np.ndarray]
-    paired: Callable[[np.ndarray], np.ndarray]
+    vector: Callable[[Any], tuple]
+    paired: Callable[[tuple], tuple]
     reference: Callable[[int], Any]
 
 
-def _radial(fam: Family, v: np.ndarray, order: int) -> float:
-    return fam.radial(fam.quad(v), v.size - 1, order)
+def _dot(u, v) -> float:
+    return sum(a * b for a, b in zip(u, v))
 
 
-def cumulant(fam: Family, v: np.ndarray) -> float:
+def _minus(u, v) -> tuple:
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def _radial(fam: Family, v, order: int) -> float:
+    return fam.radial(fam.quad(v), len(v) - 1, order)
+
+
+def cumulant(fam: Family, v) -> float:
     """F(v) = g(q(v))."""
     return _radial(fam, v, 0)
 
 
-def grad(fam: Family, v: np.ndarray) -> np.ndarray:
+def _grad(fam: Family, v) -> tuple:
+    # Q has one nonzero entry per row, so each row's sum is exact.
+    g1 = _radial(fam, v, 1)
+    return tuple(g1 * _dot(row, v) for row in fam.metric(len(v)))
+
+
+def grad(fam: Family, v) -> np.ndarray:
     """grad F(v) = g'(u) Q v, the mean of the sufficient statistic."""
-    return _radial(fam, v, 1) * (fam.metric(v.size) @ v)
+    import numpy as np
+
+    return np.array(_grad(fam, v))
 
 
-def fim(fam: Family, v: np.ndarray) -> np.ndarray:
+def fim(fam: Family, v) -> np.ndarray:
     """Fisher information, the Hessian of F: g''(u) (Qv)(Qv)^T + g'(u) Q."""
+    import numpy as np
+
+    # On an array the invariant is a NumPy float, so a g'' that overflows
+    # (u * u underflowing to 0) reads inf, as the matrix entries do.
+    v = np.asarray(v, dtype=float)
     # g'' first: a family that has none raises before g' is evaluated.
     g2, g1 = _radial(fam, v, 2), _radial(fam, v, 1)
-    q = fam.metric(v.size)
+    q = np.array(fam.metric(v.size))
     qv = q @ v
     return g2 * np.outer(qv, qv) + g1 * q
 
@@ -105,6 +133,8 @@ def mle(fam: Family, pts: np.ndarray):
     The means use compensated summation, so the result does not depend on how
     callers order or shard the data.
     """
+    import numpy as np
+
     n = pts.shape[0]
     if n < 2:
         raise DualDomainError(f"MLE needs at least 2 points, got {n}")
@@ -114,6 +144,8 @@ def mle(fam: Family, pts: np.ndarray):
 
 def finite_stats(stats: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """``stats`` if every row is finite; else ValueError naming the first point whose row overflowed."""
+    import numpy as np
+
     # Two reductions make no (n, d + 1) temporary, which EM would pay for in page faults.
     if not (math.isfinite(np.max(stats, initial=0.0)) and math.isfinite(np.min(stats, initial=0.0))):
         i = int(np.argmin(np.isfinite(stats).all(axis=1)))
@@ -121,48 +153,58 @@ def finite_stats(stats: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return stats
 
 
-def kld(fam: Family, v: np.ndarray, v2: np.ndarray) -> float:
+def kld(fam: Family, v, v2) -> float:
     """KL[p_v : p_v2] = F(v2) - F(v) - <v2 - v, grad F(v)>."""
-    return cumulant(fam, v2) - cumulant(fam, v) - float(grad(fam, v) @ (v2 - v))
+    return cumulant(fam, v2) - cumulant(fam, v) - _dot(_grad(fam, v), _minus(v2, v))
 
 
-def skew_jensen(fam: Family, v: np.ndarray, v2: np.ndarray, alpha: float) -> float:
+def skew_jensen(fam: Family, v, v2, alpha: float) -> float:
     """J_alpha = (1-alpha) F(v) + alpha F(v2) - F((1-alpha) v + alpha v2)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     return _skew_jensen(fam, v, v2, alpha, cumulant(fam, v), cumulant(fam, v2))
 
 
-def _skew_jensen(fam: Family, v: np.ndarray, v2: np.ndarray, alpha: float, f_v: float, f_v2: float) -> float:
+def _skew_jensen(fam: Family, v, v2, alpha: float, f_v: float, f_v2: float) -> float:
     # J_alpha given F(v) and F(v2), which do not depend on alpha.
     w = 1.0 - alpha
-    return w * f_v + alpha * f_v2 - cumulant(fam, w * v + alpha * v2)
+    return w * f_v + alpha * f_v2 - cumulant(fam, tuple(w * a + alpha * b for a, b in zip(v, v2)))
 
 
-def hellinger_sq(fam: Family, v: np.ndarray, v2: np.ndarray) -> float:
+def hellinger_sq(fam: Family, v, v2) -> float:
     """1 - Bhattacharyya coefficient = -expm1(-J_1/2)."""
     return -math.expm1(-skew_jensen(fam, v, v2, 0.5))
 
 
-def neyman_chi2(fam: Family, v: np.ndarray, v2: np.ndarray) -> float:
-    """expm1(F(2 v2 - v) - 2 F(v2) + F(v)); +inf when 2 v2 - v leaves the cone."""
-    m = 2.0 * v2 - v
-    scale = float(np.max(np.abs(m)))
+def neyman_chi2(fam: Family, v, v2) -> float:
+    """expm1(F(2 v2 - v) - 2 F(v2) + F(v)); +inf when 2 v2 - v leaves the cone.
+
+    Raises ValueError when the exponent is too large for expm1: the value is
+    then unknown, not infinite.
+    """
+    m = tuple(2.0 * b - a for a, b in zip(v, v2))
+    scale = max(abs(x) for x in m)
     # The same relative margin as the cone check on parameters: closer to the
     # boundary, F(m) would be evaluated at a numerically zero q.
     if not (m[0] > 0.0 and fam.quad(m) > _CONE_RTOL * scale * scale):
         return math.inf
-    return math.expm1(cumulant(fam, m) - 2.0 * cumulant(fam, v2) + cumulant(fam, v))
+    exponent = cumulant(fam, m) - 2.0 * cumulant(fam, v2) + cumulant(fam, v)
+    try:
+        return math.expm1(exponent)
+    except OverflowError:
+        raise ValueError(
+            f"the Neyman chi-squared closed form's exponent {exponent:.6g} left the float64 range"
+        ) from None
 
 
-def jeffreys(fam: Family, v: np.ndarray, v2: np.ndarray) -> float:
+def jeffreys(fam: Family, v, v2) -> float:
     """KL both ways: <v2 - v, grad F(v2) - grad F(v)>."""
-    return float((v2 - v) @ (grad(fam, v2) - grad(fam, v)))
+    return _dot(_minus(v2, v), _minus(_grad(fam, v2), _grad(fam, v)))
 
 
-def chernoff(fam: Family, v: np.ndarray, v2: np.ndarray) -> tuple:
+def chernoff(fam: Family, v, v2) -> tuple:
     """(alpha*, J_alpha*): J_alpha is strictly concave in alpha, so Brent's method finds its max."""
-    if np.array_equal(v, v2):
+    if tuple(v) == tuple(v2):
         return (0.5, 0.0)
     f_v, f_v2 = cumulant(fam, v), cumulant(fam, v2)
     alpha, _ = brent_min(lambda a: -_skew_jensen(fam, v, v2, a, f_v, f_v2), 1e-12, 1.0 - 1e-12, 1e-8)

@@ -10,6 +10,12 @@ unit disk.
 
 All types are immutable values; every operation is pure.  Random-element
 helpers take an explicit ``numpy.random.Generator``.
+
+The containers validate and store floats, and the invariants are sums of
+float products, so the module imports no NumPy: a function that returns or
+takes an array imports it when called.  The module also holds the argument
+rules of the array entry points (sampler, estimators, EM) that need no
+array, so that the command line checks them before it imports NumPy.
 """
 
 from __future__ import annotations
@@ -17,9 +23,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ConeError",
@@ -66,6 +73,24 @@ def _outside_float_range(square: float, value: float) -> bool:
     return value > -_TINY and (not _TINY <= square < math.inf or 0.0 < value < _TINY)
 
 
+def _float_array(value) -> tuple:
+    """(shape, values): ``value`` read as NumPy reads nested sequences into a float array.
+
+    ``values`` lists the entries row by row as Python floats; a leaf is
+    None (nan) or anything ``float`` takes, an array is read through
+    ``tolist``, and sequences of unequal shapes raise ValueError.
+    """
+    if hasattr(value, "tolist"):
+        value = value.tolist()
+    if not isinstance(value, (list, tuple)):
+        return (), [math.nan if value is None else float(value)]
+    parts = [_float_array(v) for v in value]
+    shapes = {shape for shape, _ in parts}
+    if len(shapes) > 1:
+        raise ValueError(f"sequences of unequal shapes {sorted(shapes)} do not form an array")
+    return (len(parts), *(shapes.pop() if parts else ())), [x for _, xs in parts for x in xs]
+
+
 class ConeError(ValueError):
     """A natural parameter fell outside (or numerically on) its open cone."""
 
@@ -87,6 +112,36 @@ class FitError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
+# Argument rules of the array entry points; the command line checks them
+# before it imports NumPy, so a rejected size costs no array import
+# ---------------------------------------------------------------------------
+
+
+def _check_draws(d: int, n: int) -> None:
+    """The sampler's rules: d = 2, then a sample size n >= 0."""
+    if d != 2:
+        raise DimensionError(f"sampler covers d=2 only, got d={d}")
+    if n < 0:
+        raise ValueError(f"sample size must be >= 0, got {n}")
+
+
+def _check_estimator_pair(theta: LorentzParam, theta2: LorentzParam) -> None:
+    if theta.d != 2 or theta2.d != 2:
+        raise DimensionError(f"estimators cover d=2 only, got d={theta.d} and d={theta2.d}")
+
+
+def _check_estimator_sizes(n: int, shards: int) -> None:
+    # An interval needs a sample variance, hence at least two draws.
+    if n < 2 or shards < 1:
+        raise ValueError(f"estimators need n >= 2 draws and shards >= 1, got n={n}, shards={shards}")
+
+
+def _check_components(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"a mixture needs k >= 1 components, got {k}")
+
+
+# ---------------------------------------------------------------------------
 # Parameter and point containers
 # ---------------------------------------------------------------------------
 
@@ -101,6 +156,9 @@ class SpdParam2:
 
     def __post_init__(self) -> None:
         a, b, c = float(self.a), float(self.b), float(self.c)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
         scale = max(abs(a), abs(b), abs(c))
         det = a * c - b * b
         if a > 0.0 and c > 0.0 and _outside_float_range(scale * scale, det):
@@ -118,26 +176,31 @@ class SpdParam2:
         return math.sqrt(self.det())
 
     def as_matrix(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[self.a, self.b], [self.b, self.c]], dtype=float)
 
     def as_vector(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.a, self.b, self.c], dtype=float)
 
     def inverse_matrix(self) -> np.ndarray:
+        import numpy as np
+
         d = self.det()
         return np.array([[self.c, -self.b], [-self.b, self.a]], dtype=float) / d
 
     @classmethod
-    def from_matrix(cls, m: np.ndarray, sym_tol: float = 1e-12) -> "SpdParam2":
-        m = np.asarray(m, dtype=float)
-        if m.shape != (2, 2):
-            raise ConeError(f"expected a 2x2 matrix, got shape {m.shape}")
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if abs(m[0, 1] - m[1, 0]) > sym_tol * scale:
-            raise ConeError(
-                f"matrix is not symmetric: off-diagonals {m[0, 1]} != {m[1, 0]}"
-            )
-        return cls(float(m[0, 0]), 0.5 * float(m[0, 1] + m[1, 0]), float(m[1, 1]))
+    def from_matrix(cls, m, sym_tol: float = 1e-12) -> "SpdParam2":
+        """From a symmetric 2x2 matrix: an array or nested sequences of numbers."""
+        shape, values = _float_array(m)
+        if shape != (2, 2):
+            raise ConeError(f"expected a 2x2 matrix, got shape {shape}")
+        m11, m12, m21, m22 = values
+        if abs(m12 - m21) > sym_tol * max(1.0, *map(abs, values)):
+            raise ConeError(f"matrix is not symmetric: off-diagonals {m12} != {m21}")
+        return cls(m11, 0.5 * (m12 + m21), m22)
 
 
 @dataclass(frozen=True)
@@ -175,6 +238,8 @@ class Moment2:
         return self.m11 * self.m22 - self.m12 * self.m12
 
     def as_matrix(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[self.m11, self.m12], [self.m12, self.m22]], dtype=float)
 
 
@@ -205,6 +270,8 @@ class LorentzParam:
 
     @property
     def vec(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.theta, dtype=float)
 
     def minkowski_sq(self) -> float:
@@ -233,10 +300,14 @@ class HyperboloidPoint:
 
     @property
     def vec(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.coords, dtype=float)
 
     def lift(self) -> np.ndarray:
         """The ambient point (sqrt(1+|x|^2), x_1..x_d); satisfies [lift,lift] = 1."""
+        import numpy as np
+
         x = self.vec
         return np.concatenate(([math.sqrt(1.0 + float(x @ x))], x))
 
@@ -262,13 +333,19 @@ class Mobius:
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "Mobius":
+        import numpy as np
+
         m = np.asarray(m, dtype=float)
         return cls(float(m[0, 0]), float(m[0, 1]), float(m[1, 0]), float(m[1, 1]))
 
     def as_matrix(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[self.g11, self.g12], [self.g21, self.g22]], dtype=float)
 
     def inverse_matrix(self) -> np.ndarray:
+        import numpy as np
+
         # det = 1, so the inverse is the adjugate.
         return np.array([[self.g22, -self.g12], [-self.g21, self.g11]], dtype=float)
 
@@ -280,6 +357,8 @@ class LorentzTransform:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         a = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", a)
         n = a.shape[0]
@@ -323,18 +402,20 @@ class InvariantTriple:
 
 
 def _mink_metric(d: int) -> np.ndarray:
+    import numpy as np
+
     g = -np.eye(d + 1)
     g[0, 0] = 1.0
     return g
 
 
 def minkowski_inner(u: Sequence[float], v: Sequence[float]) -> float:
-    """The Minkowski bilinear form u0*v0 - sum_i ui*vi."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return float(u[0] * v[0] - u[1:] @ v[1:])
+    """The Minkowski bilinear form u0*v0 - sum_i ui*vi, the sum taken left to right."""
+    u_shape, u = _float_array(u)
+    v_shape, v = _float_array(v)
+    if u_shape != v_shape or len(u_shape) != 1:
+        raise ValueError(f"dimension mismatch: {u_shape} vs {v_shape}")
+    return u[0] * v[0] - sum(a * b for a, b in zip(u[1:], v[1:]))
 
 
 def mobius_act_point(g: Mobius, z: UpperHalfPoint) -> UpperHalfPoint:
@@ -352,8 +433,11 @@ def mobius_act_param(g: Mobius, theta: SpdParam2) -> SpdParam2:
 
 def poincare_invariant(theta: SpdParam2, theta2: SpdParam2) -> InvariantTriple:
     """Maximal invariant (det theta, det theta', tr(theta' theta^{-1})) of the SL(2,R) action."""
-    tr = float(np.trace(theta2.as_matrix() @ theta.inverse_matrix()))
-    return InvariantTriple(theta.det(), theta2.det(), tr)
+    # The diagonal of theta' [[c, -b], [-b, a]] / det theta, entry by entry.
+    det = theta.det()
+    inv_a, inv_b, inv_c = theta.a / det, -theta.b / det, theta.c / det
+    tr = (theta2.a * inv_c + theta2.b * inv_b) + (theta2.b * inv_b + theta2.c * inv_a)
+    return InvariantTriple(det, theta2.det(), tr)
 
 
 def lorentz_invariant(theta: LorentzParam, theta2: LorentzParam) -> InvariantTriple:
@@ -363,11 +447,13 @@ def lorentz_invariant(theta: LorentzParam, theta2: LorentzParam) -> InvariantTri
     return InvariantTriple(
         theta.minkowski_sq(),
         theta2.minkowski_sq(),
-        minkowski_inner(theta.vec, theta2.vec),
+        minkowski_inner(theta.theta, theta2.theta),
     )
 
 
 def _random_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
+    import numpy as np
+
     # Haar-ish rotation from the QR of a Gaussian matrix, det fixed to +1.
     m = rng.standard_normal((d, d))
     q, r = np.linalg.qr(m)
@@ -378,6 +464,8 @@ def _random_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _spatial_block(rot: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     d = rot.shape[0]
     out = np.eye(d + 1)
     out[1:, 1:] = rot
@@ -390,6 +478,8 @@ def lorentz_random_element(d: int, rng: np.random.Generator) -> LorentzTransform
     Rapidity is capped at 2 so that invariance tests do not run into
     catastrophic cancellation from extreme boosts.
     """
+    import numpy as np
+
     if d < 2:
         raise ValueError(f"need d >= 2, got d={d}")
     phi = rng.uniform(-2.0, 2.0)
@@ -404,6 +494,7 @@ def lorentz_random_element(d: int, rng: np.random.Generator) -> LorentzTransform
 
 def random_mobius(rng: np.random.Generator, max_log_scale: float = 1.0) -> Mobius:
     """A random SL(2,R) element: rotation * diag(s, 1/s) * rotation, s bounded."""
+    import numpy as np
 
     def rot(t: float) -> np.ndarray:
         return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
@@ -417,6 +508,8 @@ def random_mobius(rng: np.random.Generator, max_log_scale: float = 1.0) -> Mobiu
 
 def random_spd(rng: np.random.Generator, log_scale: float = 1.2) -> SpdParam2:
     """A random cone parameter with eigenvalues roughly in e^{+-log_scale}."""
+    import numpy as np
+
     lam = np.exp(rng.uniform(-log_scale, log_scale, size=2))
     t = rng.uniform(0, 2 * math.pi)
     r = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
@@ -428,6 +521,8 @@ def random_lorentz_param(
     d: int, rng: np.random.Generator, log_scale: float = 1.2
 ) -> LorentzParam:
     """A random forward-cone parameter with Minkowski norm roughly in e^{+-log_scale}."""
+    import numpy as np
+
     norm = math.exp(rng.uniform(-log_scale, log_scale))
     u = rng.standard_normal(d)
     u = u / np.linalg.norm(u)

@@ -16,17 +16,23 @@ Q = 2 diag(1, -1, ..., -1).  The family record carries g and Q, and
 (d = 2 only) and the divergences (KL, squared Hellinger, Neyman chi-squared,
 Jeffreys, skew Jensen) once for every d; the MLE is likewise expfam's inverse
 moment map at the mean sufficient statistic.
+
+The closed forms evaluate the parameter as its float tuple and import no
+NumPy; the densities, statistics, MLE and matrix-valued forms import it when
+called.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import expfam
 from .geometry import DimensionError, DualDomainError, HyperboloidPoint, LorentzParam
 from .specfun import bessel_k, bessel_k_logderiv
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "log_normalizer_c",
@@ -78,18 +84,20 @@ def _radial(u: float, d: int, order: int) -> float:
 
 def cumulant(theta: LorentzParam) -> float:
     """Log-normalizer F(theta) = -log c_d(|theta|); for d=2 this is -log t - t + log(2 pi)."""
-    return expfam.cumulant(_FAMILY, theta.vec)
+    return expfam.cumulant(_FAMILY, theta.theta)
 
 
 def grad_cumulant(theta: LorentzParam) -> np.ndarray:
     """Gradient of the cumulant; equals the mean of the sufficient statistic (-x0~, x1..xd)."""
-    return expfam.grad(_FAMILY, theta.vec)
+    return expfam.grad(_FAMILY, theta.theta)
 
 
 def _lift_pairing(vec: np.ndarray, points) -> tuple:
     # (x0, [vec, lift(x)]) at chart points, x0 = sqrt(1 + |x|^2).  Both sums
     # run column by column in NumPy, so no value depends on the memory layout
     # of the points; at d = 2, |x|^2 has the bits of a row-wise einsum.
+    import numpy as np
+
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != vec.size - 1:
         raise ValueError(f"points have dimension {pts.shape[1]}, parameter has d={vec.size - 1}")
@@ -109,6 +117,8 @@ def _lift_pairing(vec: np.ndarray, points) -> tuple:
 
 def log_density_chart(theta: LorentzParam, points) -> np.ndarray:
     """Log density at chart coordinates; ``points`` is an (n, d) array (or a single row)."""
+    import numpy as np
+
     x0, out = _lift_pairing(theta.vec, points)
     np.subtract(log_normalizer_c(theta.d, theta.minkowski_norm()), out, out=out)
     out -= np.log(x0, out=x0)
@@ -121,6 +131,8 @@ def log_ratio_chart(theta: LorentzParam, theta2: LorentzParam, points) -> np.nda
     kappa = log c_d(|theta2|) - log c_d(|theta|).  The log x0 terms of the two
     densities cancel, so a point costs one sqrt and no log.
     """
+    import numpy as np
+
     _, out = _lift_pairing(theta2.vec - theta.vec, points)
     kappa = log_normalizer_c(theta2.d, theta2.minkowski_norm()) - log_normalizer_c(
         theta.d, theta.minkowski_norm()
@@ -145,16 +157,23 @@ def _sample(theta: LorentzParam, n: int, rng) -> np.ndarray:
     return hyperboloid_sample(theta, n, rng)
 
 
+def _metric(size: int) -> tuple:
+    # Q = 2 diag(1, -1, ..., -1), as rows.
+    return tuple(
+        tuple((2.0 if i == 0 else -2.0) if i == j else 0.0 for j in range(size)) for i in range(size)
+    )
+
+
 _FAMILY = expfam.Family(
     radial=lambda u, d, order: _radial(u, d, order),
-    metric=lambda size: np.diag([2.0] + [-2.0] * (size - 1)),
+    metric=_metric,
     # Summed as LorentzParam sums it, so a vector passing the cone test is a parameter.
     quad=lambda v: v[0] * v[0] - sum(x * x for x in v[1:]),
     log_density=lambda theta, pts: log_density_chart(theta, pts),
     stats=lambda pts: suff_stats_chart(pts),
     from_moment=lambda eta: mle_from_moment(eta, eta.size - 1),
     sample=_sample,
-    vector=lambda theta: theta.vec,
+    vector=lambda theta: theta.theta,
     paired=lambda v: v,
     reference=lambda d: LorentzParam((1.0,) + (0.0,) * d),  # the apex
 )
@@ -166,26 +185,26 @@ def kld(theta: LorentzParam, theta2: LorentzParam) -> float:
     For d = 2 this agrees with the explicit form
     log(t/t') - t' + [th,th']/[th,th] + [th,th']/t - 1.
     """
-    return expfam.kld(_FAMILY, theta.vec, theta2.vec)
+    return expfam.kld(_FAMILY, theta.theta, theta2.theta)
 
 
 def hellinger_sq(theta: LorentzParam, theta2: LorentzParam) -> float:
     """Squared Hellinger divergence, 1 - sqrt(c_d(t) c_d(t')) / c_d(|theta+theta2|/2)."""
-    return expfam.hellinger_sq(_FAMILY, theta.vec, theta2.vec)
+    return expfam.hellinger_sq(_FAMILY, theta.theta, theta2.theta)
 
 
 def neyman_chi2(theta: LorentzParam, theta2: LorentzParam) -> float:
     """Neyman chi-squared divergence; +inf when 2*theta2 - theta leaves the cone."""
-    return expfam.neyman_chi2(_FAMILY, theta.vec, theta2.vec)
+    return expfam.neyman_chi2(_FAMILY, theta.theta, theta2.theta)
 
 
 def jeffreys(theta: LorentzParam, theta2: LorentzParam) -> float:
-    return expfam.jeffreys(_FAMILY, theta.vec, theta2.vec)
+    return expfam.jeffreys(_FAMILY, theta.theta, theta2.theta)
 
 
 def skew_jensen(theta: LorentzParam, theta2: LorentzParam, alpha: float) -> float:
     """Skew Jensen divergence of the cumulant at the mix (1-alpha) theta + alpha theta2."""
-    return expfam.skew_jensen(_FAMILY, theta.vec, theta2.vec, alpha)
+    return expfam.skew_jensen(_FAMILY, theta.theta, theta2.theta, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +218,7 @@ def fim2(theta: LorentzParam) -> np.ndarray:
     Equals (1/t^4) [ (2+t) (G theta)(G theta)^T - t^2 (1+t) G ] with
     G = diag(1,-1,-1); this is the Hessian of the cumulant.
     """
-    return expfam.fim(_FAMILY, theta.vec)
+    return expfam.fim(_FAMILY, theta.theta)
 
 
 def modified_entropy2(theta: LorentzParam) -> float:
@@ -215,6 +234,8 @@ def modified_entropy2(theta: LorentzParam) -> float:
 
 
 def _as_chart_array(points) -> np.ndarray:
+    import numpy as np
+
     if isinstance(points, np.ndarray):
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2:
@@ -230,6 +251,8 @@ def suff_stats_chart(points) -> np.ndarray:
     Raises ValueError for a non-finite chart coordinate or a point whose
     statistics overflow.
     """
+    import numpy as np
+
     pts = _as_chart_array(points)
     if not np.isfinite(pts).all():
         raise ValueError("chart points need finite coordinates")
@@ -239,6 +262,8 @@ def suff_stats_chart(points) -> np.ndarray:
 
 def mle_from_moment(eta: np.ndarray, d: int) -> LorentzParam:
     """Invert the moment map: solve |F'(t)| = sqrt([eta,eta]) then rescale G eta."""
+    import numpy as np
+
     eta = np.asarray(eta, dtype=float)
     mink_sq = float(eta[0] * eta[0] - eta[1:] @ eta[1:])
     if not (eta[0] < 0.0 and mink_sq > 0.0):

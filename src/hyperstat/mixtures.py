@@ -67,7 +67,7 @@ import numpy as np
 from . import expfam
 from . import hyperboloid as hb
 from . import poincare as pc
-from .geometry import ConeError, DualDomainError, FitError
+from .geometry import ConeError, DualDomainError, FitError, _check_components
 from .sampling import RngStream
 
 __all__ = ["Mixture", "EmTrace", "mixture_log_density_array", "mixture_sample", "em_fit"]
@@ -356,8 +356,7 @@ def em_fit(
     makes one attempt: it always starts from all-ones responsibilities, so
     a restart would repeat the same computation.
     """
-    if k < 1:
-        raise ValueError(f"a mixture needs k >= 1 components, got {k}")
+    _check_components(k)
     fam = _FAMILIES.get(family)
     if fam is None:
         raise ValueError(f"unknown family {family!r}")

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import hyperboloid as hb
 from .expfam import brent_min
-from .geometry import DimensionError, LorentzParam, SpdParam2, param_h_to_l
+from .geometry import LorentzParam, SpdParam2, _check_estimator_pair, _check_estimator_sizes, param_h_to_l
 from .sampling import RngStream, _by_block, hyperboloid_sample
 
 __all__ = [
@@ -260,9 +260,7 @@ class _Moments:
 
 
 def _shard_sizes(n: int, shards: int) -> list:
-    # An interval needs a sample variance, hence at least two draws.
-    if n < 2 or shards < 1:
-        raise ValueError(f"estimators need n >= 2 draws and shards >= 1, got n={n}, shards={shards}")
+    _check_estimator_sizes(n, shards)
     base = n // shards
     sizes = [base] * shards
     for i in range(n - base * shards):
@@ -338,11 +336,6 @@ def _finalize(
     )
 
 
-def _check_pair(theta: LorentzParam, theta2: LorentzParam) -> None:
-    if theta.d != 2 or theta2.d != 2:
-        raise DimensionError(f"estimators cover d=2 only, got d={theta.d} and d={theta2.d}")
-
-
 def estimate_plugin(
     f: FGenerator,
     theta: LorentzParam,
@@ -357,7 +350,7 @@ def estimate_plugin(
     estimate is still consistent but the reported interval is then optimistic.
     The ``tail_index`` field carries the diagnostic.
     """
-    _check_pair(theta, theta2)
+    _check_estimator_pair(theta, theta2)
 
     def kernel(out: np.ndarray, pts: np.ndarray) -> None:
         out[:] = f.of_log_ratio(hb.log_ratio_chart(theta, theta2, pts))
@@ -393,7 +386,7 @@ def estimate_mc1(
     shards: int = 1,
 ) -> McEstimate:
     """Importance sampling from the product proposal p_sigma x p_sigma."""
-    _check_pair(theta, theta2)
+    _check_estimator_pair(theta, theta2)
 
     def kernel(out: np.ndarray, xy: np.ndarray) -> None:
         # The importance weight f(p'/p) p / (p_sigma(x) p_sigma(y)).
@@ -431,7 +424,7 @@ def optimize_sigma(
     15 pilot moments, O(1) per evaluation after one moment pass, and for the
     logistic one a pass over the pilot with two cosh per point.
     """
-    _check_pair(theta, theta2)
+    _check_estimator_pair(theta, theta2)
     base = Proposal(proposal_kind, 1.0)
     zw = base.sample(2 * n_pilot, rng.generator()).reshape(2, n_pilot).T
     fv, logp = np.empty(n_pilot), np.empty(n_pilot)
@@ -522,7 +515,7 @@ def estimate_mc2(
     off exponentially there.  The resulting bias is below eps-level for cone
     parameters and is documented rather than corrected.
     """
-    _check_pair(theta, theta2)
+    _check_estimator_pair(theta, theta2)
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
 
@@ -576,8 +569,8 @@ def estimate(
     """
     if method not in _METHOD_KEYS:
         raise ValueError(f"unknown method {method!r}")
-    _check_pair(theta, theta2)  # the dimension first, so d = 3 with n = 0 reports the dimension
-    _shard_sizes(n, shards)  # reject the sizes before a pilot is drawn
+    _check_estimator_pair(theta, theta2)  # the dimension first, so d = 3 with n = 0 reports the dimension
+    _check_estimator_sizes(n, shards)  # reject the sizes before a pilot is drawn
     est_rng = rng.derive(_METHOD_KEYS[method])
     if method == "plugin":
         return estimate_plugin(f, theta, theta2, n, est_rng, shards=shards)

@@ -19,18 +19,24 @@ The cumulant is exposed in two equivalent normalizations: the full
 log-normalizer ``log pi - log D - 2D`` and the reduced Bregman generator
 ``-log D - 2D`` (they differ by the constant log pi, which cancels in every
 divergence).  The conjugate machinery runs on the reduced form.
+
+The closed forms evaluate the parameter as the float tuple (a, b, c) and
+import no NumPy; the densities, statistics, MLE and matrix-valued forms
+import it when called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import expfam
 from .geometry import DualDomainError, Moment2, SpdParam2, UpperHalfPoint
 from .specfun import exp_gamma0
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CumulantPair",
@@ -74,6 +80,8 @@ class CumulantPair:
 
 def log_density_xy(theta: SpdParam2, x, y):
     """Log density at chart coordinates; accepts scalars or numpy arrays."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     d = theta.sqrt_det()
@@ -88,14 +96,14 @@ def log_density(theta: SpdParam2, z: UpperHalfPoint) -> float:
 
 
 def cumulant(theta: SpdParam2) -> CumulantPair:
-    reduced = expfam.cumulant(_FAMILY, theta.as_vector())
+    reduced = expfam.cumulant(_FAMILY, _vector(theta))
     return CumulantPair(full=_LOG_PI + reduced, reduced=reduced)
 
 
 def grad_cumulant(theta: SpdParam2) -> Moment2:
     """Moment parameter eta = -(1/2 + D) theta^{-1}; identical for both normalizations."""
     # The vector gradient's middle entry is 2 m12: b appears twice in the matrix pairing.
-    m11, m12_twice, m22 = expfam.grad(_FAMILY, theta.as_vector())
+    m11, m12_twice, m22 = expfam._grad(_FAMILY, _vector(theta))
     return Moment2(m11, 0.5 * m12_twice, m22)
 
 
@@ -114,10 +122,8 @@ def grad_conjugate(eta: Moment2) -> SpdParam2:
         )
     d = 0.5 / (root - 1.0)
     coeff = -(0.5 + d)
-    m = eta.as_matrix()
-    inv = np.array([[m[1, 1], -m[0, 1]], [-m[0, 1], m[0, 0]]]) / det
-    t = coeff * inv
-    return SpdParam2(float(t[0, 0]), 0.5 * float(t[0, 1] + t[1, 0]), float(t[1, 1]))
+    # coeff * eta^{-1}, entry by entry.
+    return SpdParam2(coeff * (eta.m22 / det), coeff * (-eta.m12 / det), coeff * (eta.m11 / det))
 
 
 def conjugate(eta: Moment2) -> float:
@@ -133,8 +139,11 @@ def conjugate(eta: Moment2) -> float:
 
 
 # Q, the Hessian of u(a,b,c) = ac - b^2: u = v^T Q v / 2.
-_HESS_U = np.array([[0.0, 0.0, 1.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]])
-_PAIRING = np.array([1.0, 2.0, 1.0])
+_HESS_U = ((0.0, 0.0, 1.0), (0.0, -2.0, 0.0), (1.0, 0.0, 0.0))
+
+
+def _vector(theta: SpdParam2) -> tuple:
+    return (theta.a, theta.b, theta.c)
 
 
 def _radial(u: float, d: int, order: int) -> float:
@@ -167,31 +176,31 @@ _FAMILY = expfam.Family(
     stats=lambda pts: suff_stats_xy(pts),
     from_moment=lambda eta: grad_conjugate(Moment2(*eta)),
     sample=_sample,
-    vector=lambda theta: theta.as_vector(),
+    vector=lambda theta: _vector(theta),
     # The density's a(x^2+y^2) + 2bx + c counts the middle entry m12 twice.
-    paired=lambda v: v * _PAIRING,
+    paired=lambda v: (v[0], 2.0 * v[1], v[2]),
     reference=lambda d: SpdParam2(1.0, 0.0, 1.0),
 )
 
 
 def kld(theta: SpdParam2, theta2: SpdParam2) -> float:
     """Kullback-Leibler divergence KL[p_theta : p_theta2] in closed form."""
-    return expfam.kld(_FAMILY, theta.as_vector(), theta2.as_vector())
+    return expfam.kld(_FAMILY, _vector(theta), _vector(theta2))
 
 
 def hellinger_sq(theta: SpdParam2, theta2: SpdParam2) -> float:
     """Squared Hellinger divergence (generator (sqrt(u)-1)^2/2); in [0, 1), symmetric."""
-    return expfam.hellinger_sq(_FAMILY, theta.as_vector(), theta2.as_vector())
+    return expfam.hellinger_sq(_FAMILY, _vector(theta), _vector(theta2))
 
 
 def neyman_chi2(theta: SpdParam2, theta2: SpdParam2) -> float:
     """Neyman chi-squared divergence; +inf when 2*theta2 - theta leaves the cone."""
-    return expfam.neyman_chi2(_FAMILY, theta.as_vector(), theta2.as_vector())
+    return expfam.neyman_chi2(_FAMILY, _vector(theta), _vector(theta2))
 
 
 def jeffreys(theta: SpdParam2, theta2: SpdParam2) -> float:
     """Symmetrized KL divergence; symmetric but not a metric in any positive power."""
-    return expfam.jeffreys(_FAMILY, theta.as_vector(), theta2.as_vector())
+    return expfam.jeffreys(_FAMILY, _vector(theta), _vector(theta2))
 
 
 def skew_jensen(theta: SpdParam2, theta2: SpdParam2, alpha: float) -> float:
@@ -200,7 +209,7 @@ def skew_jensen(theta: SpdParam2, theta2: SpdParam2, alpha: float) -> float:
     Equals the alpha-Bhattacharyya divergence between the two densities;
     at alpha = 1/2 it is -log(1 - hellinger_sq).
     """
-    return expfam.skew_jensen(_FAMILY, theta.as_vector(), theta2.as_vector(), alpha)
+    return expfam.skew_jensen(_FAMILY, _vector(theta), _vector(theta2), alpha)
 
 
 def chernoff(theta: SpdParam2, theta2: SpdParam2) -> tuple:
@@ -209,7 +218,7 @@ def chernoff(theta: SpdParam2, theta2: SpdParam2) -> tuple:
     The objective is strictly concave in alpha, so Brent's bounded method
     converges to the unique optimum; returns (alpha*, value).
     """
-    return expfam.chernoff(_FAMILY, theta.as_vector(), theta2.as_vector())
+    return expfam.chernoff(_FAMILY, _vector(theta), _vector(theta2))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +253,7 @@ def modified_entropy(theta: SpdParam2) -> float:
 
 def fim(theta: SpdParam2) -> np.ndarray:
     """Fisher information matrix in (a, b, c) coordinates: the Hessian of the cumulant."""
-    return expfam.fim(_FAMILY, theta.as_vector())
+    return expfam.fim(_FAMILY, _vector(theta))
 
 
 def fim_dual(eta: Moment2) -> np.ndarray:
@@ -254,19 +263,24 @@ def fim_dual(eta: Moment2) -> np.ndarray:
     at the corresponding cone parameter; validated against finite differences
     of :func:`conjugate` in the test suite.
     """
+    import numpy as np
+
     return np.linalg.inv(fim(grad_conjugate(eta)))
 
 
 def cubic_tensor(theta: SpdParam2) -> np.ndarray:
     """Totally symmetric third-derivative tensor of the cumulant in (a, b, c)."""
+    import numpy as np
+
     u = theta.det()
     p2, p3 = _radial(u, 2, 2), _radial(u, 2, 3)
-    g = _HESS_U @ theta.as_vector()
+    q = np.array(_HESS_U)
+    g = q @ theta.as_vector()
     t = p3 * np.einsum("i,j,k->ijk", g, g, g)
     t += p2 * (
-        np.einsum("ij,k->ijk", _HESS_U, g)
-        + np.einsum("ik,j->ijk", _HESS_U, g)
-        + np.einsum("jk,i->ijk", _HESS_U, g)
+        np.einsum("ij,k->ijk", q, g)
+        + np.einsum("ik,j->ijk", q, g)
+        + np.einsum("jk,i->ijk", q, g)
     )
     return t
 
@@ -277,6 +291,8 @@ def cubic_tensor(theta: SpdParam2) -> np.ndarray:
 
 
 def _as_xy_array(points) -> np.ndarray:
+    import numpy as np
+
     if isinstance(points, np.ndarray):
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
@@ -292,6 +308,8 @@ def suff_stats_xy(points) -> np.ndarray:
     Raises ValueError for a point outside the half-plane (y <= 0 or a
     non-finite coordinate) or one whose statistics overflow.
     """
+    import numpy as np
+
     pts = _as_xy_array(points)
     x, y = pts[:, 0], pts[:, 1]
     if not (np.isfinite(pts).all() and (y > 0.0).all()):

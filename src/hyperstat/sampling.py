@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import DimensionError, HyperboloidPoint, LorentzParam, SpdParam2
+from .geometry import HyperboloidPoint, LorentzParam, SpdParam2, _check_draws
 
 __all__ = [
     "GigParams",
@@ -114,10 +114,7 @@ def hyperboloid_sample(theta: LorentzParam, n: int, rng: RngStream) -> np.ndarra
     draw is not positive and finite: numpy's Wald generator returns 0 for
     some draws once |theta| is below about 5e-15.
     """
-    if theta.d != 2:
-        raise DimensionError(f"sampler covers d=2 only, got d={theta.d}")
-    if n < 0:
-        raise ValueError(f"sample size must be >= 0, got {n}")
+    _check_draws(theta.d, n)
     t = theta.minkowski_norm()
     gen = rng.generator()
     with np.errstate(divide="ignore"):  # a zero Wald draw is rejected below, not warned about

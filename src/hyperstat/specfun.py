@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = ["SpecialValue", "bessel_k", "bessel_k_logderiv", "exp_gamma0"]
+
+_EULER_GAMMA = 0.5772156649015329  # the Euler-Mascheroni constant, as numpy.euler_gamma
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def _exp_gamma0_series(x: float) -> float:
         acc += delta
         if abs(delta) < 1e-18 * max(1.0, abs(acc)):
             break
-    return math.exp(x) * (-np.euler_gamma - math.log(x) + acc)
+    return math.exp(x) * (-_EULER_GAMMA - math.log(x) + acc)
 
 
 def _exp_gamma0_lentz(x: float) -> float:

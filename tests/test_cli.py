@@ -632,7 +632,7 @@ class TestEntryPoint:
 
 # Modules that the closed-form commands never call.
 _DEFERRED = {
-    "hyperstat.sampling", "hyperstat.montecarlo", "hyperstat.mixtures", "concurrent.futures", "logging",
+    "hyperstat.sampling", "hyperstat.montecarlo", "hyperstat.mixtures", "concurrent.futures", "logging", "numpy",
 }
 
 
@@ -665,11 +665,14 @@ class TestCommandImports:
                 for family, t, t2 in (("poincare", EX_THETA, EX_THETA2), ("hyperboloid", _SHEET, _SHEET2))
                 for cmd, args in (
                     ("divergence", ["--measure", "kl", "--theta", t, "--theta2", t2]),
+                    ("divergence", ["--measure", "hellinger", "--theta", t, "--theta2", t2]),
+                    ("divergence", ["--measure", "skew-jensen", "--theta", t, "--theta2", t2]),
                     ("entropy", ["--theta", t2]),
                     ("fim", ["--theta", t2]),
                     ("invariant", ["--theta", t, "--theta2", t2]),
                 )
             ],
+            ["divergence", "--measure", "chernoff", "--theta", EX_THETA, "--theta2", EX_THETA2],
             ["convert", "--what", "param", "--from", "upper-half", "--to", "hyperboloid", "--value", EX_THETA],
             ["convert", "--what", "param", "--from", "hyperboloid", "--to", "upper-half", "--value", _SHEET2],
             ["convert", "--what", "point", "--from", "hyperboloid", "--to", "disk", "--value", "[0.5,-1]"],
@@ -677,21 +680,41 @@ class TestCommandImports:
         ids=lambda argv: "-".join(a for a in argv if a[0].isalpha() and "[" not in a),
     )
     def test_closed_forms_load_no_sampler_estimator_or_em(self, argv):
+        # Nor NumPy, but for fim, whose value is a matrix.
         rc, out, loaded = _run_fresh(argv)
         assert rc == 0 and out
+        assert loaded == ({"numpy"} if argv[0] == "fim" else set())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["estimate", "--measure", "kl", "--method", "plugin", "--theta", EX_THETA,
+                          "--theta2", EX_THETA2, "--seed", "4", "--n", "1000", "--shards", "0"],
+                         id="estimate_shards_0"),
+            pytest.param(["estimate", "--measure", "kl", "--method", "plugin", "--theta", EX_THETA,
+                          "--theta2", EX_THETA2, "--seed", "4", "--n", "0"], id="estimate_n_0"),
+            pytest.param(["sample", "--theta", EX_THETA, "--n", "-5", "--seed", "1"], id="sample_n_negative"),
+            pytest.param(["fit", "--input", "POINTS", "--k", "0", "--seed", "1"], id="fit_k_0"),
+        ],
+    )
+    def test_size_rejections_load_no_numpy(self, argv, tmp_path):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x,y\n0.1,1.0\n0.2,0.5\n")
+        rc, out, loaded = _run_fresh([str(pts) if a == "POINTS" else a for a in argv])
+        assert rc == 2 and out == ""
         assert loaded == set()
 
     def test_sample_loads_the_sampler_only(self):
         rc, out, loaded = _run_fresh(["sample", "--theta", EX_THETA, "--n", "50", "--seed", "1"])
         assert rc == 0 and out.count("\n") == 52
-        assert loaded == {"hyperstat.sampling"}
+        assert loaded == {"hyperstat.sampling", "numpy"}
 
     def test_fit_loads_em_but_no_estimator(self, tmp_path, capsys):
         pts = str(tmp_path / "pts.csv")
         assert run_cli(["sample", "--theta", EX_THETA, "--n", "300", "--seed", "1", "--out", pts], capsys)[0] == 0
         rc, out, loaded = _run_fresh(["fit", "--input", pts, "--k", "2", "--seed", "2"])
         assert rc == 0 and json.loads(out)["iterations"] >= 1
-        assert "hyperstat.mixtures" in loaded
+        assert {"hyperstat.mixtures", "numpy"} <= loaded
         assert "hyperstat.montecarlo" not in loaded
 
     def test_single_worker_estimate_starts_no_pool(self):
@@ -699,7 +722,7 @@ class TestCommandImports:
                 "--theta", _SHEET, "--theta2", _SHEET2, "--n", "2000", "--seed", "5"]
         rc, _, loaded = _run_fresh(argv)
         assert rc == 0
-        assert "hyperstat.montecarlo" in loaded
+        assert {"hyperstat.montecarlo", "numpy"} <= loaded
         assert "concurrent.futures" not in loaded
 
     def test_threaded_shards_load_the_pool_and_keep_the_bytes(self):

@@ -6,8 +6,11 @@ argparse itself exits with ``SystemExit(2)`` on malformed flags.  Any other
 exception fails the test.
 """
 
+import ast
 import contextlib
 import io
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -198,13 +201,72 @@ def test_verify_miss_exits_6(monkeypatch):
 
 
 def test_verify_without_closed_form_exits_2_before_estimating():
+    # In a new interpreter, which shows that neither NumPy nor the estimators were imported.
     argv = [("tv" if a == "kl" else a) for a in VERIFY_KL]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code == 2
-    assert out.getvalue() == ""
-    assert err.getvalue().startswith("hyperstat: ")
+    code = (
+        "import sys\n"
+        "from hyperstat.cli import main\n"
+        f"rc = main({argv!r})\n"
+        "sys.stderr.write(repr((rc, [m for m in ('numpy', 'hyperstat.montecarlo') if m in sys.modules])))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("hyperstat: ")
+    assert ast.literal_eval(proc.stderr.splitlines()[-1]) == (2, [])
+
+
+def test_neyman_exponent_out_of_range_exits_2():
+    # The closed form's exponent is a cancellation residue near 1e30 here (the
+    # true value is 49.25): an error, not a traceback and not "infinite".
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperstat", "divergence", "--measure", "neyman", "--family", "hyperboloid",
+         "--theta", "[1e44,0,0]", "--theta2", "[1e46,0,0]"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("hyperstat:") and "float64 range" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+_CONVERT_POINT = ["convert", "--what", "point", "--from", "upper-half", "--to", "hyperboloid", "--value"]
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        # Parameter literals, with the exit codes of NumPy's float conversion.
+        *[
+            pytest.param(["divergence", "--measure", "kl", "--theta", lit, "--theta2", PC[1]], want, id=lit)
+            for lit, want in (
+                ("[1e400,0,1]", 2),
+                ("NaN", 2),
+                ("[[1,0],[0]]", 2),
+                ('["1","0","1"]', 0),
+                ("[true,0,1]", 0),
+                ('{"a":1,"b":0}', 2),
+                ('{"a":[1],"b":0,"c":1}', 2),
+                ("[[1,0],[0,1],[1,1]]", 2),
+                ("[[1,0.5],[0,1]]", 2),
+            )
+        ],
+        *[
+            pytest.param(["divergence", "--family", "hyperboloid", "--measure", "kl", "--theta", lit,
+                          "--theta2", HB[1]], 2, id=f"hyperboloid-{lit}")
+            for lit in ("[[1,0,0]]", "3", "null")
+        ],
+        *[pytest.param(_CONVERT_POINT + [lit], 2, id=f"point-{lit}") for lit in ("[0.5]", "[[0.5,0.1]]", '["a",1]')],
+    ],
+)
+def test_literal_exit_codes(argv, want):
+    code, out, err = run_captured(argv)
+    assert code == want
+    if want == 2:
+        assert out == ""
+        assert err.startswith("hyperstat:")
+    else:
+        assert err == ""
 
 
 def run_captured(argv) -> tuple:
