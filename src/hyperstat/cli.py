@@ -48,7 +48,6 @@ from .geometry import (
     _check_draws,
     _check_estimator_pair,
     _check_estimator_sizes,
-    _float_array,
     lorentz_invariant,
     param_h_to_l,
     param_l_to_h,
@@ -126,7 +125,10 @@ def _emit(obj, out: Optional[str] = None) -> None:
 
 
 def _parse_param(text: str, family: str):
-    """Parse a parameter literal: [[a,b],[b,c]] / {"a":..} / [t0,t1,...,td]."""
+    """Parse a parameter literal: [[a,b],[b,c]] / [a,b,c] / {"a":..} / [t0,t1,...,td].
+
+    Each entry is read with ``float``, so a numeric string or a boolean is a number.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as err:
@@ -135,16 +137,12 @@ def _parse_param(text: str, family: str):
         if family == "poincare":
             if isinstance(raw, dict):
                 return SpdParam2(float(raw["a"]), float(raw["b"]), float(raw["c"]))
-            shape, values = _float_array(raw)
-            if shape == (3,):
-                return SpdParam2(*values)
+            if isinstance(raw, list) and len(raw) == 3:
+                return SpdParam2(*raw)
             return SpdParam2.from_matrix(raw)
-        shape, values = _float_array(raw)
-        if len(shape) != 1 or len(values) < 3:
-            raise CliError(
-                EXIT_BAD_PARAMS, f"hyperboloid parameter must be a (d+1)-vector, got {text!r}"
-            )
-        return LorentzParam(values)
+        if not isinstance(raw, list):
+            raise CliError(EXIT_BAD_PARAMS, f"hyperboloid parameter must be a (d+1)-vector, got {text!r}")
+        return LorentzParam(raw)
     except (KeyError, TypeError, OverflowError) as err:
         raise CliError(EXIT_BAD_PARAMS, f"malformed parameter {text!r}: {err}")
 
@@ -362,20 +360,16 @@ def _cmd_convert(args) -> int:
         if "disk" in (src, dst):
             raise CliError(EXIT_BAD_PARAMS, "parameter conversion covers upper-half <-> hyperboloid")
         theta = _parse_param(args.value, "poincare" if src == "upper-half" else "hyperboloid")
-        if src == dst:
-            out = value
-        elif src == "upper-half":
-            out = list(param_h_to_l(theta).theta)
-        else:
-            s = param_l_to_h(theta)
-            out = [[s.a, s.b], [s.b, s.c]]
+        if src != dst:
+            theta = param_h_to_l(theta) if src == "upper-half" else param_l_to_h(theta)
+        out = [[theta.a, theta.b], [theta.b, theta.c]] if dst == "upper-half" else list(theta.theta)
     else:
+        if not (isinstance(value, list) and len(value) == 2):
+            raise CliError(EXIT_BAD_PARAMS, f"points are 2-vectors, got {args.value!r}")
         try:
-            shape, arr = _float_array(value)
+            arr = [float(x) for x in value]
         except (TypeError, OverflowError) as err:
             raise CliError(EXIT_BAD_PARAMS, f"malformed point {args.value!r}: {err}")
-        if shape != (2,):
-            raise CliError(EXIT_BAD_PARAMS, f"points are 2-vectors, got {args.value!r}")
         if not all(map(math.isfinite, arr)):
             raise CliError(EXIT_BAD_PARAMS, f"point coordinates must be finite, got {args.value!r}")
         if src == "upper-half":

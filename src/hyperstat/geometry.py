@@ -11,9 +11,9 @@ unit disk.
 All types are immutable values; every operation is pure.  Random-element
 helpers take an explicit ``numpy.random.Generator``.
 
-The containers validate and store floats, and the invariants are sums of
-float products, so the module imports no NumPy: a function that returns or
-takes an array imports it when called.  The module also holds the argument
+The containers validate and store floats, and the invariants and the SL(2,R)
+action are sums of float products, so the module imports no NumPy: a function
+that returns or takes an array imports it when called.  The module also holds the argument
 rules of the array entry points (sampler, estimators, EM) that need no
 array, so that the command line checks them before it imports NumPy.
 """
@@ -71,24 +71,6 @@ def _outside_float_range(square: float, value: float) -> bool:
     # Minkowski square) does not decide membership once the largest square
     # leaves the normal float64 range or value is positive but subnormal.
     return value > -_TINY and (not _TINY <= square < math.inf or 0.0 < value < _TINY)
-
-
-def _float_array(value) -> tuple:
-    """(shape, values): ``value`` read as NumPy reads nested sequences into a float array.
-
-    ``values`` lists the entries row by row as Python floats; a leaf is
-    None (nan) or anything ``float`` takes, an array is read through
-    ``tolist``, and sequences of unequal shapes raise ValueError.
-    """
-    if hasattr(value, "tolist"):
-        value = value.tolist()
-    if not isinstance(value, (list, tuple)):
-        return (), [math.nan if value is None else float(value)]
-    parts = [_float_array(v) for v in value]
-    shapes = {shape for shape, _ in parts}
-    if len(shapes) > 1:
-        raise ValueError(f"sequences of unequal shapes {sorted(shapes)} do not form an array")
-    return (len(parts), *(shapes.pop() if parts else ())), [x for _, xs in parts for x in xs]
 
 
 class ConeError(ValueError):
@@ -185,20 +167,17 @@ class SpdParam2:
 
         return np.array([self.a, self.b, self.c], dtype=float)
 
-    def inverse_matrix(self) -> np.ndarray:
-        import numpy as np
-
-        d = self.det()
-        return np.array([[self.c, -self.b], [-self.b, self.a]], dtype=float) / d
-
     @classmethod
-    def from_matrix(cls, m, sym_tol: float = 1e-12) -> "SpdParam2":
-        """From a symmetric 2x2 matrix: an array or nested sequences of numbers."""
-        shape, values = _float_array(m)
-        if shape != (2, 2):
-            raise ConeError(f"expected a 2x2 matrix, got shape {shape}")
-        m11, m12, m21, m22 = values
-        if abs(m12 - m21) > sym_tol * max(1.0, *map(abs, values)):
+    def from_matrix(cls, m) -> "SpdParam2":
+        """From a symmetric 2x2 matrix: two rows (not strings or mappings) of two ``float`` entries."""
+        try:
+            if any(isinstance(row, (str, dict)) for row in m):
+                raise TypeError("a row must be a sequence")
+            (m11, m12), (m21, m22) = m
+        except (TypeError, ValueError):
+            raise ConeError(f"expected a 2x2 matrix, got {m!r}") from None
+        m11, m12, m21, m22 = float(m11), float(m12), float(m21), float(m22)
+        if abs(m12 - m21) > 1e-12 * max(1.0, abs(m11), abs(m12), abs(m21), abs(m22)):
             raise ConeError(f"matrix is not symmetric: off-diagonals {m12} != {m21}")
         return cls(m11, 0.5 * (m12 + m21), m22)
 
@@ -331,24 +310,6 @@ class Mobius:
     def identity(cls) -> "Mobius":
         return cls(1.0, 0.0, 0.0, 1.0)
 
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "Mobius":
-        import numpy as np
-
-        m = np.asarray(m, dtype=float)
-        return cls(float(m[0, 0]), float(m[0, 1]), float(m[1, 0]), float(m[1, 1]))
-
-    def as_matrix(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([[self.g11, self.g12], [self.g21, self.g22]], dtype=float)
-
-    def inverse_matrix(self) -> np.ndarray:
-        import numpy as np
-
-        # det = 1, so the inverse is the adjugate.
-        return np.array([[self.g22, -self.g12], [-self.g21, self.g11]], dtype=float)
-
 
 @dataclass(frozen=True, eq=False)
 class LorentzTransform:
@@ -411,10 +372,10 @@ def _mink_metric(d: int) -> np.ndarray:
 
 def minkowski_inner(u: Sequence[float], v: Sequence[float]) -> float:
     """The Minkowski bilinear form u0*v0 - sum_i ui*vi, the sum taken left to right."""
-    u_shape, u = _float_array(u)
-    v_shape, v = _float_array(v)
-    if u_shape != v_shape or len(u_shape) != 1:
-        raise ValueError(f"dimension mismatch: {u_shape} vs {v_shape}")
+    u = [float(x) for x in u]
+    v = [float(x) for x in v]
+    if len(u) != len(v):
+        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
     return u[0] * v[0] - sum(a * b for a, b in zip(u[1:], v[1:]))
 
 
@@ -426,9 +387,12 @@ def mobius_act_point(g: Mobius, z: UpperHalfPoint) -> UpperHalfPoint:
 
 def mobius_act_param(g: Mobius, theta: SpdParam2) -> SpdParam2:
     """Parameter action g.theta = g^{-T} theta g^{-1}; preserves the determinant."""
-    ginv = g.inverse_matrix()
-    m = ginv.T @ theta.as_matrix() @ ginv
-    return SpdParam2(float(m[0, 0]), 0.5 * float(m[0, 1] + m[1, 0]), float(m[1, 1]))
+    # det g = 1, so g^{-1} is the adjugate [[p, q], [r, s]]; t = g^{-T} theta.
+    p, q, r, s = g.g22, -g.g12, -g.g21, g.g11
+    t11, t12 = p * theta.a + r * theta.b, p * theta.b + r * theta.c
+    t21, t22 = q * theta.a + s * theta.b, q * theta.b + s * theta.c
+    m12, m21 = t11 * q + t12 * s, t21 * p + t22 * r
+    return SpdParam2(t11 * p + t12 * r, 0.5 * (m12 + m21), t21 * q + t22 * s)
 
 
 def poincare_invariant(theta: SpdParam2, theta2: SpdParam2) -> InvariantTriple:
@@ -492,18 +456,17 @@ def lorentz_random_element(d: int, rng: np.random.Generator) -> LorentzTransform
     return LorentzTransform(a)
 
 
-def random_mobius(rng: np.random.Generator, max_log_scale: float = 1.0) -> Mobius:
-    """A random SL(2,R) element: rotation * diag(s, 1/s) * rotation, s bounded."""
-    import numpy as np
-
-    def rot(t: float) -> np.ndarray:
-        return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
-
-    s = math.exp(rng.uniform(-max_log_scale, max_log_scale))
-    m = rot(rng.uniform(0, 2 * math.pi)) @ np.diag([s, 1.0 / s]) @ rot(
-        rng.uniform(0, 2 * math.pi)
-    )
-    return Mobius.from_matrix(m)
+def random_mobius(rng: np.random.Generator) -> Mobius:
+    """A random SL(2,R) element: rotation * diag(s, 1/s) * rotation, log s uniform on [-1, 1]."""
+    s = math.exp(rng.uniform(-1.0, 1.0))
+    t1 = rng.uniform(0, 2 * math.pi)
+    t2 = rng.uniform(0, 2 * math.pi)
+    # b = rot(t1) diag(s, 1/s), then b rot(t2), with rot(t) = [[cos t, -sin t], [sin t, cos t]].
+    u = 1.0 / s
+    b11, b12 = math.cos(t1) * s, -math.sin(t1) * u
+    b21, b22 = math.sin(t1) * s, math.cos(t1) * u
+    c2, s2 = math.cos(t2), math.sin(t2)
+    return Mobius(b11 * c2 + b12 * s2, b12 * c2 - b11 * s2, b21 * c2 + b22 * s2, b22 * c2 - b21 * s2)
 
 
 def random_spd(rng: np.random.Generator, log_scale: float = 1.2) -> SpdParam2:

@@ -228,7 +228,6 @@ class McEstimate:
     estimate: float
     sample_variance: float
     n: int
-    stream: RngStream
     ci95: tuple
     sigma: Optional[float] = None
     tail_index: Optional[float] = None
@@ -317,7 +316,6 @@ def _f_and_logp(f: FGenerator, theta: LorentzParam, theta2: LorentzParam, pts: n
 
 def _finalize(
     acc: _Moments,
-    stream: RngStream,
     sigma: Optional[float] = None,
     tail_index: Optional[float] = None,
 ) -> McEstimate:
@@ -328,7 +326,6 @@ def _finalize(
         estimate=est,
         sample_variance=var,
         n=acc.n,
-        stream=stream,
         ci95=(est - half, est + half),
         sigma=sigma,
         tail_index=tail_index,
@@ -360,7 +357,7 @@ def estimate_plugin(
 
     acc, weights = _sharded(sample, kernel, n, shards, rng)
     pooled = weights[0] if len(weights) == 1 else np.concatenate(weights)
-    return _finalize(acc, rng, tail_index=_hill_tail_index(pooled))
+    return _finalize(acc, tail_index=_hill_tail_index(pooled))
 
 
 def _hill_tail_index(w: np.ndarray) -> Optional[float]:
@@ -399,7 +396,7 @@ def estimate_mc1(
         # One call for x then y: the stream of two calls of ``size`` draws each.
         return (proposal.sample(2 * size, stream.generator()).reshape(2, size).T,)
 
-    return _finalize(_sharded(sample, kernel, n, shards, rng)[0], rng, sigma=proposal.sigma)
+    return _finalize(_sharded(sample, kernel, n, shards, rng)[0], sigma=proposal.sigma)
 
 
 _SIGMA_BRACKET = (0.05, 50.0)  # proposal scales the search considers
@@ -542,7 +539,7 @@ def estimate_mc2(
         gen = stream.generator()
         return gen.uniform(0.0, 1.0 - eps, size=size), gen.uniform(0.0, 2.0 * math.pi, size=size)
 
-    return _finalize(_sharded(sample, kernel, n, shards, rng)[0], rng)
+    return _finalize(_sharded(sample, kernel, n, shards, rng)[0])
 
 
 _METHOD_KEYS = {"plugin": 11, "mc1-logistic": 12, "mc1-t7": 13, "mc2": 14}

@@ -20,7 +20,7 @@ from scipy.special import logsumexp
 
 from hyperstat import hyperboloid as hb
 from hyperstat import poincare as pc
-from hyperstat.geometry import LorentzParam, Moment2, SpdParam2
+from hyperstat.geometry import LorentzParam, Mobius, Moment2, SpdParam2
 from hyperstat.mixtures import Mixture
 
 # ---------------------------------------------------------------------------
@@ -279,6 +279,29 @@ def traced_peak(fn) -> int:
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+# ---------------------------------------------------------------------------
+# SL(2,R) helpers as NumPy matrix products (the library multiplies floats)
+# ---------------------------------------------------------------------------
+
+
+def _rot(t: float) -> np.ndarray:
+    return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+
+def ref_random_mobius(rng: np.random.Generator) -> Mobius:
+    """rot(t1) @ diag(s, 1/s) @ rot(t2), drawing log s, t1 and t2 in that order."""
+    s = math.exp(rng.uniform(-1.0, 1.0))
+    m = _rot(rng.uniform(0, 2 * math.pi)) @ np.diag([s, 1.0 / s]) @ _rot(rng.uniform(0, 2 * math.pi))
+    return Mobius(float(m[0, 0]), float(m[0, 1]), float(m[1, 0]), float(m[1, 1]))
+
+
+def ref_mobius_act_param(g: Mobius, theta: SpdParam2) -> SpdParam2:
+    """g^{-T} theta g^{-1} as a matrix product, with g^{-1} the adjugate (det g = 1)."""
+    ginv = np.array([[g.g22, -g.g12], [-g.g21, g.g11]])
+    m = ginv.T @ theta.as_matrix() @ ginv
+    return SpdParam2(float(m[0, 0]), 0.5 * float(m[0, 1] + m[1, 0]), float(m[1, 1]))
 
 
 # ---------------------------------------------------------------------------

@@ -414,6 +414,11 @@ class TestFitAndConvert:
             ("point", "disk", "[0.5,0.1]", "[0.5, 0.10000000000000001]"),
             ("param", "upper-half", "[[1,0.25],[0.25,2]]", "[[1, 0.25], [0.25, 2]]"),
             ("param", "hyperboloid", "[3,1,1]", "[3, 1, 1]"),
+            # A parameter prints as parsed, in the --to form.
+            ("param", "upper-half", "[4,0.25,0.5]", "[[4, 0.25], [0.25, 0.5]]"),
+            ("param", "upper-half", '["1","0","1"]', "[[1, 0], [0, 1]]"),
+            ("param", "upper-half", '{"a":1,"b":0,"c":1}', "[[1, 0], [0, 1]]"),
+            ("param", "hyperboloid", '["3","1","1"]', "[3, 1, 1]"),
         ],
     )
     def test_convert_identity_echoes_valid_input(self, capsys, what, model, value, echo):
@@ -539,50 +544,6 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["invariant_triple"] == [1.0, 1.0, 2.0]
 
-    def test_import_leaves_scipy_optimize_unloaded(self):
-        # scipy.optimize adds ~0.25 s to every CLI process; the library's
-        # minimizer is its own, and brentq is imported where it is used
-        code = "import sys, hyperstat.cli; print('scipy.optimize' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
-
-    def test_import_loads_no_scipy(self):
-        # scipy.special is imported on the first Bessel evaluation only
-        code = (
-            "import sys, hyperstat, hyperstat.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
-
-    def test_half_plane_commands_leave_scipy_unloaded(self, tmp_path):
-        pts = str(tmp_path / "pts.csv")
-        out = str(tmp_path / "out.txt")
-        commands = [
-            ["divergence", "--measure", "kl", "--theta", EX_THETA, "--theta2", EX_THETA2],
-            ["divergence", "--measure", "chernoff", "--theta", EX_THETA, "--theta2", EX_THETA2],
-            ["entropy", "--theta", EX_THETA],
-            ["fim", "--theta", EX_THETA],
-            ["invariant", "--theta", EX_THETA, "--theta2", EX_THETA2],
-            ["convert", "--what", "param", "--from", "upper-half", "--to", "hyperboloid",
-             "--value", EX_THETA],
-            ["sample", "--theta", EX_THETA, "--n", "300", "--seed", "1", "--out", pts],
-            ["fit", "--input", pts, "--k", "2", "--seed", "2"],
-        ]
-        code = (
-            "import sys\n"
-            "from hyperstat.cli import main\n"
-            f"for argv in {commands!r}:\n"
-            f"    assert main(argv if '--out' in argv else argv + ['--out', {out!r}]) == 0, argv\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
-        assert json.loads((tmp_path / "out.txt").read_text())["iterations"] >= 1
-
     def test_d2_hyperboloid_commands_leave_scipy_unloaded(self, tmp_path, capsys):
         # At d = 2 the normalizer's K_1/2 is elementary, so no command on the
         # d = 2 sheet evaluates a Bessel function or imports scipy.
@@ -630,9 +591,10 @@ class TestEntryPoint:
         assert proc.stdout.strip() == "True True"
 
 
-# Modules that the closed-form commands never call.
+# Modules that the closed-form commands never call at d = 2.
 _DEFERRED = {
     "hyperstat.sampling", "hyperstat.montecarlo", "hyperstat.mixtures", "concurrent.futures", "logging", "numpy",
+    "scipy",
 }
 
 
@@ -704,26 +666,27 @@ class TestCommandImports:
         assert rc == 2 and out == ""
         assert loaded == set()
 
-    def test_sample_loads_the_sampler_only(self):
-        rc, out, loaded = _run_fresh(["sample", "--theta", EX_THETA, "--n", "50", "--seed", "1"])
+    @pytest.mark.parametrize("family, theta", [("poincare", EX_THETA), ("hyperboloid", _SHEET2)])
+    def test_sample_loads_the_sampler_only(self, family, theta):
+        rc, out, loaded = _run_fresh(["sample", "--family", family, "--theta", theta, "--n", "50", "--seed", "1"])
         assert rc == 0 and out.count("\n") == 52
         assert loaded == {"hyperstat.sampling", "numpy"}
 
-    def test_fit_loads_em_but_no_estimator(self, tmp_path, capsys):
+    @pytest.mark.parametrize("family, theta", [("poincare", EX_THETA), ("hyperboloid", _SHEET2)])
+    def test_fit_loads_em_but_no_estimator(self, tmp_path, capsys, family, theta):
         pts = str(tmp_path / "pts.csv")
-        assert run_cli(["sample", "--theta", EX_THETA, "--n", "300", "--seed", "1", "--out", pts], capsys)[0] == 0
-        rc, out, loaded = _run_fresh(["fit", "--input", pts, "--k", "2", "--seed", "2"])
+        argv = ["sample", "--family", family, "--theta", theta, "--n", "300", "--seed", "1", "--out", pts]
+        assert run_cli(argv, capsys)[0] == 0
+        rc, out, loaded = _run_fresh(["fit", "--family", family, "--input", pts, "--k", "2", "--seed", "2"])
         assert rc == 0 and json.loads(out)["iterations"] >= 1
-        assert {"hyperstat.mixtures", "numpy"} <= loaded
-        assert "hyperstat.montecarlo" not in loaded
+        assert loaded == {"hyperstat.sampling", "hyperstat.mixtures", "numpy"}
 
     def test_single_worker_estimate_starts_no_pool(self):
         argv = ["estimate", "--family", "hyperboloid", "--measure", "kl", "--method", "plugin",
                 "--theta", _SHEET, "--theta2", _SHEET2, "--n", "2000", "--seed", "5"]
         rc, _, loaded = _run_fresh(argv)
         assert rc == 0
-        assert {"hyperstat.montecarlo", "numpy"} <= loaded
-        assert "concurrent.futures" not in loaded
+        assert loaded == {"hyperstat.sampling", "hyperstat.montecarlo", "numpy"}
 
     def test_threaded_shards_load_the_pool_and_keep_the_bytes(self):
         argv = ["estimate", "--family", "hyperboloid", "--measure", "tv", "--method", "mc1-t7",

@@ -236,7 +236,7 @@ _CONVERT_POINT = ["convert", "--what", "point", "--from", "upper-half", "--to", 
 @pytest.mark.parametrize(
     "argv, want",
     [
-        # Parameter literals, with the exit codes of NumPy's float conversion.
+        # Literals whose entries float() reads (numeric strings, booleans) exit 0; other entries and shapes exit 2.
         *[
             pytest.param(["divergence", "--measure", "kl", "--theta", lit, "--theta2", PC[1]], want, id=lit)
             for lit, want in (
@@ -249,14 +249,36 @@ _CONVERT_POINT = ["convert", "--what", "point", "--from", "upper-half", "--to", 
                 ('{"a":[1],"b":0,"c":1}', 2),
                 ("[[1,0],[0,1],[1,1]]", 2),
                 ("[[1,0.5],[0,1]]", 2),
+                ("[null,0,1]", 2),
+                ("[1,[0],1]", 2),
+                ("[[[1],0],[0,1]]", 2),
+                ("[]", 2),
+                ("[1,0]", 2),
+                ('"900"', 2),
+                ("[1" + "0" * 399 + ",0,1]", 2),
+                ('{"a":1,"b":0,"c":1}', 0),
+                ('[[1,0],["0",1]]', 0),
+                ("[[true,0],[0,1]]", 0),
             )
         ],
         *[
             pytest.param(["divergence", "--family", "hyperboloid", "--measure", "kl", "--theta", lit,
                           "--theta2", HB[1]], 2, id=f"hyperboloid-{lit}")
-            for lit in ("[[1,0,0]]", "3", "null")
+            for lit in ("[[1,0,0]]", "3", "null", '"900"', "[[1,0],[0,1]]", '{"a":1,"b":0,"c":1}')
         ],
-        *[pytest.param(_CONVERT_POINT + [lit], 2, id=f"point-{lit}") for lit in ("[0.5]", "[[0.5,0.1]]", '["a",1]')],
+        *[
+            pytest.param(_CONVERT_POINT + [lit], want, id=f"point-{lit}")
+            for lit, want in (
+                ("[0.5]", 2),
+                ("[[0.5,0.1]]", 2),
+                ('["a",1]', 2),
+                ('["0.5",1]', 0),
+                ("[true,1]", 0),
+                ("[null,1]", 2),
+                ("[1,2,3]", 2),
+                ("[[1],[2]]", 2),
+            )
+        ],
     ],
 )
 def test_literal_exit_codes(argv, want):

@@ -4,6 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from helpers import ref_mobius_act_param, ref_random_mobius
+
 from hyperstat import hyperboloid as hb
 from hyperstat.geometry import (
     ConeError,
@@ -53,6 +55,15 @@ class TestContainers:
     def test_from_matrix_rejects_asymmetric(self):
         with pytest.raises(ConeError):
             SpdParam2.from_matrix(np.array([[4.0, 0.5], [0.25, 0.5]]))
+
+    @pytest.mark.parametrize(
+        "m",
+        [[[1.0, 0.0], [0.0]], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], 3.0, "[[1,0],[0,1]]", ["21", "12"]],
+        ids=["ragged", "3x2", "scalar", "string", "string_rows"],
+    )
+    def test_from_matrix_rejects_non_2x2(self, m):
+        with pytest.raises(ConeError, match="expected a 2x2 matrix"):
+            SpdParam2.from_matrix(m)
 
     def test_upper_half_point(self):
         with pytest.raises(ValueError):
@@ -160,6 +171,20 @@ class TestMobiusActions:
         assert (gt.a, gt.b, gt.c) == pytest.approx((15.5, -7.75, 4.0), abs=1e-12)
         gt2 = mobius_act_param(g, EX_THETA2)
         assert (gt2.a, gt2.b, gt2.c) == pytest.approx((3.0, -2.25, 2.0), abs=1e-12)
+
+    def test_float_forms_match_the_matrix_products(self):
+        # Same stream for both forms: the draws agree, and each entry agrees to
+        # rounding relative to the largest entry.
+        rng, ref_rng, spd_rng = (np.random.default_rng(s) for s in (6, 6, 7))
+        for _ in range(2000):
+            g, ref_g = random_mobius(rng), ref_random_mobius(ref_rng)
+            got, want = (g.g11, g.g12, g.g21, g.g22), (ref_g.g11, ref_g.g12, ref_g.g21, ref_g.g22)
+            assert max(abs(x - y) for x, y in zip(got, want)) <= 4e-15 * max(map(abs, want))
+            th = random_spd(spd_rng)
+            act, ref_act = mobius_act_param(g, th), ref_mobius_act_param(g, th)
+            got, want = (act.a, act.b, act.c), (ref_act.a, ref_act.b, ref_act.c)
+            assert max(abs(x - y) for x, y in zip(got, want)) <= 4e-15 * max(map(abs, want))
+        assert rng.uniform() == ref_rng.uniform()
 
     def test_param_action_preserves_determinant(self):
         rng = np.random.default_rng(2)
