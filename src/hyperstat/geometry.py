@@ -9,7 +9,12 @@ that identify the two pictures when d = 2, plus the Cayley transform to the
 unit disk.
 
 All types are immutable values; every operation is pure.  Random-element
-helpers take an explicit ``numpy.random.Generator``.
+helpers take an explicit ``numpy.random.Generator``.  The value classes of
+the whole package build on ``_Value``, a slotted base that freezes the
+fields, compares, hashes and prints them, and pickles by calling the class
+again; each class writes its own ``__init__`` that validates and stores its
+fields.  The base replaces ``dataclasses``, whose import (it loads
+``inspect``) and class decoration cost a command about 12 ms of start-up.
 
 The containers validate and store floats, and the invariants and the SL(2,R)
 action are sums of float products, so the module imports no NumPy: a function
@@ -22,7 +27,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
@@ -124,31 +128,80 @@ def _check_components(k: int) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Immutable values
+# ---------------------------------------------------------------------------
+
+_set = object.__setattr__  # how a value's own __init__ stores a field
+
+
+class _Value:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields, in order, in ``__slots__`` and writes its
+    own ``__init__``, which validates and stores each field with ``_set``.
+    The base makes assignment and deletion raise ``AttributeError``,
+    compares by class and field values (``NotImplemented`` for another
+    class), hashes the field tuple, prints ``Cls(field=value!r, ...)``, and
+    pickles and copies by calling the class again, so that a restored
+    value is validated again.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+# ---------------------------------------------------------------------------
 # Parameter and point containers
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpdParam2:
+class SpdParam2(_Value):
     """Natural parameter of an upper-half-plane model: the SPD matrix [[a,b],[b,c]]."""
 
-    a: float
-    b: float
-    c: float
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self) -> None:
-        a, b, c = float(self.a), float(self.b), float(self.c)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+    def __init__(self, a: float, b: float, c: float) -> None:
+        a, b, c = float(a), float(b), float(c)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
         scale = max(abs(a), abs(b), abs(c))
         det = a * c - b * b
         if a > 0.0 and c > 0.0 and _outside_float_range(scale * scale, det):
             raise ConeError(f"(a={a}, b={b}, c={c}) has det={det:.3e}: {_RANGE}")
-        if not (a > 0.0 and c > 0.0 and det > _CONE_RTOL * scale * scale):
+        if not (a > 0.0 and c > 0.0 and det > 0.0):
             raise ConeError(
                 f"(a={a}, b={b}, c={c}) violates the cone a>0, c>0, ac-b^2>0 "
                 f"(det={det:.3e})"
+            )
+        bound = _CONE_RTOL * scale * scale
+        if not det > bound:
+            raise ConeError(
+                f"(a={a}, b={b}, c={c}) is too near the cone's boundary: "
+                f"det={det:.3e} <= {_CONE_RTOL:g}*max(|a|,|b|,|c|)^2={bound:.3e}"
             )
 
     def det(self) -> float:
@@ -182,36 +235,33 @@ class SpdParam2:
         return cls(m11, 0.5 * (m12 + m21), m22)
 
 
-@dataclass(frozen=True)
-class UpperHalfPoint:
+class UpperHalfPoint(_Value):
     """A sample point x + iy of the upper-half plane (y > 0)."""
 
-    x: float
-    y: float
+    __slots__ = ("x", "y")
 
-    def __post_init__(self) -> None:
-        if not self.y > 0.0:
-            raise ValueError(f"upper-half point needs y > 0, got y={self.y}")
+    def __init__(self, x: float, y: float) -> None:
+        _set(self, "x", x)
+        _set(self, "y", y)
+        if not y > 0.0:
+            raise ValueError(f"upper-half point needs y > 0, got y={y}")
 
     def as_complex(self) -> complex:
         return complex(self.x, self.y)
 
 
-@dataclass(frozen=True)
-class Moment2:
+class Moment2(_Value):
     """Moment (dual) parameter of the half-plane model: a negative-definite 2x2 matrix."""
 
-    m11: float
-    m12: float
-    m22: float
+    __slots__ = ("m11", "m12", "m22")
 
-    def __post_init__(self) -> None:
-        det = self.m11 * self.m22 - self.m12 * self.m12
-        if not (self.m11 < 0.0 and self.m22 < 0.0 and det > 0.0):
-            raise DualDomainError(
-                f"[[{self.m11},{self.m12}],[{self.m12},{self.m22}]] "
-                "is not negative definite"
-            )
+    def __init__(self, m11: float, m12: float, m22: float) -> None:
+        _set(self, "m11", m11)
+        _set(self, "m12", m12)
+        _set(self, "m22", m22)
+        det = m11 * m22 - m12 * m12
+        if not (m11 < 0.0 and m22 < 0.0 and det > 0.0):
+            raise DualDomainError(f"[[{m11},{m12}],[{m12},{m22}]] is not negative definite")
 
     def det(self) -> float:
         return self.m11 * self.m22 - self.m12 * self.m12
@@ -222,26 +272,28 @@ class Moment2:
         return np.array([[self.m11, self.m12], [self.m12, self.m22]], dtype=float)
 
 
-@dataclass(frozen=True)
-class LorentzParam:
+class LorentzParam(_Value):
     """Natural parameter of a hyperboloid model: a (d+1)-vector in the open forward cone."""
 
-    theta: tuple
+    __slots__ = ("theta",)
 
-    def __post_init__(self) -> None:
-        t = tuple(float(v) for v in self.theta)
+    def __init__(self, theta: tuple) -> None:
+        t = tuple(float(v) for v in theta)
+        _set(self, "theta", t)
         if len(t) < 3:
             raise ConeError(f"hyperboloid parameters need d >= 2, got {len(t) - 1}")
         scale = max(abs(v) for v in t)
         mink_sq = t[0] * t[0] - sum(v * v for v in t[1:])
         if t[0] > 0.0 and _outside_float_range(scale * scale, mink_sq):
             raise ConeError(f"{t} has Minkowski square {mink_sq:.3e}: {_RANGE}")
-        if not (t[0] > 0.0 and mink_sq > _CONE_RTOL * scale * scale):
+        if not (t[0] > 0.0 and mink_sq > 0.0):
+            raise ConeError(f"{t} is outside the forward cone (theta_0 must exceed the spatial norm)")
+        bound = _CONE_RTOL * scale * scale
+        if not mink_sq > bound:
             raise ConeError(
-                f"{t} is outside the forward cone "
-                f"(theta_0 must exceed the spatial norm)"
+                f"{t} is too near the forward cone's boundary: Minkowski square "
+                f"{mink_sq:.3e} <= {_CONE_RTOL:g}*max|theta_i|^2={bound:.3e}"
             )
-        object.__setattr__(self, "theta", t)
 
     @property
     def d(self) -> int:
@@ -261,17 +313,16 @@ class LorentzParam:
         return math.sqrt(self.minkowski_sq())
 
 
-@dataclass(frozen=True)
-class HyperboloidPoint:
+class HyperboloidPoint(_Value):
     """Chart coordinates (x_1..x_d) of a point on the forward hyperboloid sheet."""
 
-    coords: tuple
+    __slots__ = ("coords",)
 
-    def __post_init__(self) -> None:
-        xs = tuple(float(v) for v in self.coords)
+    def __init__(self, coords: tuple) -> None:
+        xs = tuple(float(v) for v in coords)
         if len(xs) < 2:
             raise ValueError(f"hyperboloid points need d >= 2, got d={len(xs)}")
-        object.__setattr__(self, "coords", xs)
+        _set(self, "coords", xs)
 
     @property
     def d(self) -> int:
@@ -291,18 +342,18 @@ class HyperboloidPoint:
         return np.concatenate(([math.sqrt(1.0 + float(x @ x))], x))
 
 
-@dataclass(frozen=True)
-class Mobius:
+class Mobius(_Value):
     """An element of SL(2,R) acting on the upper-half plane."""
 
-    g11: float
-    g12: float
-    g21: float
-    g22: float
+    __slots__ = ("g11", "g12", "g21", "g22")
 
-    def __post_init__(self) -> None:
-        det = self.g11 * self.g22 - self.g12 * self.g21
-        scale = max(abs(self.g11), abs(self.g12), abs(self.g21), abs(self.g22), 1.0)
+    def __init__(self, g11: float, g12: float, g21: float, g22: float) -> None:
+        _set(self, "g11", g11)
+        _set(self, "g12", g12)
+        _set(self, "g21", g21)
+        _set(self, "g22", g22)
+        det = g11 * g22 - g12 * g21
+        scale = max(abs(g11), abs(g12), abs(g21), abs(g22), 1.0)
         if abs(det - 1.0) > 1e-12 * scale * scale:
             raise ValueError(f"Mobius matrix must have det 1, got det={det!r}")
 
@@ -311,17 +362,21 @@ class Mobius:
         return cls(1.0, 0.0, 0.0, 1.0)
 
 
-@dataclass(frozen=True, eq=False)
-class LorentzTransform:
-    """An element of SO_0(1,d): preserves the Minkowski form and the forward sheet."""
+class LorentzTransform(_Value):
+    """An element of SO_0(1,d): preserves the Minkowski form and the forward sheet.
 
-    matrix: np.ndarray
+    Equal only to itself, and hashed by identity: the matrix is an array.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("matrix",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, matrix: np.ndarray) -> None:
         import numpy as np
 
-        a = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", a)
+        a = np.asarray(matrix, dtype=float)
+        _set(self, "matrix", a)
         n = a.shape[0]
         if a.ndim != 2 or a.shape[1] != n or n < 3:
             raise ValueError(f"expected a square (d+1)x(d+1) matrix, got {a.shape}")
@@ -345,13 +400,15 @@ class LorentzTransform:
         return HyperboloidPoint(lifted[1:])
 
 
-@dataclass(frozen=True)
-class InvariantTriple:
+class InvariantTriple(_Value):
     """The three canonical terms every f-divergence factors through."""
 
-    s1: float
-    s2: float
-    s3: float
+    __slots__ = ("s1", "s2", "s3")
+
+    def __init__(self, s1: float, s2: float, s3: float) -> None:
+        _set(self, "s1", s1)
+        _set(self, "s2", s2)
+        _set(self, "s3", s3)
 
     def as_tuple(self) -> tuple:
         return (self.s1, self.s2, self.s3)

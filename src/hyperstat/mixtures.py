@@ -59,7 +59,6 @@ equivariance tests).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -67,7 +66,7 @@ import numpy as np
 from . import expfam
 from . import hyperboloid as hb
 from . import poincare as pc
-from .geometry import ConeError, DualDomainError, FitError, _check_components
+from .geometry import ConeError, DualDomainError, FitError, _check_components, _set, _Value
 from .sampling import RngStream
 
 __all__ = ["Mixture", "EmTrace", "mixture_log_density_array", "mixture_sample", "em_fit"]
@@ -80,21 +79,21 @@ _RETRIES = 5  # k-means++ initializations tried before FitError
 _JUMP_TRIES = 3  # extrapolated jumps tried per SQUAREM cycle before a plain map
 
 
-@dataclass(frozen=True)
-class Mixture:
+class Mixture(_Value):
     """A finite mixture: nonnegative weights summing to one over cone parameters."""
 
-    family: str  # "poincare" | "hyperboloid"
-    weights: tuple
-    components: tuple
+    __slots__ = ("family", "weights", "components")
 
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        w = np.asarray(self.weights, dtype=float)
+    def __init__(self, family: str, weights: tuple, components: tuple) -> None:
+        _set(self, "family", family)  # "poincare" | "hyperboloid"
+        _set(self, "weights", weights)
+        _set(self, "components", components)
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        w = np.asarray(weights, dtype=float)
         if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError(f"weights must be nonnegative and sum to 1, got {w}")
-        if len(self.weights) != len(self.components):
+        if len(weights) != len(components):
             raise ValueError("one weight per component required")
 
     @property
@@ -102,7 +101,6 @@ class Mixture:
         return len(self.components)
 
 
-@dataclass
 class EmTrace:
     """The fit's history and the returned mixture's effective counts.
 
@@ -114,14 +112,27 @@ class EmTrace:
     jumps rejected, with or without an E-step.  ``converged`` is True when
     the fit stopped because a SQUAREM cycle gained less than ``_TOL`` or the
     map reached a fixed point, and False when it stopped at the cap.
+
+    The one mutable record: it compares and prints as a value does, but
+    has no hash.
     """
 
-    loglik: list = field(default_factory=list)
-    effective_counts: Optional[np.ndarray] = None
-    iterations: int = 0
-    restarts: int = 0
-    rejected_jumps: int = 0
-    converged: bool = False
+    __slots__ = ("loglik", "effective_counts", "iterations", "restarts", "rejected_jumps", "converged")
+    _fields = _Value._fields
+    __eq__ = _Value.__eq__
+    __hash__ = None
+    __repr__ = _Value.__repr__
+    __reduce__ = _Value.__reduce__
+
+    def __init__(self, loglik: Optional[list] = None, effective_counts: Optional[np.ndarray] = None,
+                 iterations: int = 0, restarts: int = 0, rejected_jumps: int = 0,
+                 converged: bool = False) -> None:
+        self.loglik = [] if loglik is None else loglik
+        self.effective_counts = effective_counts
+        self.iterations = iterations
+        self.restarts = restarts
+        self.rejected_jumps = rejected_jumps
+        self.converged = converged
 
 
 def mixture_log_density_array(m: Mixture, pts: np.ndarray) -> np.ndarray:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
@@ -39,6 +38,7 @@ import numpy as np
 from . import hyperboloid as hb
 from .expfam import brent_min
 from .geometry import LorentzParam, SpdParam2, _check_estimator_pair, _check_estimator_sizes, param_h_to_l
+from .geometry import _set, _Value
 from .sampling import RngStream, _by_block, hyperboloid_sample
 
 __all__ = [
@@ -54,12 +54,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FGenerator:
+class FGenerator(_Value):
     """A convex divergence generator f with f(1) = 0, evaluated from log ratios."""
 
-    kind: str
-    of_log_ratio: Callable[[np.ndarray], np.ndarray]
+    __slots__ = ("kind", "of_log_ratio")
+
+    def __init__(self, kind: str, of_log_ratio: Callable[[np.ndarray], np.ndarray]) -> None:
+        _set(self, "kind", kind)
+        _set(self, "of_log_ratio", of_log_ratio)
 
     @staticmethod
     def total_variation() -> "FGenerator":
@@ -107,18 +109,18 @@ _T7_LOGNORM = (
 )
 
 
-@dataclass(frozen=True)
-class Proposal:
+class Proposal(_Value):
     """A positive 1-D proposal density from a scale family: p_sigma(x) = p(x/sigma)/sigma."""
 
-    kind: str
-    sigma: float = 1.0
+    __slots__ = ("kind", "sigma")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("logistic", "student_t7"):
-            raise ValueError(f"unknown proposal {self.kind!r}")
-        if not self.sigma > 0.0:
-            raise ValueError(f"proposal scale must be positive, got {self.sigma}")
+    def __init__(self, kind: str, sigma: float = 1.0) -> None:
+        _set(self, "kind", kind)
+        _set(self, "sigma", sigma)
+        if kind not in ("logistic", "student_t7"):
+            raise ValueError(f"unknown proposal {kind!r}")
+        if not sigma > 0.0:
+            raise ValueError(f"proposal scale must be positive, got {sigma}")
 
     def sample(self, n: int, gen: np.random.Generator) -> np.ndarray:
         if self.kind == "logistic":
@@ -215,8 +217,7 @@ def _pass_terms(
     return total
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(_Value):
     """A Monte Carlo estimate with its per-sample variance and 95% CLT interval.
 
     ``sample_variance`` is the variance of one weight, so the CI half-width is
@@ -225,13 +226,18 @@ class McEstimate:
     variance is infinite, in which case the interval is not trustworthy.
     """
 
-    estimate: float
-    sample_variance: float
-    n: int
-    ci95: tuple
-    sigma: Optional[float] = None
-    tail_index: Optional[float] = None
-    heavy_tail: bool = False
+    __slots__ = ("estimate", "sample_variance", "n", "ci95", "sigma", "tail_index", "heavy_tail")
+
+    def __init__(self, estimate: float, sample_variance: float, n: int, ci95: tuple,
+                 sigma: Optional[float] = None, tail_index: Optional[float] = None,
+                 heavy_tail: bool = False) -> None:
+        _set(self, "estimate", estimate)
+        _set(self, "sample_variance", sample_variance)
+        _set(self, "n", n)
+        _set(self, "ci95", ci95)
+        _set(self, "sigma", sigma)
+        _set(self, "tail_index", tail_index)
+        _set(self, "heavy_tail", heavy_tail)
 
 
 class _Moments:

@@ -28,11 +28,10 @@ import it when called.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import expfam
-from .geometry import DualDomainError, Moment2, SpdParam2, UpperHalfPoint
+from .geometry import DualDomainError, Moment2, SpdParam2, UpperHalfPoint, _set, _Value
 from .specfun import exp_gamma0
 
 if TYPE_CHECKING:
@@ -65,12 +64,14 @@ __all__ = [
 _LOG_PI = math.log(math.pi)
 
 
-@dataclass(frozen=True)
-class CumulantPair:
+class CumulantPair(_Value):
     """Full and reduced log-normalizer; full - reduced = log(pi) exactly."""
 
-    full: float
-    reduced: float
+    __slots__ = ("full", "reduced")
+
+    def __init__(self, full: float, reduced: float) -> None:
+        _set(self, "full", full)
+        _set(self, "reduced", reduced)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,11 @@ Samplers are pure functions of (parameters, n, stream).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .geometry import HyperboloidPoint, LorentzParam, SpdParam2, _check_draws
+from .geometry import HyperboloidPoint, LorentzParam, SpdParam2, _check_draws, _set, _Value
 
 __all__ = [
     "GigParams",
@@ -49,12 +48,14 @@ def _mix64(a: int, b: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-@dataclass(frozen=True)
-class RngStream:
+class RngStream(_Value):
     """A reproducible random stream: same (seed, stream_id) gives identical output."""
 
-    seed: int
-    stream_id: int = 0
+    __slots__ = ("seed", "stream_id")
+
+    def __init__(self, seed: int, stream_id: int = 0) -> None:
+        _set(self, "seed", seed)
+        _set(self, "stream_id", stream_id)
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence((self.seed & _MASK64, self.stream_id & _MASK64))
@@ -68,22 +69,20 @@ class RngStream:
         return RngStream(self.seed, sid)
 
 
-@dataclass(frozen=True)
-class GigParams:
+class GigParams(_Value):
     """Parameters of the generalized inverse Gaussian law on x > 0.
 
     Density proportional to x^(lam-1) exp(-(chi/x + psi*x)/2).
     """
 
-    lam: float
-    chi: float
-    psi: float
+    __slots__ = ("lam", "chi", "psi")
 
-    def __post_init__(self) -> None:
-        if not (self.chi > 0.0 and self.psi > 0.0):
-            raise ValueError(
-                f"GIG needs chi > 0 and psi > 0, got chi={self.chi}, psi={self.psi}"
-            )
+    def __init__(self, lam: float, chi: float, psi: float) -> None:
+        _set(self, "lam", lam)
+        _set(self, "chi", chi)
+        _set(self, "psi", psi)
+        if not (chi > 0.0 and psi > 0.0):
+            raise ValueError(f"GIG needs chi > 0 and psi > 0, got chi={chi}, psi={psi}")
 
     def log_kernel(self, x):
         x = np.asarray(x, dtype=float)

@@ -17,23 +17,26 @@ scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .geometry import _set, _Value
 
 __all__ = ["SpecialValue", "bessel_k", "bessel_k_logderiv", "exp_gamma0"]
 
 _EULER_GAMMA = 0.5772156649015329  # the Euler-Mascheroni constant, as numpy.euler_gamma
 
 
-@dataclass(frozen=True)
-class SpecialValue:
+class SpecialValue(_Value):
     """A positive special-function value paired with its natural log.
 
     ``log_value`` stays finite and accurate even when ``value`` underflows
     to zero in double precision.
     """
 
-    value: float
-    log_value: float
+    __slots__ = ("value", "log_value")
+
+    def __init__(self, value: float, log_value: float) -> None:
+        _set(self, "value", value)
+        _set(self, "log_value", log_value)
 
 
 def bessel_k(order: float, x: float) -> SpecialValue:

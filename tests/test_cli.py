@@ -594,12 +594,14 @@ class TestEntryPoint:
 # Modules that the closed-form commands never call at d = 2.
 _DEFERRED = {
     "hyperstat.sampling", "hyperstat.montecarlo", "hyperstat.mixtures", "concurrent.futures", "logging", "numpy",
-    "scipy",
+    "scipy", "dataclasses",
 }
+# NumPy imports inspect; a command that loads no NumPy loads neither.
+_LIGHT = _DEFERRED | {"inspect"}
 
 
-def _run_fresh(argv, threads=None):
-    """(exit code, stdout, loaded modules of _DEFERRED) of ``cli.main(argv)`` in a new interpreter."""
+def _run_fresh(argv, threads=None, watched=_DEFERRED):
+    """(exit code, stdout, loaded modules of ``watched``) of ``cli.main(argv)`` in a new interpreter."""
     env = {k: v for k, v in os.environ.items() if k != "HYPERSTAT_THREADS"}
     if threads is not None:
         env["HYPERSTAT_THREADS"] = str(threads)
@@ -607,7 +609,7 @@ def _run_fresh(argv, threads=None):
         "import sys\n"
         "from hyperstat.cli import main\n"
         f"code = main({argv!r})\n"
-        f"sys.stderr.write(repr((code, sorted(set(sys.modules) & {_DEFERRED!r}))))\n"
+        f"sys.stderr.write(repr((code, sorted(set(sys.modules) & {watched!r}))))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
@@ -642,10 +644,10 @@ class TestCommandImports:
         ids=lambda argv: "-".join(a for a in argv if a[0].isalpha() and "[" not in a),
     )
     def test_closed_forms_load_no_sampler_estimator_or_em(self, argv):
-        # Nor NumPy, but for fim, whose value is a matrix.
-        rc, out, loaded = _run_fresh(argv)
+        # Nor NumPy (and with it inspect), but for fim, whose value is a matrix.
+        rc, out, loaded = _run_fresh(argv, watched=_LIGHT)
         assert rc == 0 and out
-        assert loaded == ({"numpy"} if argv[0] == "fim" else set())
+        assert loaded == ({"numpy", "inspect"} if argv[0] == "fim" else set())
 
     @pytest.mark.parametrize(
         "argv",
@@ -662,7 +664,7 @@ class TestCommandImports:
     def test_size_rejections_load_no_numpy(self, argv, tmp_path):
         pts = tmp_path / "pts.csv"
         pts.write_text("x,y\n0.1,1.0\n0.2,0.5\n")
-        rc, out, loaded = _run_fresh([str(pts) if a == "POINTS" else a for a in argv])
+        rc, out, loaded = _run_fresh([str(pts) if a == "POINTS" else a for a in argv], watched=_LIGHT)
         assert rc == 2 and out == ""
         assert loaded == set()
 

@@ -383,3 +383,31 @@ def test_subnormal_minkowski_square_exits_2():
     assert "Traceback" not in err
     # The library's message alone: a parameter out of range may lie inside the cone.
     assert "outside its cone" not in err
+
+
+@pytest.mark.parametrize(
+    "family, theta, message",
+    [
+        pytest.param(
+            "poincare", "[1e13,0,1]",
+            "hyperstat: (a=10000000000000.0, b=0.0, c=1.0) is too near the cone's boundary: "
+            "det=1.000e+13 <= 1e-12*max(|a|,|b|,|c|)^2=1.000e+14\n",
+            id="spd_det_below_relative_bound",
+        ),
+        pytest.param(
+            "hyperboloid", "[1,0.9999999999999,0]",
+            "hyperstat: (1.0, 0.9999999999999, 0.0) is too near the forward cone's boundary: "
+            "Minkowski square 2.001e-13 <= 1e-12*max|theta_i|^2=1.000e-12\n",
+            id="lorentz_square_below_relative_bound",
+        ),
+    ],
+)
+def test_near_boundary_parameter_names_the_relative_rule(family, theta, message):
+    # Both literals satisfy the sign rules (det > 0, theta_0 above the spatial
+    # norm); the message names the relative rule they fail.
+    theta2 = PC[1] if family == "poincare" else HB[1]
+    code, out, err = run_captured(["divergence", "--family", family, "--measure", "kl",
+                                   "--theta", theta, "--theta2", theta2])
+    assert code == 2
+    assert out == ""
+    assert err == message

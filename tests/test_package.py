@@ -86,7 +86,7 @@ def test_import_loads_no_sampler_estimator_or_em():
     code = (
         "import sys, hyperstat\n"
         "print(sorted(m for m in ('hyperstat.sampling', 'hyperstat.montecarlo', 'hyperstat.mixtures',"
-        " 'concurrent.futures', 'logging', 'numpy', 'scipy') if m in sys.modules))\n"
+        " 'concurrent.futures', 'logging', 'numpy', 'scipy', 'dataclasses') if m in sys.modules))\n"
         "hyperstat.em_fit\n"
         "print(sorted(m for m in ('hyperstat.sampling', 'hyperstat.montecarlo', 'hyperstat.mixtures')"
         " if m in sys.modules))\n"
