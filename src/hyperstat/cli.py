@@ -351,10 +351,6 @@ _MODELS = ("upper-half", "hyperboloid", "disk")
 
 
 def _cmd_convert(args) -> int:
-    try:
-        value = json.loads(args.value)
-    except json.JSONDecodeError as err:
-        raise CliError(EXIT_BAD_PARAMS, f"unparseable value {args.value!r}: {err}")
     src, dst = args.src, args.dst
     if args.what == "param":
         if "disk" in (src, dst):
@@ -364,6 +360,10 @@ def _cmd_convert(args) -> int:
             theta = param_h_to_l(theta) if src == "upper-half" else param_l_to_h(theta)
         out = [[theta.a, theta.b], [theta.b, theta.c]] if dst == "upper-half" else list(theta.theta)
     else:
+        try:
+            value = json.loads(args.value)
+        except json.JSONDecodeError as err:
+            raise CliError(EXIT_BAD_PARAMS, f"unparseable value {args.value!r}: {err}")
         if not (isinstance(value, list) and len(value) == 2):
             raise CliError(EXIT_BAD_PARAMS, f"points are 2-vectors, got {args.value!r}")
         try:

@@ -6,18 +6,18 @@ symmetric Q: F(v) = g(u).  A family is given on vectors by that radial
 function g (with its derivatives), Q and q, whose sheet {v_0 > 0, q(v) > 0}
 is the parameter cone; on points by its log density, its sufficient
 statistics, the inverse moment map from their mean, and its sampler.  The
-gradient g'(u) Q v and the Fisher information g''(u) (Qv)(Qv)^T + g'(u) Q are
-derived here once.  With densities exp(-<v, s(x)> - F(v)) h(x), every
-divergence is a functional of F (Nielsen & Nock 2010); Chernoff information
-is the maximum of the skew Jensen divergence (Nielsen 2013); the MLE is the
-inverse moment map at the mean statistic, and EM is Bregman soft clustering
-(Banerjee et al. 2005).  The module also holds the library's one 1-D
-minimizer, Brent's bounded method.
+family gives g's derivatives as r_k = u^k g^(k)(u), from which the gradient,
+the Fisher information and the cubic tensor are built here once.  With
+densities exp(-<v, s(x)> - F(v)) h(x), every divergence is a functional of F
+(Nielsen & Nock 2010); Chernoff information is the maximum of the skew Jensen
+divergence (Nielsen 2013); the MLE is the inverse moment map at the mean
+statistic, and EM is Bregman soft clustering (Banerjee et al. 2005).  The
+module also holds the library's one 1-D minimizer, Brent's bounded method.
 
 Parameter vectors are tuples of floats, and the closed forms evaluate them
 with ``math`` and sums taken left to right, so the module imports no NumPy;
 the functions that return or read arrays (:func:`grad`, :func:`fim`,
-:func:`mle`, :func:`finite_stats`) import it when called.
+:func:`cubic_tensor`, :func:`mle`, :func:`finite_stats`) import it when called.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ __all__ = [
     "cumulant",
     "grad",
     "fim",
+    "cubic_tensor",
     "mle",
     "finite_stats",
     "kld",
@@ -50,9 +51,9 @@ __all__ = [
 class Family(NamedTuple):
     """One exponential family.
 
-    ``radial(u, d, order)`` returns the derivative of g of that order at u
-    (order 0 is g itself) for parameters of dimension d (vectors of size
-    d + 1), evaluating no other order; ``metric(size)`` the constant matrix
+    ``radial(u, d, order)`` returns r_k = u^k g^(k)(u) at k = order (r_0 = g)
+    for parameters of dimension d (vectors of size d + 1), evaluating no other
+    order; ``metric(size)`` the constant matrix
     Q as a tuple of rows, and ``quad(v)`` the invariant u.  Vectors are
     tuples of floats (an array works too).  The rest act on
     cone parameters and (n, d) point arrays: ``log_density(theta, pts)``,
@@ -91,40 +92,56 @@ def _minus(u, v) -> tuple:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def _radial(fam: Family, v, order: int) -> float:
-    return fam.radial(fam.quad(v), len(v) - 1, order)
-
-
 def cumulant(fam: Family, v) -> float:
     """F(v) = g(q(v))."""
-    return _radial(fam, v, 0)
+    return fam.radial(fam.quad(v), len(v) - 1, 0)
+
+
+def _scaled(fam: Family, v) -> tuple:
+    # (u, w = Qv/u, Q); Q has one nonzero entry per row, so each row's sum is exact.
+    u, q = fam.quad(v), fam.metric(len(v))
+    return u, tuple(_dot(row, v) / u for row in q), q
 
 
 def _grad(fam: Family, v) -> tuple:
-    # Q has one nonzero entry per row, so each row's sum is exact.
-    g1 = _radial(fam, v, 1)
-    return tuple(g1 * _dot(row, v) for row in fam.metric(len(v)))
+    u, w, _ = _scaled(fam, v)
+    r1 = fam.radial(u, len(v) - 1, 1)
+    return tuple(r1 * x for x in w)
 
 
 def grad(fam: Family, v) -> np.ndarray:
-    """grad F(v) = g'(u) Q v, the mean of the sufficient statistic."""
+    """grad F(v) = g'(u) Q v = r_1 w with w = Qv/u, the mean of the sufficient statistic."""
     import numpy as np
 
     return np.array(_grad(fam, v))
 
 
 def fim(fam: Family, v) -> np.ndarray:
-    """Fisher information, the Hessian of F: g''(u) (Qv)(Qv)^T + g'(u) Q."""
+    """Fisher information, the Hessian of F: r_2 w w^T + (r_1/u) Q."""
     import numpy as np
 
-    # On an array the invariant is a NumPy float, so a g'' that overflows
-    # (u * u underflowing to 0) reads inf, as the matrix entries do.
-    v = np.asarray(v, dtype=float)
-    # g'' first: a family that has none raises before g' is evaluated.
-    g2, g1 = _radial(fam, v, 2), _radial(fam, v, 1)
-    q = np.array(fam.metric(v.size))
-    qv = q @ v
-    return g2 * np.outer(qv, qv) + g1 * q
+    u, w, q = _scaled(fam, v)
+    # r_2 first: a family that has none raises before r_1 is evaluated.
+    r2 = fam.radial(u, len(v) - 1, 2)
+    s1 = fam.radial(u, len(v) - 1, 1) / u
+    n = range(len(v))
+    # w at sorted indices, so the matrix is exactly symmetric.
+    return np.array([[r2 * w[min(i, j)] * w[max(i, j)] + s1 * q[i][j] for j in n] for i in n])
+
+
+def cubic_tensor(fam: Family, v) -> np.ndarray:
+    """Third derivative of F: (r_3 w) (x) w (x) w + (r_2/u) (Q (x) w + its two transposes)."""
+    import numpy as np
+
+    u, w, q = _scaled(fam, v)
+    r3 = fam.radial(u, len(v) - 1, 3)
+    s2 = fam.radial(u, len(v) - 1, 2) / u
+    n = range(len(v))
+    # r_3 multiplies w first, as w^3 alone underflows at large scales; an entry is
+    # evaluated at its sorted indices, so the tensor is exactly symmetric.
+    t = {(i, j, k): r3 * w[i] * w[j] * w[k] + s2 * (q[i][j] * w[k] + q[i][k] * w[j] + q[j][k] * w[i])
+         for i in n for j in n for k in n if i <= j <= k}
+    return np.array([[[t[tuple(sorted((i, j, k)))] for k in n] for j in n] for i in n])
 
 
 def mle(fam: Family, pts: np.ndarray):

@@ -354,7 +354,7 @@ class Mobius(_Value):
         _set(self, "g22", g22)
         det = g11 * g22 - g12 * g21
         scale = max(abs(g11), abs(g12), abs(g21), abs(g22), 1.0)
-        if abs(det - 1.0) > 1e-12 * scale * scale:
+        if not abs(det - 1.0) <= 1e-12 * scale * scale:
             raise ValueError(f"Mobius matrix must have det 1, got det={det!r}")
 
     @classmethod

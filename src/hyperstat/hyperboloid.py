@@ -11,11 +11,13 @@ a Bessel function or imports scipy.
 
 The cumulant F = g(u) = -log c_d(sqrt(u)) depends on theta only through the
 Minkowski square u = [theta, theta] = theta^T Q theta / 2 with
-Q = 2 diag(1, -1, ..., -1).  The family record carries g and Q, and
-:mod:`hyperstat.expfam` derives from them the gradient, the Fisher information
-(d = 2 only) and the divergences (KL, squared Hellinger, Neyman chi-squared,
-Jeffreys, skew Jensen) once for every d; the MLE is likewise expfam's inverse
-moment map at the mean sufficient statistic.
+Q = 2 diag(1, -1, ..., -1).  The family record carries g, Q and the scaled
+derivatives r_k = u^k g^(k)(u): r_1 = -t (log c_d)'(t)/2 with t = sqrt(u),
+and at d = 2 (where alone r_2 and r_3 exist) -1/2 - t/2, 1/2 + t/4 and
+-1 - 3t/8.  :mod:`hyperstat.expfam` derives from them the gradient, the Fisher
+information (d = 2 only) and the divergences (KL, squared Hellinger, Neyman
+chi-squared, Jeffreys, skew Jensen) once for every d; the MLE is likewise
+expfam's inverse moment map at the mean sufficient statistic.
 
 The closed forms evaluate the parameter as its float tuple and import no
 NumPy; the densities, statistics, MLE and matrix-valued forms import it when
@@ -71,15 +73,15 @@ def _fprime(d: int, t: float) -> float:
 
 
 def _radial(u: float, d: int, order: int) -> float:
-    # g(u) = -log c_d(sqrt(u)) or its derivative of the given order; g' = F'(t) / (2t).
+    # g(u) = -log c_d(t), t = sqrt(u), or r_k = u^k g^(k)(u) for k = order; r_1 = t F'(t) / 2.
     t = math.sqrt(u)
     if order == 0:
         return -log_normalizer_c(d, t)
     if order == 1:
-        return -0.5 / u - 0.5 / t if d == 2 else _fprime(d, t) / (2.0 * t)
+        return -0.5 - 0.5 * t if d == 2 else 0.5 * t * _fprime(d, t)
     if d != 2:
         raise DimensionError(f"closed-form FIM needs d=2, got d={d}")
-    return 0.5 / (u * u) + 0.25 / (u * t)
+    return 0.5 + 0.25 * t if order == 2 else -1.0 - 0.375 * t
 
 
 def cumulant(theta: LorentzParam) -> float:

@@ -91,7 +91,7 @@ class Mixture(_Value):
         if family not in _FAMILIES:
             raise ValueError(f"unknown family {family!r}")
         w = np.asarray(weights, dtype=float)
-        if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > 1e-12:
+        if np.any(w < 0.0) or not abs(float(w.sum()) - 1.0) <= 1e-12:
             raise ValueError(f"weights must be nonnegative and sum to 1, got {w}")
         if len(weights) != len(components):
             raise ValueError("one weight per component required")

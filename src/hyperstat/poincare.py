@@ -10,10 +10,10 @@ inverse, closed-form divergences (KL, squared Hellinger, Neyman chi-squared,
 Jeffreys, skew Jensen, Chernoff), entropy, the Fisher information matrix, the
 cubic tensor, and the maximum-likelihood estimator.  The divergences and the
 MLE are not written out here: :mod:`hyperstat.expfam` derives each of them,
-and the gradient and Fisher information of the cumulant, once from this
-module's family record: the reduced cumulant is phi(u) = -log(u)/2 - 2 sqrt(u)
-of the invariant u = ac - b^2 = (a, b, c) Q (a, b, c)^T / 2, so the record
-carries phi with its derivatives and the constant Q.
+and the cumulant's gradient, Fisher information and cubic tensor, once from
+this module's family record: phi(u) = -log(u)/2 - 2 sqrt(u), the reduced
+cumulant at u = ac - b^2 = (a, b, c) Q (a, b, c)^T / 2, the constant Q and
+r_k = u^k phi^(k)(u) = -1/2 - sqrt(u), 1/2 + sqrt(u)/2, -1 - 3 sqrt(u)/4.
 
 The cumulant is exposed in two equivalent normalizations: the full
 log-normalizer ``log pi - log D - 2D`` and the reduced Bregman generator
@@ -148,15 +148,13 @@ def _vector(theta: SpdParam2) -> tuple:
 
 
 def _radial(u: float, d: int, order: int) -> float:
-    # phi(u) = -log(u)/2 - 2 sqrt(u) or its derivative of the given order, up to phi'''.
+    # phi(u) = -log(u)/2 - 2 sqrt(u), or r_k = u^k phi^(k)(u) for k = order up to 3.
     su = math.sqrt(u)
     if order == 0:
         return -math.log(su) - 2.0 * su
     if order == 1:
-        return -0.5 / u - 1.0 / su
-    if order == 2:
-        return 0.5 / (u * u) + 0.5 / (u * su)
-    return -1.0 / (u * u * u) - 0.75 / (u * u * su)
+        return -0.5 - su
+    return 0.5 + 0.5 * su if order == 2 else -1.0 - 0.75 * su
 
 
 def _sample(theta: SpdParam2, n: int, rng) -> np.ndarray:
@@ -271,19 +269,7 @@ def fim_dual(eta: Moment2) -> np.ndarray:
 
 def cubic_tensor(theta: SpdParam2) -> np.ndarray:
     """Totally symmetric third-derivative tensor of the cumulant in (a, b, c)."""
-    import numpy as np
-
-    u = theta.det()
-    p2, p3 = _radial(u, 2, 2), _radial(u, 2, 3)
-    q = np.array(_HESS_U)
-    g = q @ theta.as_vector()
-    t = p3 * np.einsum("i,j,k->ijk", g, g, g)
-    t += p2 * (
-        np.einsum("ij,k->ijk", q, g)
-        + np.einsum("ik,j->ijk", q, g)
-        + np.einsum("jk,i->ijk", q, g)
-    )
-    return t
+    return expfam.cubic_tensor(_FAMILY, _vector(theta))
 
 
 # ---------------------------------------------------------------------------

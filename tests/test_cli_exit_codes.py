@@ -9,6 +9,7 @@ exception fails the test.
 import ast
 import contextlib
 import io
+import json
 import subprocess
 import sys
 
@@ -411,3 +412,35 @@ def test_near_boundary_parameter_names_the_relative_rule(family, theta, message)
     assert code == 2
     assert out == ""
     assert err == message
+
+
+def test_fim_at_a_tiny_scale_exits_0():
+    # Every entry (~1e160) is representable, and so is each factor of it.
+    code, out, err = run_captured(["fim", "--theta", "[1e-80,0,1e-80]"])
+    assert code == 0
+    assert err == ""
+    assert np.array(json.loads(out)["fim"]) == pytest.approx(np.diag([5e159, 1e160, 5e159]), rel=1e-14)
+
+
+def test_fim_at_a_huge_scale_is_positive_definite():
+    # The true condition number is about sqrt(ac - b^2) = 1.4e120: the smallest
+    # eigenvalue (2.0e-241, along theta) lies below what float64 entries near
+    # 1e-120 resolve, so positivity is checked on every diagonal entry and every
+    # 2 x 2 principal minor, where the parent printed zero diagonal entries.
+    code, out, err = run_captured(["fim", "--theta", "[1e120,3e119,2e120]"])
+    assert code == 0
+    assert err == ""
+    fim = np.array(json.loads(out)["fim"])
+    assert np.all(np.diag(fim) > 0.0)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        assert np.linalg.det(fim[np.ix_([i, j], [i, j])]) > 0.0
+
+
+@pytest.mark.parametrize("what, noun", [("param", "parameter"), ("point", "value")])
+def test_convert_unparseable_literal_exits_2(what, noun):
+    # The literal is parsed once, by the branch that reads it.
+    code, out, err = run_captured(["convert", "--what", what, "--from", "upper-half", "--to", "hyperboloid",
+                                   "--value", "[1,"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"hyperstat: unparseable {noun} '[1,'")

@@ -7,6 +7,7 @@ the reduced cumulant F(a, b, c) = -log(ac - b^2)/2 - 2 sqrt(ac - b^2) and its
 gradient, written out independently of the library.
 """
 
+import itertools
 import math
 
 import mpmath as mp
@@ -174,8 +175,9 @@ def test_chernoff_is_the_max_of_skew_jensen():
 
 
 # Parameters at scales 1e+-100 (hyperboloid) and 1e+-80 (half-plane) against
-# unit-scale ones: each closed form asks only for the derivatives of g that it
-# reads, whose powers of u stay inside float64 where g'' and g''' would not.
+# unit-scale ones: the families' scaled derivatives r_k = u^k g^(k)(u) are
+# polynomials in sqrt(u), and expfam multiplies them into w = Qv/u, so no
+# intermediate leaves float64 where the result itself does not.
 FAR_PAIRS = [
     (hb, LorentzParam((1e-100, 0.0, 0.0)), LorentzParam((2.0, 1.0, 1.0))),
     (hb, LorentzParam((1e100, 0.0, 0.0)), LorentzParam((2.0, 1.0, 1.0))),
@@ -191,7 +193,11 @@ FAR_CALLS = {
     "cumulant": lambda mod, a, b: mod.cumulant(a),
     "grad_cumulant": lambda mod, a, b: mod.grad_cumulant(a),
     "chernoff": lambda mod, a, b: mod.chernoff(a, b),
+    "fim": lambda mod, a, b: pc.fim(a) if mod is pc else hb.fim2(a),
+    "cubic_tensor": lambda mod, a, b: mod.cubic_tensor(a),
 }
+ONE_PARAMETER = {"cumulant", "grad_cumulant", "fim", "cubic_tensor"}
+HALF_PLANE_ONLY = {"chernoff", "cubic_tensor"}
 
 
 def _far_cases():
@@ -199,8 +205,8 @@ def _far_cases():
         for swap in (False, True):
             a, b = (theta2, theta) if swap else (theta, theta2)
             for name in FAR_CALLS:
-                # cumulant and gradient at the far parameter; Chernoff on the half-plane
-                if not (swap and "cumulant" in name) and (name != "chernoff" or mod is pc):
+                # one-parameter forms at the far parameter; Chernoff and the cubic tensor on the half-plane
+                if not (swap and name in ONE_PARAMETER) and (name not in HALF_PLANE_ONLY or mod is pc):
                     family = mod.__name__.rpartition(".")[2]
                     yield pytest.param(mod, name, a, b, id=f"{family}{i}-{name}-{'ba' if swap else 'ab'}")
 
@@ -216,3 +222,73 @@ def test_far_scale_values():
     assert hb.kld(*FAR_PAIRS[0][1:]) == pytest.approx(2e100, rel=1e-12)
     assert pc.kld(*FAR_PAIRS[2][1:]) == pytest.approx(1e80, rel=1e-12)
     assert pc.jeffreys(*FAR_PAIRS[3][1:]) == pytest.approx(1e80, rel=1e-12)
+
+
+# The Hessian and third derivative of F against 40-digit evaluations of the
+# textbook formulas g''(Qv)(Qv)^T + g' Q and g'''(Qv)^(x)3 + g''(Q (x) Qv + ...),
+# on parameters whose scale is log-uniform over 1e-150 ... 1e150.
+GRID_DRAWS = 400
+GRID_SEEDS = (0, 1)
+# (g', g'', g''') of g(u) = -log(u)/2 - k sqrt(u), keyed by k: 2 on the half-plane, 1 on the d = 2 sheet.
+_DERIVS = {
+    2: lambda u: (-1 / (2 * u) - 1 / mp.sqrt(u), 1 / (2 * u**2) + 1 / (2 * u**1.5), -1 / u**3 - 3 / (4 * u**2.5)),
+    1: lambda u: (-1 / (2 * u) - 1 / (2 * mp.sqrt(u)), 1 / (2 * u**2) + 1 / (4 * u**1.5), -1 / u**3 - 3 / (8 * u**2.5)),
+}
+
+
+def _far_params(seed: int):
+    """(half-plane, hyperboloid) parameters: eigenvalue ratios within e^+-2, rapidity <= 1.5."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(GRID_DRAWS):
+        s, x, phi = 10.0 ** rng.uniform(-150, 150), rng.uniform(-1, 1), rng.uniform(0, math.pi)
+        c, r = math.cos(phi), math.sin(phi)
+        l1, l2 = s * math.exp(x), s * math.exp(-x)
+        spd = SpdParam2(l1 * c * c + l2 * r * r, (l1 - l2) * c * r, l1 * r * r + l2 * c * c)
+        t, rho, psi = 10.0 ** rng.uniform(-150, 150), rng.uniform(0, 1.5), rng.uniform(0, 2 * math.pi)
+        lor = LorentzParam((t * math.cosh(rho), t * math.sinh(rho) * math.cos(psi), t * math.sinh(rho) * math.sin(psi)))
+        out.append((spd, lor))
+    return out
+
+
+def _mp_derivatives(v, q, root_coef):
+    """(Hessian, third derivative) of g(q(v)) as 40-digit nested lists."""
+    with mp.workdps(40):
+        v = [mp.mpf(x) for x in v]
+        qv = [sum(mp.mpf(a) * x for a, x in zip(row, v)) for row in q]
+        g1, g2, g3 = _DERIVS[root_coef](sum(a * b for a, b in zip(v, qv)) / 2)
+        n = range(3)
+        hess = [[g2 * qv[i] * qv[j] + g1 * q[i][j] for j in n] for i in n]
+        third = [[[g3 * qv[i] * qv[j] * qv[k] + g2 * (q[i][j] * qv[k] + q[i][k] * qv[j] + q[j][k] * qv[i])
+                   for k in n] for j in n] for i in n]
+        return hess, third
+
+
+def _grid_miss(got, want) -> str:
+    """'' if got is exactly symmetric and within 1e-12 of want relative to its
+    largest entry, or non-finite where that entry overflows."""
+    if not all(np.array_equal(got, got.transpose(p), equal_nan=True) for p in itertools.permutations(range(got.ndim))):
+        return "not exactly symmetric"
+    want = np.array(want, dtype=object)
+    largest = max(abs(x) for x in want.flat)
+    if largest > mp.mpf(np.finfo(float).max):
+        return "" if not np.isfinite(got).all() else f"finite {got.flat[:3]} where the largest entry is {largest}"
+    if largest < np.finfo(float).tiny:
+        return ""
+    err = max(abs(mp.mpf(float(g)) - w) for g, w in zip(got.flat, want.flat))
+    return "" if err <= 1e-12 * largest else f"error {float(err / largest):.3g} relative to {float(largest):.3g}"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", GRID_SEEDS)
+def test_fim_and_cubic_tensor_match_mpmath_at_any_scale(seed):
+    misses = []
+    for spd, lor in _far_params(seed):
+        hess, third = _mp_derivatives(pc._vector(spd), pc._HESS_U, 2)
+        for name, got, want in (("pc.fim", pc.fim(spd), hess), ("pc.cubic_tensor", pc.cubic_tensor(spd), third)):
+            if miss := _grid_miss(got, want):
+                misses.append(f"{name}{spd!r}: {miss}")
+        hess, _ = _mp_derivatives(lor.theta, hb._metric(3), 1)
+        if miss := _grid_miss(hb.fim2(lor), hess):
+            misses.append(f"hb.fim2{lor!r}: {miss}")
+    assert not misses, f"{len(misses)} misses; " + "; ".join(misses[:3])

@@ -118,6 +118,11 @@ class TestContainers:
         with pytest.raises(ValueError):
             Mobius(1.0, 0.0, 0.0, 2.0)
 
+    def test_mobius_nan_entry_rejected(self):
+        # A nan determinant fails every comparison, so the check must not read "> tol".
+        with pytest.raises(ValueError, match="det 1"):
+            Mobius(math.nan, 0.0, 0.0, 1.0)
+
     def test_lorentz_transform_check(self):
         with pytest.raises(ValueError):
             LorentzTransform(np.eye(3) * 2.0)

@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     central_gradient,
     central_hessian,
+    central_third,
     hyperboloid_cumulant_of_vec,
     hyperboloid_divergence_quad,
     hyperboloid_integral,
@@ -374,6 +375,15 @@ class TestFim2:
         for fim in (hb.fim2, lambda th: expfam.fim(hb._FAMILY, th.vec)):
             with pytest.raises(DimensionError, match="closed-form FIM needs d=2, got d=3"):
                 fim(theta)
+
+    def test_cubic_tensor_matches_finite_differences(self):
+        # r_3 = -1 - 3t/8 at d = 2; an order-3 request must not return r_2.
+        rng = np.random.default_rng(75)
+        for _ in range(10):
+            theta = random_lorentz_param(2, rng)
+            fd = central_third(hyperboloid_cumulant_of_vec, theta.vec)
+            got = expfam.cubic_tensor(hb._FAMILY, theta.theta)
+            assert got == pytest.approx(fd, rel=2e-4, abs=2e-4 * np.max(np.abs(got)))
 
 
 class TestModifiedEntropy:

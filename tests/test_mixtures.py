@@ -50,6 +50,10 @@ class TestMixtureContainer:
         with pytest.raises(ValueError):
             Mixture("hyperboloid", (1.0,), ())
 
+    def test_nan_weights_rejected(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            Mixture("poincare", (math.nan, math.nan), (SpdParam2(1.0, 0.0, 1.0), SpdParam2(2.0, 0.0, 1.0)))
+
 
 class TestMixtureDensity:
     def test_single_component_reduces(self):
