@@ -11,30 +11,32 @@ estimate     Monte Carlo divergence estimates (plugin / mc1 / mc2)
 fit          EM mixture fitting from a CSV of points
 convert      parameter and point conversions between models
 
-Exit codes: 0 ok, 2 invalid parameters, 3 infinite divergence,
-4 unsupported dimension (any library ``DimensionError``: a d = 2-only routine
-given another d), 5 fit failure, 6 ``estimate --verify`` found the estimate
-more than 4 standard errors from the closed form.  All randomness
-derives from ``--seed``; results are reproducible for a fixed flag set.  The
-environment variable HYPERSTAT_THREADS caps the worker count used to evaluate
-shards; neither it nor the BLAS thread count changes any result.
+Exit codes: 0 ok, 2 invalid parameters (also a ``--n`` too large to allocate),
+3 infinite divergence, 4 unsupported dimension (any library ``DimensionError``:
+a d = 2-only routine given another d), 5 fit failure, 6 ``estimate --verify``
+found the estimate more than 4 standard errors from the closed form.  All
+randomness derives from ``--seed``; results are reproducible for a fixed flag
+set.  The environment variable HYPERSTAT_THREADS caps the worker count used to
+evaluate shards; neither it nor the BLAS thread count changes any result.
 
 A command imports ``sampling``, ``montecarlo`` or ``mixtures`` when it runs
 and only if it calls them, so the closed-form commands never load them.  Nor
 do they load NumPy: literals are parsed into Python floats and the closed
-forms are evaluated with ``math``; only ``fim`` and the array commands
-(``sample``, ``estimate``, ``fit``) import it, and those check the sizes,
-component count and ``--verify`` choice that need no array before they do.
+forms, ``fim``'s matrix included, are evaluated with ``math``.  Only the array
+commands (``sample``, ``estimate``, ``fit``) import it, after the checks of sizes,
+component count and ``--verify`` that need no array; ``sample`` formats with it too.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
+from . import expfam
 from . import hyperboloid as hb
 from . import poincare as pc
 from .geometry import (
@@ -108,20 +110,20 @@ class CliError(Exception):
         self.code = code
 
 
-def _write(text: str, out: Optional[str]) -> None:
-    """Write ``text`` to the file ``out``, or to stdout when no file is given."""
+def _write(chunks: Iterable[str], out: Optional[str]) -> None:
+    """Write the strings ``chunks`` in turn to the file ``out``, or to stdout when no file is given."""
     if not out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as err:
         raise CliError(EXIT_BAD_PARAMS, f"cannot write --out: {err}")
 
 
 def _emit(obj, out: Optional[str] = None) -> None:
-    _write(_json_dumps(obj) + "\n", out)
+    _write((_json_dumps(obj), "\n"), out)
 
 
 def _parse_param(text: str, family: str):
@@ -215,11 +217,8 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_fim(args) -> int:
     theta = _parse_param(args.theta, args.family)
-    if args.family == "poincare":
-        matrix = pc.fim(theta)
-    else:
-        matrix = hb.fim2(theta)
-    _emit({"fim": matrix.tolist()}, args.out)
+    family, v = (pc._FAMILY, pc._vector(theta)) if args.family == "poincare" else (hb._FAMILY, theta.theta)
+    _emit({"fim": expfam._fim(family, v)}, args.out)
     return EXIT_OK
 
 
@@ -228,6 +227,71 @@ def _cmd_invariant(args) -> int:
     theta2 = _parse_param(args.theta2, args.family)
     _emit({"invariant_triple": list(_triple(theta, theta2, args.family).as_tuple())}, args.out)
     return EXIT_OK
+
+
+def _csv_rows(pts):
+    """The rows ``"%.17g,%.17g\\n" % tuple(row)`` of ``pts``, as one string per ``_BLOCK`` rows.
+
+    Where %.17g is fixed notation, |v| in [1e-4, 1e16), its digits are D =
+    |v| 10^(16-e) rounded half to even, e = floor(log10 |v|): Dekker's product
+    (Dekker 1971) gives hi + lo = |v| 10^(16-e) exactly, and as hi >= 2^53 is an
+    even integer, D = hi + rint(lo).  They are laid out one value per column of
+    a NUL-padded byte grid, which is then compacted.  Zeros, nan, inf and other
+    magnitudes are formatted by ``format(v, ".17g")``.
+    """
+    import numpy as np
+
+    from .sampling import _BLOCK
+
+    pow10 = np.array([float(10**k) for k in range(22)])  # exact: 10^k for k <= 22
+
+    def product(x, k):  # (hi, lo) with hi + lo = x 10^k, from Veltkamp splits at 2^27 + 1
+        p = pow10.take(k)
+        xh, ph = (134217729.0 * t - (134217729.0 * t - t) for t in (x, p))
+        hi = x * p
+        return hi, ((xh * ph - hi) + xh * (p - ph) + (x - xh) * ph) + (x - xh) * (p - ph)
+
+    for start in range(0, len(pts), _BLOCK):
+        v = pts[start:start + _BLOCK].ravel()
+        fast = (np.abs(v) >= 1e-4) & (np.abs(v) < 1e16)
+        x = np.fmin(np.fmax(np.abs(v), 1e-4), 9999999999999998.0)  # finite for all values
+        e = np.floor(np.log10(x)).astype(np.int64)
+        hi, lo = product(x, 16 - e)
+        # log10 may be a decade off: move hi + lo into [1e16, 1e17).  Each sum has the
+        # sign of hi + lo - bound: near the bound hi - bound is exact, and |lo| <= ulp(hi)/2.
+        off = np.flatnonzero(((hi - 1e16) + lo < 0.0) | ((hi - 1e17) + lo >= 0.0))
+        e[off] += np.where(hi[off] < 1e17, -1, 1)
+        hi[off], lo[off] = product(x[off], 16 - e[off])
+        # D < 10^17: no double in the range lies within half a 17th-digit unit below 10^k.
+        digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+        # Grid rows 1-4 are "0000" and rows 5-21 the digits, from uint32 halves (which
+        # divide fast); rows 0 and 22 are spares for the layout below.
+        grid = np.full((23, len(v)), ord("0"), np.uint8)
+        halves = np.array(np.divmod(digits, 10**9), np.uint32)
+        for j in range(9):
+            q = halves // 10
+            grid[[21 - j, 12 - j]] += (halves - 10 * q)[::-1].astype(np.uint8)
+            halves = q
+        last = np.full(len(v), 21, np.uint8)  # the row of the last nonzero digit
+        for j in range(21, 5, -1):
+            last -= (last == j) & (grid[j] == ord("0"))
+        # Output column c holds grid row c + 1 before the dot's column b and row c after
+        # it, and NUL outside [first, end].  The blends are arithmetic, which NumPy runs
+        # faster than np.where.
+        b = (e + 5).astype(np.uint8)
+        first, end = np.minimum(4, b - 1), np.where(last > b, last, b - 1)
+        c = np.arange(22, dtype=np.uint8)[:, None]
+        out = np.zeros((25, len(v)), np.uint8)  # sign, 22 columns, a NUL and the separator
+        body = out[1:23]
+        np.add(grid[:22], (b > c) * (grid[1:] - grid[:22]), out=body)
+        body += (b == c) * (np.uint8(ord(".")) - body)
+        body *= (first <= c) & (c <= end)
+        out[0] = np.signbit(v) * np.uint8(ord("-"))
+        out[24, 0::2], out[24, 1::2] = ord(","), ord("\n")
+        slow = np.flatnonzero(~fast)
+        text = np.array([format(t, ".17g") for t in v[slow].tolist()], dtype="S24")
+        out[:24, slow] = text.view(np.uint8).reshape(-1, 24).T
+        yield out.T[out.T != 0].tobytes().decode("ascii")
 
 
 def _cmd_sample(args) -> int:
@@ -247,9 +311,7 @@ def _cmd_sample(args) -> int:
     head = "# family=%s theta=%s n=%d seed=%d\n%s\n" % (
         args.family, _json_dumps(theta_repr), args.n, args.seed, header
     )
-    # One %-format over Python floats: the bytes of format(x, ".17g") per value.
-    rows = ("%.17g,%.17g\n" * len(pts)) % tuple(pts.ravel().tolist())
-    _write(head + rows, args.out)
+    _write(itertools.chain((head,), _csv_rows(pts)), args.out)  # each block written as it is formatted
     return EXIT_OK
 
 
@@ -496,6 +558,9 @@ def main(argv=None) -> int:
         code, message = EXIT_BAD_DIMENSION, str(err)
     except FitError as err:
         code, message = EXIT_FIT_FAILURE, str(err)
+    except MemoryError:
+        size = f"--n {args.n}" if "n" in args else "the input"
+        code, message = EXIT_BAD_PARAMS, f"{size} does not fit in memory"
     except ValueError as err:
         code, message = EXIT_BAD_PARAMS, str(err)
     sys.stderr.write(f"hyperstat: {message}\n")

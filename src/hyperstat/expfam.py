@@ -116,17 +116,21 @@ def grad(fam: Family, v) -> np.ndarray:
     return np.array(_grad(fam, v))
 
 
-def fim(fam: Family, v) -> np.ndarray:
-    """Fisher information, the Hessian of F: r_2 w w^T + (r_1/u) Q."""
-    import numpy as np
-
+def _fim(fam: Family, v) -> tuple:
     u, w, q = _scaled(fam, v)
     # r_2 first: a family that has none raises before r_1 is evaluated.
     r2 = fam.radial(u, len(v) - 1, 2)
     s1 = fam.radial(u, len(v) - 1, 1) / u
     n = range(len(v))
     # w at sorted indices, so the matrix is exactly symmetric.
-    return np.array([[r2 * w[min(i, j)] * w[max(i, j)] + s1 * q[i][j] for j in n] for i in n])
+    return tuple(tuple(r2 * w[min(i, j)] * w[max(i, j)] + s1 * q[i][j] for j in n) for i in n)
+
+
+def fim(fam: Family, v) -> np.ndarray:
+    """Fisher information, the Hessian of F: r_2 w w^T + (r_1/u) Q."""
+    import numpy as np
+
+    return np.array(_fim(fam, v))
 
 
 def cubic_tensor(fam: Family, v) -> np.ndarray:

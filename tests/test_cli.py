@@ -12,8 +12,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from hyperstat.cli import _read_points_csv, main
+from hyperstat.cli import _csv_rows, _read_points_csv, main
 from hyperstat.geometry import SpdParam2
+from hyperstat.sampling import _BLOCK
 
 
 def run_cli(args, capsys):
@@ -29,6 +30,17 @@ def schema(name: str) -> dict:
 
 EX_THETA = "[[4, 0.25], [0.25, 0.5]]"
 EX_THETA2 = "[[0.5, 0.25], [0.25, 2]]"
+
+
+# Values around the edges of the formatter's fixed-notation path, [1e-4, 1e16), and
+# outside it: signed zero, the smallest subnormal, a carry to 1, ties that round
+# half to even, nan and the infinities.
+_FORMAT_CASES = [
+    -0.0, 5e-324, 1e20, 0.1, -2.5e-300, 1.0 / 3.0, 7.0,
+    math.nextafter(1e-4, 0.0), 1e-4, math.nextafter(1e16, 0.0), 1e16, 0.99999999999999999,
+    1000000000000000.25, 1000000000000000.75, -1000000000000000.25, 1200.0,
+    math.nan, math.inf, -math.inf, 1.7976931348623157e308,
+]
 
 
 class TestDivergence:
@@ -172,11 +184,10 @@ class TestSample:
         )
         assert code == 4
 
-    @pytest.mark.parametrize("n", [0, 1, 7])
+    @pytest.mark.parametrize("n", [0, 1, 7, len(_FORMAT_CASES)])
     @pytest.mark.parametrize("family", ["poincare", "hyperboloid"])
     def test_rows_match_the_per_value_format(self, family, n, monkeypatch, capsys):
-        # Signed zero, the smallest subnormal and a large value in both columns.
-        values = [-0.0, 5e-324, 1e20, 0.1, -2.5e-300, 1.0 / 3.0, 7.0]
+        values = _FORMAT_CASES
         pts = np.array([(values[i], values[-1 - i]) for i in range(n)], dtype=float).reshape(n, 2)
         sampler = "poincare_sample" if family == "poincare" else "hyperboloid_sample"
         monkeypatch.setattr(f"hyperstat.sampling.{sampler}", lambda theta, size, stream: pts)
@@ -187,6 +198,18 @@ class TestSample:
         assert code == 0
         rows = out.split("\n", 2)[2]
         assert rows == "".join(f"{format(row[0], '.17g')},{format(row[1], '.17g')}\n" for row in pts)
+
+    def test_random_rows_match_the_per_value_format(self):
+        # 1.08e6 random bit patterns (nan, inf, subnormals, both signs) and as many
+        # signed log-uniform magnitudes in 1e-6..1e18, in arrays of one row short of,
+        # exactly and one row over a block.
+        rng = np.random.default_rng(30)
+        for rows in [_BLOCK - 1, _BLOCK, _BLOCK + 1] * 11:
+            bits = rng.integers(0, 2**64, (rows, 2), dtype=np.uint64, endpoint=False).view(np.float64)
+            magnitudes = np.copysign(10.0 ** rng.uniform(-6.0, 18.0, (rows, 2)), rng.standard_normal((rows, 2)))
+            for pts in (bits, magnitudes):
+                want = ("%.17g,%.17g\n" * rows) % tuple(pts.ravel().tolist())  # format(v, ".17g") per value
+                assert "".join(_csv_rows(pts)) == want
 
     def test_file_output(self, tmp_path, capsys):
         out_file = tmp_path / "pts.csv"
@@ -644,10 +667,10 @@ class TestCommandImports:
         ids=lambda argv: "-".join(a for a in argv if a[0].isalpha() and "[" not in a),
     )
     def test_closed_forms_load_no_sampler_estimator_or_em(self, argv):
-        # Nor NumPy (and with it inspect), but for fim, whose value is a matrix.
+        # Nor NumPy (and with it inspect): fim's matrix is emitted from Python floats.
         rc, out, loaded = _run_fresh(argv, watched=_LIGHT)
         assert rc == 0 and out
-        assert loaded == ({"numpy", "inspect"} if argv[0] == "fim" else set())
+        assert loaded == set()
 
     @pytest.mark.parametrize(
         "argv",

@@ -331,6 +331,23 @@ def test_rejected_input_writes_nothing_to_stdout(argv, want):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["sample", "--theta", "[1,0,1]", "--seed", "1"], id="sample"),
+        pytest.param(["estimate", "--measure", "kl", "--method", "plugin", "--theta", PC[0], "--theta2", PC[1],
+                      "--seed", "1"], id="estimate"),
+    ],
+)
+def test_unallocatable_draw_count_exits_2_naming_n(argv):
+    # 10^14 float64 draws are ~728 TiB, beyond a 47-bit address space: NumPy refuses
+    # the allocation before it touches any memory.
+    code, out, err = run_captured(argv + ["--n", str(10**14)])
+    assert code == 2
+    assert out == ""
+    assert err == f"hyperstat: --n {10**14} does not fit in memory\n"
+
+
+@pytest.mark.parametrize(
     "family, bad_row",
     [("poincare", "0.5,-1"), ("poincare", "nan,1"), ("hyperboloid", "0.5,nan")],
 )
