@@ -3,16 +3,17 @@
 Each family's cumulant depends on a natural-parameter vector v only through
 the invariant u = q(v) = v^T Q v / 2 of its group action, for a constant
 symmetric Q: F(v) = g(u).  A family is given on vectors by that radial
-function g (with its derivatives), Q and q, whose sheet {v_0 > 0, q(v) > 0}
-is the parameter cone; on points by its log density, its sufficient
-statistics, the inverse moment map from their mean, and its sampler.  The
-family gives g's derivatives as r_k = u^k g^(k)(u), from which the gradient,
-the Fisher information and the cubic tensor are built here once.  With
-densities exp(-<v, s(x)> - F(v)) h(x), every divergence is a functional of F
-(Nielsen & Nock 2010); Chernoff information is the maximum of the skew Jensen
-divergence (Nielsen 2013); the MLE is the inverse moment map at the mean
-statistic, and EM is Bregman soft clustering (Banerjee et al. 2005).  The
-module also holds the library's one 1-D minimizer, Brent's bounded method.
+function g (with its derivatives), Q and q, whose sheet {v_0 > 0, q(v) > 0} is
+the parameter cone; on points by its log density, its sufficient statistics,
+the inverse moment map from their mean, and its sampler.  The family gives g's
+derivatives as r_k = u^k g^(k)(u), from which the gradient, the Fisher
+information and the cubic tensor are built here once, and from the conjugate's
+(see :func:`dual`) the inverse moment map and the dual metric.  With densities
+exp(-<v, s(x)> - F(v)) h(x), every divergence is a functional of F (Nielsen &
+Nock 2010); Chernoff information is the maximum of the skew Jensen divergence
+(Nielsen 2013); the MLE is the inverse moment map at the mean statistic, and
+EM is Bregman soft clustering (Banerjee et al. 2005).  The module also holds
+the library's one 1-D minimizer, Brent's bounded method.
 
 Parameter vectors are tuples of floats, and the closed forms evaluate them
 with ``math`` and sums taken left to right, so the module imports no NumPy;
@@ -23,6 +24,7 @@ the functions that return or read arrays (:func:`grad`, :func:`fim`,
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from .geometry import _CONE_RTOL, DualDomainError
@@ -32,6 +34,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Family",
+    "dual",
     "cumulant",
     "grad",
     "fim",
@@ -53,9 +56,10 @@ class Family(NamedTuple):
 
     ``radial(u, d, order)`` returns r_k = u^k g^(k)(u) at k = order (r_0 = g)
     for parameters of dimension d (vectors of size d + 1), evaluating no other
-    order; ``metric(size)`` the constant matrix
-    Q as a tuple of rows, and ``quad(v)`` the invariant u.  Vectors are
-    tuples of floats (an array works too).  The rest act on
+    order; ``metric(size)`` the constant matrix Q as a tuple of rows (one
+    nonzero entry in each), and ``quad(v)`` the invariant u; ``dual_radial``
+    and ``dual_quad`` are the same for the conjugate F* (:func:`dual`).
+    Vectors are tuples of floats (an array works too).  The rest act on
     cone parameters and (n, d) point arrays: ``log_density(theta, pts)``,
     ``stats(pts)`` (one row per point), ``from_moment(eta)`` (the parameter
     whose mean statistic is eta) and ``sample(theta, n, rng)``.  The fields
@@ -75,6 +79,8 @@ class Family(NamedTuple):
     radial: Callable[[float, int, int], float]
     metric: Callable[[int], tuple]
     quad: Callable[[tuple], float]
+    dual_radial: Callable[[float, int, int], float]
+    dual_quad: Callable[[tuple], float]
     log_density: Callable[[Any, np.ndarray], np.ndarray]
     stats: Callable[[np.ndarray], np.ndarray]
     from_moment: Callable[[np.ndarray], Any]
@@ -146,6 +152,25 @@ def cubic_tensor(fam: Family, v) -> np.ndarray:
     t = {(i, j, k): r3 * w[i] * w[j] * w[k] + s2 * (q[i][j] * w[k] + q[i][k] * w[j] + q[j][k] * w[i])
          for i in n for j in n for k in n if i <= j <= k}
     return np.array([[[t[tuple(sorted((i, j, k)))] for k in n] for j in n] for i in n])
+
+
+@lru_cache(maxsize=None)
+def _dual_record(fam: Family) -> Family:
+    # Q is symmetric with one nonzero entry per row, so Q^-1 inverts those entries, exactly.
+    inverse = lru_cache(lambda size: tuple(tuple(1 / x if x else 0.0 for x in r) for r in fam.metric(size)))
+    return fam._replace(radial=fam.dual_radial, quad=fam.dual_quad, metric=inverse)
+
+
+def dual(fam: Family, eta) -> tuple:
+    """(Record of the conjugate F*, e = paired(eta)) at a moment eta, whose first entry must be negative.
+
+    F*(e) = h(q*) with q* = e^T Q^-1 e / 2 = r_1(u)^2 / u, so on the record (h, q*, Q^-1)
+    :func:`_grad` is the inverse moment map, :func:`cumulant` the conjugate and :func:`fim` the dual metric.
+    """
+    e = tuple(map(float, fam.paired(eta)))
+    if not e[0] < 0.0:
+        raise DualDomainError(f"moment vector {e} is outside the dual cone: its first entry must be negative")
+    return _dual_record(fam), e
 
 
 def mle(fam: Family, pts: np.ndarray):

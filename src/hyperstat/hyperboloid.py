@@ -16,8 +16,9 @@ derivatives r_k = u^k g^(k)(u): r_1 = -t (log c_d)'(t)/2 with t = sqrt(u),
 and at d = 2 (where alone r_2 and r_3 exist) -1/2 - t/2, 1/2 + t/4 and
 -1 - 3t/8.  :mod:`hyperstat.expfam` derives from them the gradient, the Fisher
 information (d = 2 only) and the divergences (KL, squared Hellinger, Neyman
-chi-squared, Jeffreys, skew Jensen) once for every d; the MLE is likewise
-expfam's inverse moment map at the mean sufficient statistic.
+chi-squared, Jeffreys, skew Jensen) once for every d, and the MLE, the
+inverse moment map at the mean statistic, from the conjugate's rho_1 at
+q = [eta, eta] / 4: r_1(t^2) at the norm t with -F'(t) = 2 sqrt(q).
 
 The closed forms evaluate the parameter as its float tuple and import no
 NumPy; the densities, statistics, MLE and matrix-valued forms import it when
@@ -82,6 +83,25 @@ def _radial(u: float, d: int, order: int) -> float:
     if d != 2:
         raise DimensionError(f"closed-form FIM needs d=2, got d={d}")
     return 0.5 + 0.25 * t if order == 2 else -1.0 - 0.375 * t
+
+
+def _dual_radial(q: float, d: int, order: int) -> float:
+    # rho_1 = r_1(t^2) (the one order written) at the root of -F'(t) = m = 2 sqrt(q), t < 1e12.
+    m = 2.0 * math.sqrt(max(q, 0.0))
+    hi = 1.0
+    while d > 2 and m > 1.0 + 1e-13 and hi <= 1e12 and not -_fprime(d, hi) <= m:
+        hi *= 2.0
+    if not (m > 1.0 + 1e-13 and hi <= 1e12):
+        raise DualDomainError(
+            f"moment vector has Minkowski norm {m!r}, the moment of no parameter: that needs a norm above "
+            "1 + 1e-13 (the points do not all coincide) and a parameter norm t below 1e12"
+        )
+    if d == 2:
+        return -0.5 - 0.5 / (m - 1.0)
+    from scipy.optimize import brentq
+
+    t = brentq(lambda s: -_fprime(d, s) - m, 0.5 * hi if hi > 1.0 else 1e-10, hi, xtol=1e-14, rtol=1e-14)
+    return -0.5 * t * m
 
 
 def cumulant(theta: LorentzParam) -> float:
@@ -171,6 +191,8 @@ _FAMILY = expfam.Family(
     metric=_metric,
     # Summed as LorentzParam sums it, so a vector passing the cone test is a parameter.
     quad=lambda v: v[0] * v[0] - sum(x * x for x in v[1:]),
+    dual_radial=lambda q, d, order: _dual_radial(q, d, order),
+    dual_quad=lambda e: 0.25 * (e[0] * e[0] - sum(x * x for x in e[1:])),
     log_density=lambda theta, pts: log_density_chart(theta, pts),
     stats=lambda pts: suff_stats_chart(pts),
     from_moment=lambda eta: mle_from_moment(eta, eta.size - 1),
@@ -263,38 +285,8 @@ def suff_stats_chart(points) -> np.ndarray:
 
 
 def mle_from_moment(eta: np.ndarray, d: int) -> LorentzParam:
-    """Invert the moment map: solve |F'(t)| = sqrt([eta,eta]) then rescale G eta."""
-    import numpy as np
-
-    eta = np.asarray(eta, dtype=float)
-    mink_sq = float(eta[0] * eta[0] - eta[1:] @ eta[1:])
-    if not (eta[0] < 0.0 and mink_sq > 0.0):
-        raise DualDomainError(
-            f"moment vector {eta} is not in the dual cone (needs eta_0 < 0 and "
-            "positive Minkowski square)"
-        )
-    m = math.sqrt(mink_sq)
-    if m <= 1.0 + 1e-13:
-        raise DualDomainError(
-            f"moment vector has Minkowski norm {m}; inversion needs norm > 1 "
-            "(all observations coincide)"
-        )
-    if d == 2:
-        # -F'(t) = 1 + 1/t, so t = 1/(m-1) exactly.
-        t = 1.0 / (m - 1.0)
-    else:
-        from scipy.optimize import brentq
-
-        lo, hi = 1e-10, 1.0
-        while -_fprime(d, hi) > m:
-            lo = hi
-            hi *= 2.0
-            if hi > 1e12:
-                raise DualDomainError(f"moment inversion bracket failed for {eta}")
-        t = float(brentq(lambda s: -_fprime(d, s) - m, lo, hi, xtol=1e-14, rtol=1e-14))
-    g_eta = eta.copy()
-    g_eta[1:] = -g_eta[1:]
-    return LorentzParam(-(t / m) * g_eta)
+    """Invert the moment map: the parameter whose mean statistic is eta (d = eta.size - 1)."""
+    return LorentzParam(expfam._grad(*expfam.dual(_FAMILY, eta)))
 
 
 def mle(points) -> LorentzParam:

@@ -8,7 +8,7 @@ read too.  Both families are exponential families,
 log p(x) = <theta~, t(x)> - F(theta) + log h(x), so the EM fit is Bregman
 soft clustering: the E-step sets responsibilities from the log-joint, and the
 M-step averages sufficient statistics under the responsibilities and maps the
-averages back through the inverse moment map.
+averages back through the inverse moment map, the conjugate's gradient.
 
 The E-step is a linear form in statistics built once per fit: the statistic
 columns t_i(x), a C-ordered (d + 1, n) array, and the carrier log h(x), read

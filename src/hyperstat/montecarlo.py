@@ -37,7 +37,7 @@ import numpy as np
 
 from . import hyperboloid as hb
 from .expfam import brent_min
-from .geometry import LorentzParam, SpdParam2, _check_estimator_pair, _check_estimator_sizes, param_h_to_l
+from .geometry import LorentzParam, _check_estimator_pair, _check_estimator_sizes
 from .geometry import _set, _Value
 from .sampling import RngStream, _by_block, hyperboloid_sample
 
@@ -50,7 +50,6 @@ __all__ = [
     "estimate_mc2",
     "optimize_sigma",
     "estimate",
-    "estimate_for_poincare",
 ]
 
 
@@ -583,13 +582,3 @@ def estimate(
     if sigma is None:
         sigma = optimize_sigma(f, theta, theta2, kind, n_pilot, rng.derive(_PILOT_KEY))
     return estimate_mc1(f, theta, theta2, Proposal(kind, sigma), n, est_rng, shards=shards)
-
-
-def estimate_for_poincare(
-    f: FGenerator, theta: SpdParam2, theta2: SpdParam2, method: str, n: int, rng: RngStream, **options
-) -> McEstimate:
-    """Estimate a half-plane divergence through the d = 2 correspondence.
-
-    Arguments and ``options`` (sigma, eps, shards, n_pilot) are those of :func:`estimate`.
-    """
-    return estimate(f, param_h_to_l(theta), param_h_to_l(theta2), method, n, rng, **options)

@@ -14,6 +14,8 @@ and the cumulant's gradient, Fisher information and cubic tensor, once from
 this module's family record: phi(u) = -log(u)/2 - 2 sqrt(u), the reduced
 cumulant at u = ac - b^2 = (a, b, c) Q (a, b, c)^T / 2, the constant Q and
 r_k = u^k phi^(k)(u) = -1/2 - sqrt(u), 1/2 + sqrt(u)/2, -1 - 3 sqrt(u)/4.
+The conjugate's radial function is h(q) = log D - 1 at q = det eta, with
+D = 1/(2 (sqrt(q) - 1)), rho_1 = -1/2 - D and rho_2 = (1 + D)(1 + 2D)/2.
 
 The cumulant is exposed in two equivalent normalizations: the full
 log-normalizer ``log pi - log D - 2D`` and the reduced Bregman generator
@@ -109,29 +111,13 @@ def grad_cumulant(theta: SpdParam2) -> Moment2:
 
 
 def grad_conjugate(eta: Moment2) -> SpdParam2:
-    """Invert the moment map: the unique theta with grad_cumulant(theta) = eta.
-
-    Feasible iff det(eta) > 1; the scalar reduction solves
-    D (sqrt(det eta) - 1) = 1/2 for D = sqrt(det theta).
-    """
-    det = eta.det()
-    root = math.sqrt(det)
-    if root <= 1.0:
-        raise DualDomainError(
-            f"moment parameter has det {det:.6g} <= 1; it is not the moment "
-            "of any cone parameter (points coincide or are inconsistent)"
-        )
-    d = 0.5 / (root - 1.0)
-    coeff = -(0.5 + d)
-    # coeff * eta^{-1}, entry by entry.
-    return SpdParam2(coeff * (eta.m22 / det), coeff * (-eta.m12 / det), coeff * (eta.m11 / det))
+    """Invert the moment map: the unique theta with grad_cumulant(theta) = eta (feasible iff det eta > 1)."""
+    return SpdParam2(*expfam._grad(*expfam.dual(_FAMILY, eta._fields())))
 
 
 def conjugate(eta: Moment2) -> float:
-    """Convex conjugate of the reduced cumulant at eta: <eta, theta(eta)> - F(theta(eta))."""
-    theta = grad_conjugate(eta)
-    d = theta.sqrt_det()
-    return -(1.0 + 2.0 * d) - cumulant(theta).reduced
+    """Convex conjugate of the reduced cumulant at eta, <eta, theta(eta)> - F(theta(eta)) = log D - 1."""
+    return expfam.cumulant(*expfam.dual(_FAMILY, eta._fields()))
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +143,21 @@ def _radial(u: float, d: int, order: int) -> float:
     return 0.5 + 0.5 * su if order == 2 else -1.0 - 0.75 * su
 
 
+def _dual_radial(q: float, d: int, order: int) -> float:
+    # h(q) = log D - 1 with D = sqrt(u) = 1/(2 (sqrt(q) - 1)), or rho_k = q^k h^(k)(q) for k = order up to 2.
+    root = math.sqrt(q)
+    if not root > 1.0:
+        raise DualDomainError(
+            f"moment parameter has det {q:.6g} <= 1, so it is the moment of no cone parameter: the points "
+            "coincide or are inconsistent, or det eta = (1 + 1/(2D))^2 rounded to 1, as it does once "
+            "D = sqrt(det theta) passes about 1e16 (such a theta has no representable moment)"
+        )
+    dd = 0.5 / (root - 1.0)
+    if order == 0:
+        return math.log(dd) - 1.0
+    return -0.5 - dd if order == 1 else 0.5 * (1.0 + dd) * (1.0 + 2.0 * dd)
+
+
 def _sample(theta: SpdParam2, n: int, rng) -> np.ndarray:
     # The sampler module is loaded by the first draw, not with the closed forms.
     from .sampling import poincare_sample
@@ -168,6 +169,9 @@ _FAMILY = expfam.Family(
     radial=lambda u, d, order: _radial(u, d, order),
     metric=lambda size: _HESS_U,
     quad=lambda v: v[0] * v[2] - v[1] * v[1],
+    dual_radial=lambda q, d, order: _dual_radial(q, d, order),
+    # e^T Q^-1 e / 2 at e = (m11, 2 m12, m22): det eta, to the bit.
+    dual_quad=lambda e: e[0] * e[2] - 0.25 * e[1] * e[1],
     log_density=lambda theta, pts: log_density_xy(theta, pts[:, 0], pts[:, 1]),
     # The Moment2 entries (m11, m12, m22) that from_moment inverts, not the
     # gradient's (m11, 2 m12, m22): EM's k-means++ seeding measures distances
@@ -256,15 +260,8 @@ def fim(theta: SpdParam2) -> np.ndarray:
 
 
 def fim_dual(eta: Moment2) -> np.ndarray:
-    """Hessian of the conjugate at eta, in the vector coordinates dual to (a, b, c).
-
-    By Legendre duality this is the matrix inverse of the Fisher information
-    at the corresponding cone parameter; validated against finite differences
-    of :func:`conjugate` in the test suite.
-    """
-    import numpy as np
-
-    return np.linalg.inv(fim(grad_conjugate(eta)))
+    """Hessian of the conjugate in (m11, 2 m12, m22): fim(grad_conjugate(eta))^-1, exactly symmetric."""
+    return expfam.fim(*expfam.dual(_FAMILY, eta._fields()))
 
 
 def cubic_tensor(theta: SpdParam2) -> np.ndarray:

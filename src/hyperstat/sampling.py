@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import HyperboloidPoint, LorentzParam, SpdParam2, _check_draws, _set, _Value
+from .geometry import LorentzParam, SpdParam2, _check_draws, _set, _Value
 
 __all__ = [
     "GigParams",
@@ -25,7 +25,6 @@ __all__ = [
     "gig_sample",
     "hyperboloid_sample",
     "poincare_sample",
-    "concentration_probe",
 ]
 
 _BLOCK = 16_384  # rows per elementwise block: a few block temporaries stay in a 2 MB L2 cache
@@ -154,16 +153,3 @@ def poincare_sample(theta: SpdParam2, n: int, rng: RngStream) -> np.ndarray:
     theta_l = LorentzParam((theta.a + theta.c, theta.a - theta.c, -2.0 * theta.b))
     chart = hyperboloid_sample(theta_l, n, rng)
     return _chart_l_to_h(chart)
-
-
-def concentration_probe(
-    chart_point, t: float, n: int, rng: RngStream
-) -> np.ndarray:
-    """Mean chart point of n draws from the law with parameter t * lift(chart_point).
-
-    As t grows the law concentrates at ``chart_point``; the returned mean
-    converges to it.
-    """
-    if not t > 0.0:
-        raise ValueError(f"need t > 0, got {t}")
-    return hyperboloid_sample(LorentzParam(t * HyperboloidPoint(chart_point).lift()), n, rng).mean(axis=0)

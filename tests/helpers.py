@@ -20,8 +20,9 @@ from scipy.special import logsumexp
 
 from hyperstat import hyperboloid as hb
 from hyperstat import poincare as pc
-from hyperstat.geometry import LorentzParam, Mobius, Moment2, SpdParam2
+from hyperstat.geometry import DualDomainError, HyperboloidPoint, LorentzParam, Mobius, Moment2, SpdParam2
 from hyperstat.mixtures import Mixture
+from hyperstat.sampling import hyperboloid_sample
 
 # ---------------------------------------------------------------------------
 # 2-D adaptive quadrature
@@ -192,6 +193,53 @@ def poincare_cumulant_of_vec(v: np.ndarray) -> float:
 
 def hyperboloid_cumulant_of_vec(v: np.ndarray) -> float:
     return hb.cumulant(LorentzParam(v))
+
+
+def concentration_probe(chart_point, t: float, n: int, rng) -> np.ndarray:
+    """Mean chart point of n draws from the law with parameter t * lift(chart_point).
+
+    As t grows the law concentrates at ``chart_point``; the returned mean
+    converges to it.
+    """
+    if not t > 0.0:
+        raise ValueError(f"need t > 0, got {t}")
+    return hyperboloid_sample(LorentzParam(t * HyperboloidPoint(chart_point).lift()), n, rng).mean(axis=0)
+
+
+# ---------------------------------------------------------------------------
+# Inverse moment maps written out per family (the library derives both from
+# the conjugate's radial function)
+# ---------------------------------------------------------------------------
+
+
+def ref_grad_conjugate(eta: Moment2) -> SpdParam2:
+    """Half-plane: theta = -(1/2 + D) eta^-1 with D (sqrt(det eta) - 1) = 1/2."""
+    det = eta.det()
+    root = math.sqrt(det)
+    if root <= 1.0:
+        raise DualDomainError(f"moment parameter has det {det:.6g} <= 1")
+    coeff = -(0.5 + 0.5 / (root - 1.0))
+    return SpdParam2(coeff * (eta.m22 / det), coeff * (-eta.m12 / det), coeff * (eta.m11 / det))
+
+
+def ref_mle_from_moment(eta: np.ndarray, d: int) -> LorentzParam:
+    """Hyperboloid: theta = -(t/m) G eta with -F'(t) = m = |eta|, t = 1/(m - 1) at d = 2, brentq at d >= 3."""
+    from scipy.optimize import brentq
+
+    eta = np.asarray(eta, dtype=float)
+    m = math.sqrt(max(float(eta[0] * eta[0] - eta[1:] @ eta[1:]), 0.0))
+    if not (eta[0] < 0.0 and m > 1.0 + 1e-13):
+        raise DualDomainError(f"moment vector {eta} has Minkowski norm {m} <= 1 + 1e-13")
+    if d == 2:
+        t = 1.0 / (m - 1.0)
+    else:
+        lo, hi = 1e-10, 1.0
+        while -hb._fprime(d, hi) > m:
+            lo, hi = hi, 2.0 * hi
+        t = float(brentq(lambda s: -hb._fprime(d, s) - m, lo, hi, xtol=1e-14, rtol=1e-14))
+    g_eta = eta.copy()
+    g_eta[1:] = -g_eta[1:]
+    return LorentzParam(-(t / m) * g_eta)
 
 
 # ---------------------------------------------------------------------------

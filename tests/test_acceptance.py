@@ -27,6 +27,7 @@ from helpers import (
     central_gradient,
     central_hessian,
     central_third,
+    concentration_probe,
     hyperboloid_cumulant_of_vec,
     hyperboloid_divergence_quad,
     poincare_cumulant_of_vec,
@@ -59,7 +60,6 @@ from hyperstat.montecarlo import (
 from hyperstat.sampling import (
     GigParams,
     RngStream,
-    concentration_probe,
     gig_sample,
     hyperboloid_sample,
     poincare_sample,

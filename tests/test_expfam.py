@@ -14,10 +14,19 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from helpers import ref_grad_conjugate, ref_mle_from_moment
 from hyperstat import expfam
 from hyperstat import hyperboloid as hb
 from hyperstat import poincare as pc
-from hyperstat.geometry import LorentzParam, SpdParam2, random_spd
+from hyperstat.geometry import (
+    ConeError,
+    DualDomainError,
+    LorentzParam,
+    Moment2,
+    SpdParam2,
+    random_lorentz_param,
+    random_spd,
+)
 
 REL_TOL = 1e-11
 MIN_VALUE = 1e-3
@@ -292,3 +301,110 @@ def test_fim_and_cubic_tensor_match_mpmath_at_any_scale(seed):
         if miss := _grid_miss(hb.fim2(lor), hess):
             misses.append(f"hb.fim2{lor!r}: {miss}")
     assert not misses, f"{len(misses)} misses; " + "; ".join(misses[:3])
+
+
+# The dual side (inverse moment map, conjugate, dual metric) is assembled from
+# each family's conjugate radial.  It is checked against the formulas written
+# out per family (tests/helpers.py) and against 60-digit evaluations at the
+# float moment.  A float moment holds D = sqrt(det theta) (or the hyperboloid's
+# norm t) to only about eps * D relative digits, so no formula on it does
+# better than that, and the bounds scale with max(1, D) or max(1, t).
+DUAL_TOL = 8 * 2.0**-52
+
+
+def _hex(values) -> list:
+    return [float(x).hex() for x in values]
+
+
+@pytest.mark.parametrize("seed", GRID_SEEDS)
+def test_grad_conjugate_keeps_the_closed_form_bits(seed):
+    # Moments at log-uniform scales over 1e-150 ... 1e150: the negated grid matrices.
+    returned = 0
+    for spd, _ in _far_params(seed):
+        eta = Moment2(-spd.a, -spd.b, -spd.c)
+        try:
+            want = ref_grad_conjugate(eta)
+        except (DualDomainError, ConeError) as err:
+            with pytest.raises(type(err)):
+                pc.grad_conjugate(eta)
+            continue
+        got = pc.grad_conjugate(eta)
+        assert _hex((got.a, got.b, got.c)) == _hex((want.a, want.b, want.c)), eta
+        returned += 1
+    assert returned > GRID_DRAWS // 3
+
+
+def _mp_conjugate(eta: Moment2) -> tuple:
+    """(Hessian, value) of F*(e) = log D - 1, D = 1/(2 (sqrt(q) - 1)), q = e0 e2 - e1^2/4, and D, at 60 digits."""
+    with mp.workdps(60):
+        e = [mp.mpf(eta.m11), 2 * mp.mpf(eta.m12), mp.mpf(eta.m22)]
+        q = e[0] * e[2] - e[1] ** 2 / 4
+        s = mp.sqrt(q)
+        # h(q) = -log(2 (sqrt(q) - 1)) - 1 and its first two derivatives; q's gradient and Hessian.
+        h1, h2 = -1 / (2 * (q - s)), (1 - 1 / (2 * s)) / (2 * (q - s) ** 2)
+        grad_q, hess_q = (e[2], -e[1] / 2, e[0]), ((0, 0, 1), (0, mp.mpf(-0.5), 0), (1, 0, 0))
+        n = range(3)
+        dd = 1 / (2 * (s - 1))
+        return [[h2 * grad_q[i] * grad_q[j] + h1 * hess_q[i][j] for j in n] for i in n], mp.log(dd) - 1, dd
+
+
+@pytest.mark.parametrize("seed", GRID_SEEDS)
+def test_fim_dual_and_conjugate_match_60_digits(seed):
+    misses, checked = [], 0
+    for spd, _ in _far_params(seed):
+        eta = pc.grad_cumulant(spd)
+        try:
+            got = pc.fim_dual(eta)
+        except DualDomainError:
+            assert spd.sqrt_det() > 1e14  # det eta = (1 + 1/(2D))^2 rounds to 1 only at such D
+            continue
+        checked += 1
+        hess, conj, dd = _mp_conjugate(eta)
+        tol = DUAL_TOL * max(1, float(dd))
+        if not np.array_equal(got, got.T):
+            misses.append(f"pc.fim_dual{eta!r}: not exactly symmetric")
+        largest = max(abs(x) for row in hess for x in row)
+        err = max(abs(mp.mpf(float(got[i, j])) - hess[i][j]) for i in range(3) for j in range(3))
+        if err > tol * largest:
+            misses.append(f"pc.fim_dual{eta!r}: error {float(err / largest):.3g} of the largest entry")
+        value = pc.conjugate(eta)
+        if abs(value - conj) > tol * max(1, abs(conj)):
+            misses.append(f"pc.conjugate{eta!r}: {value!r} against {float(conj)!r}")
+    assert not misses, f"{len(misses)} misses; " + "; ".join(misses[:3])
+    assert checked > GRID_DRAWS // 3
+
+
+@pytest.mark.parametrize("seed", GRID_SEEDS)
+def test_mle_from_moment_d2_within_the_closed_form_error(seed):
+    # theta = -(t/m) G eta with t = 1/(m - 1), m = |eta|, at 60 digits from the float moment; the
+    # formula written out per family meets the same bound.
+    misses, checked = [], 0
+    for _, lor in _far_params(seed):
+        eta = hb.grad_cumulant(lor)
+        try:
+            old = ref_mle_from_moment(eta, 2)
+        except (DualDomainError, ConeError) as err:
+            with pytest.raises(type(err)):
+                hb.mle_from_moment(eta, 2)
+            continue
+        checked += 1
+        with mp.workdps(60):
+            e = [mp.mpf(float(x)) for x in eta]
+            m = mp.sqrt(e[0] ** 2 - e[1] ** 2 - e[2] ** 2)
+            t = 1 / (m - 1)
+            want = [-(t / m) * e[0], (t / m) * e[1], (t / m) * e[2]]
+            largest = max(abs(x) for x in want)
+            for name, got in (("hb.mle_from_moment", hb.mle_from_moment(eta, 2)), ("reference", old)):
+                err = max(abs(mp.mpf(g) - w) for g, w in zip(got.theta, want))
+                if err > DUAL_TOL * max(1, t) * largest:
+                    misses.append(f"{name}{tuple(eta)}: error {float(err / largest / t):.3g} t of the largest entry")
+    assert not misses, f"{len(misses)} misses; " + "; ".join(misses[:3])
+    assert checked > GRID_DRAWS // 3
+
+
+def test_mle_from_moment_d3_is_the_brentq_root():
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        eta = hb.grad_cumulant(random_lorentz_param(3, rng))
+        got, want = np.array(hb.mle_from_moment(eta, 3).theta), np.array(ref_mle_from_moment(eta, 3).theta)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -452,6 +452,15 @@ class TestMle:
         ses = np.sqrt(np.diag(cov))
         assert np.all(np.abs(est.vec - T211.vec) < 3.0 * ses)
 
+    def test_moment_outside_the_dual_domain(self):
+        with pytest.raises(DualDomainError, match=r"Minkowski norm 1\.0, the moment of no parameter"):
+            hb.mle_from_moment(np.array([-1.0, 0.0, 0.0]), 2)  # one point's statistic
+        with pytest.raises(DualDomainError, match="first entry must be negative"):
+            hb.mle_from_moment(np.array([2.0, 0.5, 0.0]), 2)
+        # At d = 3 the root t ~ 1.5e9 lies where the Bessel ratio is nan, not a plain ValueError from brentq.
+        with pytest.raises(DualDomainError, match="a parameter norm t below 1e12"):
+            hb.mle_from_moment(np.array([-1.0 - 1e-9, 0.0, 0.0, 0.0]), 3)
+
     def test_identical_points_rejected(self):
         pts = np.tile(np.array([[0.3, -0.2]]), (5, 1))
         with pytest.raises(DualDomainError):

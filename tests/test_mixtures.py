@@ -707,3 +707,16 @@ def test_hyperboloid_fit_independent_of_blas_threads():
         return proc.stdout
 
     assert run(1) == run(2)
+
+
+@pytest.mark.parametrize("family, weights, comps", [t for t in _SQUAREM_TRUTHS if len(t[1]) == 2])
+def test_m_step_inverts_moments_through_the_module_functions(family, weights, comps, monkeypatch):
+    # A wrapper installed as pc.grad_conjugate or hb.mle_from_moment (as the
+    # benchmark's tracer installs one) sees every M-step: the family records
+    # look the module functions up when called.
+    module, name = (pc, "grad_conjugate") if family == "poincare" else (hb, "mle_from_moment")
+    inner, calls = getattr(module, name), []
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or inner(*args))
+    pts = mixture_sample(_truth_mixture(family, weights, comps), 2000, RngStream(31))
+    _, trace = em_fit(pts, 2, family, RngStream(32))
+    assert len(calls) >= 2 * trace.iterations

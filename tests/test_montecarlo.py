@@ -29,7 +29,7 @@ from hyperstat import montecarlo
 from hyperstat import poincare as pc
 from hyperstat import sampling
 from hyperstat.expfam import brent_min
-from hyperstat.geometry import LorentzParam, SpdParam2
+from hyperstat.geometry import LorentzParam, SpdParam2, param_h_to_l
 from hyperstat.montecarlo import (
     FGenerator,
     McEstimate,
@@ -38,7 +38,6 @@ from hyperstat.montecarlo import (
     _f_and_logp,
     _pilot_objective,
     estimate,
-    estimate_for_poincare,
     estimate_mc1,
     estimate_mc2,
     estimate_plugin,
@@ -337,11 +336,13 @@ class TestMc2:
 
 
 class TestPoincareDelegation:
+    """Half-plane pairs are estimated on the hyperboloid through the d = 2 parameter map."""
+
     def test_kl_example_pair(self):
         th = SpdParam2(4.0, 0.25, 0.5)
         th2 = SpdParam2(0.5, 0.25, 2.0)
-        est = estimate_for_poincare(
-            FGenerator.kl(), th, th2, "mc1-t7", 400_000, RngStream(22), n_pilot=50_000
+        est = estimate(
+            FGenerator.kl(), param_h_to_l(th), param_h_to_l(th2), "mc1-t7", 400_000, RngStream(22), n_pilot=50_000
         )
         se = math.sqrt(est.sample_variance / est.n)
         assert abs(est.estimate - pc.kld(th, th2)) < 4.0 * se
@@ -349,31 +350,29 @@ class TestPoincareDelegation:
 
     def test_hellinger_leaf_pair_plugin(self):
         th, th2 = SpdParam2(1, 0, 1), SpdParam2(0.5, 0, 2)
-        est = estimate_for_poincare(
-            FGenerator.squared_hellinger(), th, th2, "plugin", 400_000, RngStream(23)
+        est = estimate(
+            FGenerator.squared_hellinger(), param_h_to_l(th), param_h_to_l(th2), "plugin", 400_000, RngStream(23)
         )
         se = math.sqrt(est.sample_variance / est.n)
         assert abs(est.estimate - pc.hellinger_sq(th, th2)) < 4.0 * se
         assert abs(est.estimate - 0.165) < 0.005
 
     def test_zero_at_equal(self):
-        th = SpdParam2(1, 0, 1)
-        est = estimate_for_poincare(
-            FGenerator.total_variation(), th, th, "mc2", 10_000, RngStream(24)
-        )
+        th = param_h_to_l(SpdParam2(1, 0, 1))
+        est = estimate(FGenerator.total_variation(), th, th, "mc2", 10_000, RngStream(24))
         assert est.estimate == 0.0
 
     def test_explicit_sigma_skips_pilot(self):
         th, th2 = SpdParam2(1, 0, 1), SpdParam2(0.5, 0, 2)
-        est = estimate_for_poincare(
-            FGenerator.kl(), th, th2, "mc1-logistic", 50_000, RngStream(25), sigma=1.4
+        est = estimate(
+            FGenerator.kl(), param_h_to_l(th), param_h_to_l(th2), "mc1-logistic", 50_000, RngStream(25), sigma=1.4
         )
         assert est.sigma == 1.4
 
     def test_unknown_method(self):
-        th = SpdParam2(1, 0, 1)
+        th = param_h_to_l(SpdParam2(1, 0, 1))
         with pytest.raises(ValueError):
-            estimate_for_poincare(FGenerator.kl(), th, th, "bogus", 10, RngStream(0))
+            estimate(FGenerator.kl(), th, th, "bogus", 10, RngStream(0))
 
 
 class TestEstimateEntryPoint:
@@ -382,7 +381,7 @@ class TestEstimateEntryPoint:
         th, th2 = SpdParam2(1, 0, 1), SpdParam2(0.5, 0, 2)
         lorentz = (LorentzParam((2.0, 0.0, 0.0)), LorentzParam((2.5, -1.5, 0.0)))
         f = FGenerator.total_variation()
-        a = estimate_for_poincare(f, th, th2, method, 5_000, RngStream(26), shards=2, n_pilot=5_000)
+        a = estimate(f, param_h_to_l(th), param_h_to_l(th2), method, 5_000, RngStream(26), shards=2, n_pilot=5_000)
         b = estimate(f, *lorentz, method, 5_000, RngStream(26), shards=2, n_pilot=5_000)
         assert (a.estimate, a.sample_variance, a.sigma) == (b.estimate, b.sample_variance, b.sigma)
 

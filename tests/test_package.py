@@ -94,3 +94,17 @@ def test_import_loads_no_sampler_estimator_or_em():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "['hyperstat.mixtures', 'hyperstat.sampling']"]
+
+
+def test_inverse_moment_map_and_conjugate_load_no_numpy():
+    # The conjugate's record is evaluated with math, as the cumulant's is.
+    code = (
+        "import sys\n"
+        "from hyperstat import poincare as pc\n"
+        "from hyperstat.geometry import Moment2\n"
+        "eta = Moment2(-2.0, 0.25, -1.5)\n"
+        "print(pc.grad_conjugate(eta).a > 0.0, pc.conjugate(eta) < 0.0, 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True", "False"]

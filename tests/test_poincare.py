@@ -128,6 +128,14 @@ class TestCumulantAndConjugate:
         with pytest.raises(DualDomainError):
             pc.grad_conjugate(Moment2(-0.5, 0.0, -0.5))  # det 0.25 <= 1
 
+    def test_moment_of_a_far_parameter_is_not_representable(self):
+        # D = 1e17: det eta = (1 + 1/(2D))^2 rounds to 1, so eta is the moment of no parameter.
+        eta = pc.grad_cumulant(SpdParam2(1e17, 0.0, 1e17))
+        message = r"rounded to 1, as it does once D = sqrt\(det theta\) passes about 1e16"
+        for call in (pc.grad_conjugate, pc.conjugate, pc.fim_dual):
+            with pytest.raises(DualDomainError, match=message):
+                call(eta)
+
     def test_fenchel_young_identity(self):
         # B_F(th2 : th) = F(th2) + F*(eta) - <th2, eta>
         rng = np.random.default_rng(24)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from helpers import traced_peak
+from helpers import concentration_probe, traced_peak
 
 from hyperstat import hyperboloid as hb
 from hyperstat import poincare as pc
@@ -13,7 +13,6 @@ from hyperstat.geometry import LorentzParam, SpdParam2
 from hyperstat.sampling import (
     GigParams,
     RngStream,
-    concentration_probe,
     gig_sample,
     hyperboloid_sample,
     poincare_sample,
