@@ -86,15 +86,16 @@ def _radial(u: float, d: int, order: int) -> float:
 
 
 def _dual_radial(q: float, d: int, order: int) -> float:
-    # rho_1 = r_1(t^2) (the one order written) at the root of -F'(t) = m = 2 sqrt(q), t < 1e12.
+    # rho_1 = r_1(t^2) (the one order written) at the root of -F'(t) = m = 2 sqrt(q).  At d >= 3
+    # the bracket doubles up to t = 2^29: SciPy's kve, and so F', is nan from 2^30.
     m = 2.0 * math.sqrt(max(q, 0.0))
     hi = 1.0
-    while d > 2 and m > 1.0 + 1e-13 and hi <= 1e12 and not -_fprime(d, hi) <= m:
+    while d > 2 and m > 1.0 + 1e-13 and hi <= 2.0**29 and not -_fprime(d, hi) <= m:
         hi *= 2.0
-    if not (m > 1.0 + 1e-13 and hi <= 1e12):
+    if not (m > 1.0 + 1e-13 and hi <= 2.0**29):
         raise DualDomainError(
             f"moment vector has Minkowski norm {m!r}, the moment of no parameter: that needs a norm above "
-            "1 + 1e-13 (the points do not all coincide) and a parameter norm t below 1e12"
+            "1 + 1e-13 (the points do not all coincide) and, at d >= 3, a parameter norm t of at most 2^29"
         )
     if d == 2:
         return -0.5 - 0.5 / (m - 1.0)

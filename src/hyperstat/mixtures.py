@@ -49,11 +49,15 @@ and ``_MAX_ITER`` caps them.  The fit stops when a cycle gains less than
 ``loglik[-1]`` is the returned mixture's average log-likelihood and
 ``effective_counts`` its responsibilities summed over the points.
 
-Initialization draws k-means++ style seeds in sufficient-statistic space and
-hardens the nearest-seed assignment into starting responsibilities.  A fixed
-responsibility matrix, (n, k) like the points, can be injected instead, which
-makes the whole fit a deterministic function of the data (used by the
-equivariance tests).
+Initialization draws greedy k-means++ seeds in sufficient-statistic space
+(Arthur & Vassilvitskii 2007): each seed after the first is the best of
+2 + floor(ln k) draws from the D^2 distribution, the one that lowers the
+potential sum min d^2 the most, so a well-separated component is seldom left
+without a seed.  The nearest-seed assignment, hardened, gives the starting
+responsibilities; a fit that collapses a component restarts from fresh seeds,
+up to ``_RETRIES`` times.  A fixed responsibility matrix, (n, k) like the
+points, can be injected instead, which makes the whole fit a deterministic
+function of the data (used by the equivariance tests).
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ __all__ = ["Mixture", "EmTrace", "mixture_log_density_array", "mixture_sample", 
 _FAMILIES = {"poincare": pc._FAMILY, "hyperboloid": hb._FAMILY}
 _MAX_ITER = 200
 _TOL = 1e-9  # stop once a SQUAREM cycle gains less than this in average log-likelihood
-_RETRIES = 5  # k-means++ initializations tried before FitError
+_RETRIES = 5  # greedy k-means++ initializations tried before FitError
 _JUMP_TRIES = 3  # extrapolated jumps tried per SQUAREM cycle before a plain map
 
 
@@ -239,12 +243,14 @@ def mixture_sample(
 def _kmeanspp_responsibilities(
     cols: np.ndarray, k: int, gen: np.random.Generator
 ) -> np.ndarray:
-    # k-means++ seeds among the (d + 1, n) statistic columns' points, and the
-    # nearest-seed assignment as hard (k, n) responsibilities.  A squared
-    # distance is summed column by column, which adds a row's terms in the
-    # order np.sum(..., axis=1) adds them on the (n, d + 1) rows.
+    # Greedy k-means++ seeds among the (d + 1, n) statistic columns' points
+    # (each the best of 2 + floor(ln k) D^2 draws), and the nearest-seed
+    # assignment as hard (k, n) responsibilities.  A squared distance is summed
+    # column by column, which adds a row's terms in the order
+    # np.sum(..., axis=1) adds them on the (n, d + 1) rows.
     n = cols.shape[1]
     dists = np.empty((k, n))
+    cands = np.empty((2 + int(math.log(k)), n))
 
     def dist_to(i, out):
         np.square(cols[0] - cols[0, i], out=out)
@@ -258,7 +264,9 @@ def _kmeanspp_responsibilities(
         if total <= 0.0:
             dist_to(gen.integers(n), dists[j])
             continue
-        dist_to(gen.choice(n, p=d2 / total), dists[j])
+        for i, out in zip(gen.choice(n, size=len(cands), p=d2 / total), cands):
+            dist_to(i, out)
+        dists[j] = min(cands, key=lambda c: float(np.minimum(d2, c).sum()))
         np.minimum(d2, dists[j], out=d2)
     resp = np.zeros((k, n))
     resp[np.argmin(dists, axis=0), np.arange(n)] = 1.0

@@ -118,8 +118,8 @@ class Proposal(_Value):
         _set(self, "sigma", sigma)
         if kind not in ("logistic", "student_t7"):
             raise ValueError(f"unknown proposal {kind!r}")
-        if not sigma > 0.0:
-            raise ValueError(f"proposal scale must be positive, got {sigma}")
+        if not 0.0 < sigma < math.inf:
+            raise ValueError(f"proposal scale sigma must be positive and finite, got {sigma}")
 
     def sample(self, n: int, gen: np.random.Generator) -> np.ndarray:
         if self.kind == "logistic":

@@ -61,7 +61,8 @@ def bessel_k_logderiv(order: float, x: float) -> float:
     """d/dx log K_order(x), always negative.
 
     Uses K'_nu = -(K_{nu-1} + K_{nu+1})/2; the e^x scaling of ``kve`` cancels
-    in the ratio, so this stays stable for large x.
+    in the ratio, so this stays stable for large x.  Raises ValueError where
+    ``kve`` gives no finite ratio (SciPy 1.17's ``kve`` is nan from x = 2^30).
     """
     if not x > 0.0:
         raise ValueError(f"bessel_k_logderiv requires x > 0, got x={x}")
@@ -69,7 +70,10 @@ def bessel_k_logderiv(order: float, x: float) -> float:
 
     nu = abs(float(order))
     num = kve(abs(nu - 1.0), x) + kve(nu + 1.0, x)
-    return -0.5 * float(num) / float(kve(nu, x))
+    ratio = -0.5 * float(num) / float(kve(nu, x))
+    if not math.isfinite(ratio):
+        raise ValueError(f"bessel_k_logderiv failed for order={order}, x={x}")
+    return ratio
 
 
 def _exp_gamma0_series(x: float) -> float:

@@ -286,12 +286,16 @@ def plain_em(pts: np.ndarray, family: str, init_resp: np.ndarray, tol: float = 1
 
 
 def ref_kmeanspp_responsibilities(stats: np.ndarray, k: int, gen: np.random.Generator) -> np.ndarray:
-    """k-means++ hard responsibilities on the (n, d + 1) statistic rows, whole-array.
+    """Greedy k-means++ hard responsibilities on the (n, d + 1) statistic rows, whole-array.
 
-    Every squared distance is an np.sum over a row; the k distance arrays are
-    computed afresh for the nearest-seed assignment.
+    Each seed after the first is the best of 2 + floor(ln k) draws from the
+    D^2 distribution, the one whose (L, n) row of np.minimum(d2, ...) has the
+    least sum (the first on ties).  Every squared distance is an np.sum over a
+    row; the k distance arrays are computed afresh for the nearest-seed
+    assignment.
     """
     n = stats.shape[0]
+    tries = 2 + int(np.floor(np.log(k)))
     centers = [stats[gen.integers(n)]]
     d2 = np.sum((stats - centers[0]) ** 2, axis=1)
     for _ in range(1, k):
@@ -299,9 +303,11 @@ def ref_kmeanspp_responsibilities(stats: np.ndarray, k: int, gen: np.random.Gene
         if total <= 0.0:
             centers.append(stats[gen.integers(n)])
             continue
-        pick = gen.choice(n, p=d2 / total)
-        centers.append(stats[pick])
-        d2 = np.minimum(d2, np.sum((stats - centers[-1]) ** 2, axis=1))
+        picks = gen.choice(n, size=tries, p=d2 / total)
+        cand = np.stack([np.sum((stats - stats[i]) ** 2, axis=1) for i in picks])
+        best = int(np.argmin(np.minimum(d2, cand).sum(axis=1)))
+        centers.append(stats[picks[best]])
+        d2 = np.minimum(d2, cand[best])
     dists = np.stack([np.sum((stats - c) ** 2, axis=1) for c in centers])
     resp = np.zeros((k, n))
     resp[np.argmin(dists, axis=0), np.arange(n)] = 1.0

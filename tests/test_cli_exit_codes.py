@@ -403,6 +403,27 @@ def test_subnormal_minkowski_square_exits_2():
     assert "outside its cone" not in err
 
 
+@pytest.mark.parametrize("sigma", ["inf", "nan", "0"])
+def test_non_finite_or_zero_sigma_exits_2_naming_the_proposal_scale(sigma):
+    # An infinite scale would scale the draws to inf and nan; it is rejected
+    # before any draw, with no RuntimeWarning on stderr.
+    code, out, err = run_captured(["estimate", "--measure", "kl", "--method", "mc1-t7", "--sigma", sigma,
+                                   "--theta", PC[0], "--theta2", PC[1], "--n", "1000", "--seed", "1"])
+    assert code == 2
+    assert out == ""
+    assert err == f"hyperstat: proposal scale sigma must be positive and finite, got {float(sigma)}\n"
+
+
+def test_bessel_ratio_out_of_range_exits_2():
+    # At |theta| = 2e9 SciPy's kve gives a nan log-derivative: an error, not
+    # a null value and exit 3 ("infinite") for a finite Jeffreys divergence.
+    code, out, err = run_captured(["divergence", "--family", "hyperboloid", "--measure", "jeffreys",
+                                   "--theta", "[2e9,0,0,0]", "--theta2", "[2,1,1,0]"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("hyperstat: bessel_k_logderiv failed")
+
+
 @pytest.mark.parametrize(
     "family, theta, message",
     [

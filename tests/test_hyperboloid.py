@@ -457,8 +457,9 @@ class TestMle:
             hb.mle_from_moment(np.array([-1.0, 0.0, 0.0]), 2)  # one point's statistic
         with pytest.raises(DualDomainError, match="first entry must be negative"):
             hb.mle_from_moment(np.array([2.0, 0.5, 0.0]), 2)
-        # At d = 3 the root t ~ 1.5e9 lies where the Bessel ratio is nan, not a plain ValueError from brentq.
-        with pytest.raises(DualDomainError, match="a parameter norm t below 1e12"):
+        # At d = 3 the root t ~ 1.5e9 lies past 2^29, where the bracket stops
+        # short of the nan Bessel ratio: no ValueError from brentq or the ratio.
+        with pytest.raises(DualDomainError, match=r"at d >= 3, a parameter norm t of at most 2\^29"):
             hb.mle_from_moment(np.array([-1.0 - 1e-9, 0.0, 0.0, 0.0]), 3)
 
     def test_identical_points_rejected(self):

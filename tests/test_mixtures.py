@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -667,10 +668,11 @@ class TestLinearForm:
 
 
 @pytest.mark.parametrize("family", ["hyperboloid", "poincare"])
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
 def test_kmeanspp_matches_the_whole_array_form(family, k):
     # The seeding keeps its k distance arrays for the assignment; the draws
-    # and the hard responsibilities are those of the whole-array form.
+    # and the hard responsibilities are those of the whole-array greedy form
+    # (2 draws per seed at k <= 2, 3 at k = 3 to 7 and 4 at k = 8).
     truth = _truth_mixture(*next(t for t in _SQUAREM_TRUTHS[1::2] if t[0] == family))
     pts = mixture_sample(truth, 2000, RngStream(130 + k))
     stats = mixtures._FAMILIES[family].stats(pts)
@@ -684,6 +686,35 @@ def test_kmeanspp_matches_the_whole_array_form(family, k):
     same = np.tile(stats[:1], (50, 1))
     got = mixtures._kmeanspp_responsibilities(np.ascontiguousarray(same.T), k, np.random.default_rng(1))
     assert np.array_equal(got, ref_kmeanspp_responsibilities(same, k, np.random.default_rng(1)))
+
+
+# The k = 3 half-plane truth of the benchmark's em_fit workload, copied from
+# EM_TRUTHS in bench/workloads.py, with its sample size (EM_N).
+_BENCH_HALF_PLANE_K3 = ("poincare", (0.3, 0.3, 0.4), [(3.0, 0.0, 3.0), (4.0, -1.5, 1.0), (1.0, 1.5, 4.0)])
+_BENCH_EM_N = 10_000
+
+
+@pytest.mark.parametrize("seed, sample, fit", [
+    (23, (3, 3, 3), (4, 15, 8)),  # op 135, dataset 15
+    (822, (3, 3, 7), (4, 31, 34)),  # op 559, dataset 31
+])
+def test_benchmark_fits_that_stalled_find_every_component(seed, sample, fit):
+    # Plain k-means++ seeding left each of these fits converged in a local
+    # optimum with one weight near 5e-4, about 0.1 nats per point below the
+    # fit that recovers the truth.  The datasets and fit streams are rebuilt
+    # as the em_fit workload draws them.
+    family, weights, comps = _BENCH_HALF_PLANE_K3
+    truth = _truth_mixture(family, weights, comps)
+    pts = mixture_sample(truth, _BENCH_EM_N, RngStream(seed).derive(*sample))
+    mix, trace = em_fit(pts, 3, family, RngStream(seed).derive(*fit))
+    assert trace.converged
+    want = [_component_vec(c) for c in truth.components]
+    got = [_component_vec(c) for c in mix.components]
+    best = min(
+        itertools.permutations(range(3)),
+        key=lambda perm: sum(float(np.sum((got[p] - want[m]) ** 2)) for m, p in enumerate(perm)),
+    )
+    assert max(abs(mix.weights[p] - weights[m]) for m, p in enumerate(best)) <= 0.05
 
 
 def test_hyperboloid_fit_independent_of_blas_threads():

@@ -97,6 +97,14 @@ class TestBesselKLogderiv:
         with pytest.raises(ValueError):
             bessel_k_logderiv(1.0, -2.0)
 
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 2.5])
+    def test_nan_ratio_raises(self, nu):
+        # SciPy's kve is nan from x = 2^30 at these orders; the ratio raises
+        # there as bessel_k does, and not at 2^29.
+        assert math.isfinite(bessel_k_logderiv(nu, 2.0**29))
+        with pytest.raises(ValueError, match="bessel_k_logderiv failed"):
+            bessel_k_logderiv(nu, 2.0**30)
+
 
 class TestKveIdentity:
     """Both Bessel functions are exactly one ``kve`` expression each."""
