@@ -16,8 +16,8 @@ Exit codes: 0 ok, 2 invalid parameters (also a ``--n`` too large to allocate),
 a d = 2-only routine given another d), 5 fit failure, 6 ``estimate --verify``
 found the estimate more than 4 standard errors from the closed form.  All
 randomness derives from ``--seed``; results are reproducible for a fixed flag
-set.  The environment variable HYPERSTAT_THREADS caps the worker count used to
-evaluate shards; neither it nor the BLAS thread count changes any result.
+set.  ``--shards`` splits the draws into independently seeded streams that run
+one after another; the BLAS thread count changes no result.
 
 A command imports ``sampling``, ``montecarlo`` or ``mixtures`` when it runs
 and only if it calls them, so the closed-form commands never load them.  Nor

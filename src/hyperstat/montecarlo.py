@@ -17,10 +17,11 @@ the shard count; shards are combined with Chan's parallel moment update, so
 the combined moments do not depend on combination order.
 
 Each estimator is a sampler and a weight kernel, which one driver,
-:func:`_sharded`, runs: per shard the sampler makes every generator call up
-front, and the elementwise kernel runs over row blocks of ``sampling._BLOCK``
-draws, writing each block's weights into one array that is then reduced whole
-(moments, tail index).  The block size therefore changes wall time only,
+:func:`_sharded`, runs in one loop over the shards, in shard order: per
+shard the sampler makes every generator call up front, and the elementwise
+kernel runs over row blocks of ``sampling._BLOCK`` draws, writing each
+block's weights into one array that is then reduced whole (moments, tail
+index).  The block size therefore changes wall time only,
 never a bit of a result.  No kernel calls cos or sin: MC2 takes both from one
 tangent of its half angle.  The sigma search's t7 objective is a polynomial
 in the scale over pilot moments built once, so each Brent evaluation is O(1).
@@ -29,8 +30,6 @@ in the scale over pilot moments built once, so each Brent evaluation is O(1).
 from __future__ import annotations
 
 import math
-import os
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -272,45 +271,20 @@ def _shard_sizes(n: int, shards: int) -> list:
     return [s for s in sizes if s > 0]
 
 
-def _worker_count(n_jobs: int) -> int:
-    env = os.environ.get("HYPERSTAT_THREADS", "")
-    try:
-        cap = int(env) if env else (os.cpu_count() or 1)
-    except ValueError:
-        cap = 1
-    return max(1, min(n_jobs, cap))
-
-
-def _run_shards(jobs: list) -> list:
-    """Evaluate per-shard jobs, possibly on worker threads.
-
-    Results are collected in shard order, so the combined moments cannot
-    depend on the worker count; HYPERSTAT_THREADS only changes wall time.
-    """
-    workers = _worker_count(len(jobs))
-    if workers == 1:
-        return [job() for job in jobs]
-    from concurrent.futures import ThreadPoolExecutor  # loaded only when a pool starts
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
-
-
 def _sharded(sample: Callable, kernel: Callable, n: int, shards: int, rng: RngStream) -> tuple:
-    """(moments, per-shard weights) of ``kernel(out, *sample(size, rng.derive(i)))`` by blocks, per shard."""
+    """(moments, per-shard weights) of ``kernel(out, *sample(size, rng.derive(i)))`` by blocks, per shard.
 
-    def draw(size: int, stream: RngStream) -> np.ndarray:
-        inputs = sample(size, stream)
-        weights = np.empty(size)
-        _by_block(kernel, weights, *inputs)
-        return weights
-
-    sizes = _shard_sizes(n, shards)
-    weights = _run_shards([partial(draw, size, rng.derive(i)) for i, size in enumerate(sizes)])
+    Shards run one after another in shard order; each one's weights are
+    merged into the moments as soon as they are written.
+    """
     acc = _Moments()
-    for w in weights:
+    weights = []
+    for i, size in enumerate(_shard_sizes(n, shards)):
+        inputs = sample(size, rng.derive(i))
+        w = np.empty(size)
+        _by_block(kernel, w, *inputs)
         acc.add_array(w)
+        weights.append(w)
     return acc, weights
 
 

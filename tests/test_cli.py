@@ -713,12 +713,12 @@ class TestCommandImports:
         assert rc == 0
         assert loaded == {"hyperstat.sampling", "hyperstat.montecarlo", "numpy"}
 
-    def test_threaded_shards_load_the_pool_and_keep_the_bytes(self):
+    def test_shards_load_no_pool_and_keep_the_bytes(self):
+        # Whatever HYPERSTAT_THREADS says, shards run in one loop and load no pool.
         argv = ["estimate", "--family", "hyperboloid", "--measure", "tv", "--method", "mc1-t7",
                 "--theta", _SHEET, "--theta2", _SHEET2, "--n", "4000", "--seed", "5", "--shards", "2"]
-        rc1, out1, loaded1 = _run_fresh(argv, threads=1)
-        rc2, out2, loaded2 = _run_fresh(argv, threads=2)
-        assert rc1 == rc2 == 0
-        assert out1 == out2
-        assert "concurrent.futures" not in loaded1
-        assert "concurrent.futures" in loaded2
+        runs = [_run_fresh(argv, threads=threads) for threads in (None, 1, 2)]
+        assert [rc for rc, _, _ in runs] == [0, 0, 0]
+        assert runs[0][1] and runs[0][1] == runs[1][1] == runs[2][1]
+        for _, _, loaded in runs:
+            assert "concurrent.futures" not in loaded

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -462,10 +463,15 @@ class TestShardMachinery:
         b = estimate_mc2(f, APEX, T211, 30_000, RngStream(27), shards=3)
         assert a == b
 
-    def test_worker_count_does_not_change_results(self, monkeypatch):
+    def test_shards_start_no_thread(self, monkeypatch):
         f = FGenerator.total_variation()
-        monkeypatch.setenv("HYPERSTAT_THREADS", "1")
+        monkeypatch.delenv("HYPERSTAT_THREADS", raising=False)
         a = estimate_plugin(f, APEX, T211, 60_000, RngStream(28), shards=6)
+
+        def refuse(self):
+            raise AssertionError("a shard started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         monkeypatch.setenv("HYPERSTAT_THREADS", "6")
         b = estimate_plugin(f, APEX, T211, 60_000, RngStream(28), shards=6)
         assert a == b
